@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 from .ring import (CoefField, FFRError, ParseError, Poly, PolyRing, QQ,
                    RingMismatchError, VerificationError, content_ideal,
                    kronecker_poly, parse_poly)
-from .groebner import (GroebnerBasis, IdealGens, buchberger, ideal_colon,
+from .groebner import (GroebnerBasis, IdealGens, ideal_colon,
                        ideal_intersection, krull_dimension, module_membership,
-                       normal_form, radical_membership, saturation,
-                       syzygy_module)
+                       radical_membership, saturation, syzygy_module)
 from .algebra import (AIdeal, AModule, FPAlgebra, annihilator,
                       ideal_times_module_is_module, is_faithful_ideal,
                       is_regular_element, is_trivial, module_colon_element)

@@ -129,15 +129,8 @@ class AModule:
 
     def base_vectors(self) -> list[list[Poly]]:
         """Presentation columns plus J e_t: the submodule W with M = A^q/W."""
-        R = self.algebra.ring
-        zero = R.zero()
-        vs = self.relation_columns()
-        for rel in self.algebra.relations.gens:
-            for t in range(self.rank):
-                v = [zero] * self.rank
-                v[t] = rel
-                vs.append(v)
-        return vs
+        return self.relation_columns() + scalar_columns(
+            self.algebra.relations.gens, self.rank, self.algebra.ring)
 
     def transport(self, algebra: FPAlgebra) -> "AModule":
         """Reinterpret over a free polynomial extension of the base algebra."""
@@ -152,9 +145,17 @@ class AModule:
 # ---------------------------------------------------------------------------
 # submodule machinery (internal, shared with depth)
 
-def submodule_basis(vectors: Sequence[Sequence[Poly]], rank: int,
-                    ring: PolyRing) -> gb.ModuleBasis:
-    return gb.module_gb(list(vectors), rank=rank, ring=ring)
+def scalar_columns(scalars: Sequence[Poly], rank: int,
+                   ring: PolyRing) -> list[list[Poly]]:
+    """The vectors s e_t of R^rank: scalars outermost, then t = 1..rank."""
+    zero = ring.zero()
+    out = []
+    for s in scalars:
+        for t in range(rank):
+            v = [zero] * rank
+            v[t] = s
+            out.append(v)
+    return out
 
 
 def module_colon_scalar(vectors: Sequence[Sequence[Poly]], f: Poly, rank: int,
@@ -166,13 +167,7 @@ def module_colon_scalar(vectors: Sequence[Sequence[Poly]], f: Poly, rank: int,
             return [[ring.one()]]
         colon = gb.ideal_colon_poly(I, f)
         return [[g] for g in colon.gens]
-    zero = ring.zero()
-    mains = []
-    for t in range(rank):
-        v = [zero] * rank
-        v[t] = f
-        mains.append(v)
-    syz = gb.syzygy_module(mains + list(vectors))
+    syz = gb.syzygy_module(scalar_columns([f], rank, ring) + list(vectors))
     result = []
     for s in syz:
         x = s[:rank]
@@ -186,14 +181,8 @@ def module_colon_ideal(vectors: Sequence[Sequence[Poly]],
                        ring: PolyRing) -> list[list[Poly]]:
     """Generators of (W : a) = {x : g x in W for every generator g of a}."""
     gens = [g for g in ideal_gens if not g.is_zero]
-    if not gens:
-        # (W : 0) is everything
-        out = []
-        for t in range(rank):
-            v = [ring.zero()] * rank
-            v[t] = ring.one()
-            out.append(v)
-        return out
+    if not gens:  # (W : 0) is everything
+        return scalar_columns([ring.one()], rank, ring)
     k = len(gens)
     zero = ring.zero()
     mains = []
@@ -249,7 +238,7 @@ def module_colon_element(E: AModule, f: Poly) -> list[list[Poly]]:
         return []
     R = E.algebra.ring
     W = E.base_vectors()
-    basis = submodule_basis(W, E.rank, R)
+    basis = gb.module_gb(W, rank=E.rank, ring=R)
     gens = module_colon_scalar(W, E.algebra.nf(f), E.rank, R)
     out = []
     for g in gens:
@@ -264,20 +253,10 @@ def ideal_times_module_is_module(a: AIdeal, E: AModule) -> bool:
     if E.rank == 0:
         return True
     R = E.algebra.ring
-    zero = R.zero()
-    span = E.base_vectors()
-    for g in a.gens:
-        for t in range(E.rank):
-            v = [zero] * E.rank
-            v[t] = g
-            span.append(v)
-    basis = submodule_basis(span, E.rank, R)
-    for t in range(E.rank):
-        v = [zero] * E.rank
-        v[t] = R.one()
-        if not basis.contains(v):
-            return False
-    return True
+    span = E.base_vectors() + scalar_columns(a.gens, E.rank, R)
+    basis = gb.module_gb(span, rank=E.rank, ring=R)
+    return all(basis.contains(e_t)
+               for e_t in scalar_columns([R.one()], E.rank, R))
 
 
 def annihilator(E: AModule) -> AIdeal:
@@ -287,11 +266,8 @@ def annihilator(E: AModule) -> AIdeal:
         return AIdeal(A, [A.ring.one()])
     R = A.ring
     W = E.base_vectors()
-    zero = R.zero()
     result: Optional[gb.IdealGens] = None
-    for t in range(E.rank):
-        e_t = [zero] * E.rank
-        e_t[t] = R.one()
+    for e_t in scalar_columns([R.one()], E.rank, R):
         syz = gb.syzygy_module([e_t] + W)
         colon = gb.IdealGens(R, [s[0] for s in syz])
         result = colon if result is None else gb.ideal_intersection(result, colon)
@@ -301,14 +277,8 @@ def annihilator(E: AModule) -> AIdeal:
 def algebra_membership(v: Sequence[Poly], gens: Sequence[Sequence[Poly]],
                        algebra: FPAlgebra) -> Optional[list[Poly]]:
     """Lift of v over span(gens) + J A^rank; coefficients for gens only."""
-    rank = len(v)
-    zero = algebra.ring.zero()
-    aug = [list(g) for g in gens]
-    for rel in algebra.relations.gens:
-        for t in range(rank):
-            col = [zero] * rank
-            col[t] = rel
-            aug.append(col)
+    aug = [list(g) for g in gens] + scalar_columns(
+        algebra.relations.gens, len(v), algebra.ring)
     lift = gb.module_membership(list(v), aug)
     return None if lift is None else lift[:len(gens)]
 

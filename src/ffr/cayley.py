@@ -121,7 +121,7 @@ def cayley_factorize(C: FreeComplex, check: bool = True) -> CayleyData:
         M = C.matrix(k).exterior_power(r_k)
         w = hodge_right(u[k]).coord_list()
         if len(w) != M.cols:
-            raise AssertionError("exterior basis misalignment")
+            raise VerificationError("exterior basis misalignment")
         widl = AIdeal(A, w)
         if not is_faithful_ideal(A, widl):
             raise CayleyError(

@@ -27,11 +27,13 @@ from .complexes import (FreeComplex, RankObstructionError, RingMatrix,
                         certify_exact, determinantal_ideal, mccoy_injective)
 from .depth import (INFINITY, depth_at_least, depth_value,
                     is_completely_secant, wiebe_check)
-from .groebner import (IdealGens, buchberger, ideal_colon, module_membership,
-                       krull_dimension, normal_form, saturation)
+from .exterior import (MultiVector, complement, eps_sign, hodge_left,
+                       hodge_right, interior_right, pairing, subsets_colex,
+                       wedge)
+from .groebner import (IdealGens, ideal_colon, krull_dimension,
+                       module_membership, saturation)
 from .monomial import (MonomialList, homotopy_identity_check,
                        is_taylor_minimal, taylor_complex)
-from .exterior import subsets_colex
 from .ring import (CoefField, FFRError, ParseError, Poly, PolyRing, QQ,
                    RingMismatchError, VerificationError, coefficients_in,
                    parse_poly)
@@ -43,6 +45,26 @@ class SchemaError(FFRError):
 
 # ---------------------------------------------------------------------------
 # input parsing
+
+def _json(text: str, message: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{message}: {exc}") from None
+
+
+def _json_file(path: str, kind: str, key: str) -> dict:
+    """A complex or matrix document: a JSON object with the entry `key`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
+    doc = _json(text, f"bad {kind} JSON")
+    if not isinstance(doc, dict) or key not in doc:
+        raise SchemaError(f'{kind} document needs "{key}"')
+    return doc
+
 
 def _parse_field(text: str) -> CoefField:
     if text == "Q":
@@ -57,16 +79,11 @@ def _parse_field(text: str) -> CoefField:
 
 def _parse_list(text: Optional[str]) -> list[str]:
     """A JSON array of strings, or a comma-separated list."""
-    if text is None:
-        return []
-    text = text.strip()
+    text = (text or "").strip()
     if not text:
         return []
     if text.startswith("["):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"bad JSON list: {exc}") from None
+        data = _json(text, "bad JSON list")
         if not isinstance(data, list) or not all(isinstance(s, str)
                                                  for s in data):
             raise SchemaError("expected a JSON array of strings")
@@ -76,49 +93,14 @@ def _parse_list(text: Optional[str]) -> list[str]:
 
 def _parse_ideal_doc(text: str) -> list[str]:
     text = text.strip()
-    if text.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"bad ideal JSON: {exc}") from None
-        if not isinstance(data, dict) or "gens" not in data:
-            raise SchemaError('ideal object needs a "gens" array')
-        gens = data["gens"]
-        if not isinstance(gens, list):
-            raise SchemaError('"gens" must be an array of strings')
-        return gens
-    return _parse_list(text)
-
-
-def _ring_doc(args) -> Optional[dict]:
-    text = getattr(args, "ring", None)
-    if not text:
-        return None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"bad ring JSON: {exc}") from None
-    if not isinstance(doc, dict) or "vars" not in doc:
-        raise SchemaError('ring object needs "vars"')
-    return doc
-
-
-def _ring_from_args(args) -> PolyRing:
-    doc = _ring_doc(args)
-    if doc is not None:
-        return PolyRing(_parse_field(doc.get("field", "Q")), doc["vars"],
-                        doc.get("order", "grevlex"))
-    vars_ = _parse_list(getattr(args, "vars", None))
-    return PolyRing(_parse_field(args.field), vars_, args.order)
-
-
-def _algebra_from_args(args) -> FPAlgebra:
-    R = _ring_from_args(args)
-    doc = _ring_doc(args)
-    rel_src = (doc.get("relations", []) if doc is not None
-               else _parse_list(getattr(args, "relations", None)))
-    rels = [_poly(s, R) for s in rel_src]
-    return FPAlgebra(R, rels)
+    if not text.startswith("{"):
+        return _parse_list(text)
+    data = _json(text, "bad ideal JSON")
+    if not isinstance(data, dict) or "gens" not in data:
+        raise SchemaError('ideal object needs a "gens" array')
+    if not isinstance(data["gens"], list):
+        raise SchemaError('"gens" must be an array of strings')
+    return data["gens"]
 
 
 def _poly(src: str, ring: PolyRing) -> Poly:
@@ -128,75 +110,97 @@ def _poly(src: str, ring: PolyRing) -> Poly:
         raise SchemaError(f"bad polynomial {src!r}: {exc}") from None
 
 
-def _module_from_args(args, A: FPAlgebra) -> AModule:
-    text = getattr(args, "module", None)
-    if not text:
-        return AModule.free(A, 1)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"bad module JSON: {exc}") from None
+def _polys(texts, ring: PolyRing) -> list[Poly]:
+    return [_poly(s, ring) for s in texts]
+
+
+def _ideal(text: str, ring: PolyRing) -> list[Poly]:
+    return _polys(_parse_ideal_doc(text), ring)
+
+
+def _algebra_from_doc(doc: dict) -> FPAlgebra:
+    """The algebra of a ring, complex or matrix document."""
+    R = PolyRing(_parse_field(doc.get("field", "Q")), doc.get("vars", []),
+                 doc.get("order", "grevlex"))
+    return FPAlgebra(R, _polys(doc.get("relations", []), R))
+
+
+def _ring_from_flags(args) -> PolyRing:
+    vars_ = _parse_list(args.vars)
+    return PolyRing(_parse_field(args.field), vars_, args.order)
+
+
+def _algebra(args) -> FPAlgebra:
+    """The algebra of --ring, or else of the ring flags.
+
+    Commands without a --relations option ignore the relations of a ring
+    document as well.
+    """
+    if not args.ring:
+        R = _ring_from_flags(args)
+        relations = _parse_list(getattr(args, "relations", ""))
+        return FPAlgebra(R, _polys(relations, R))
+    doc = _json(args.ring, "bad ring JSON")
+    if not isinstance(doc, dict) or "vars" not in doc:
+        raise SchemaError('ring object needs "vars"')
+    if not hasattr(args, "relations"):
+        doc = {k: v for k, v in doc.items() if k != "relations"}
+    return _algebra_from_doc(doc)
+
+
+def _module(args, A: FPAlgebra) -> tuple[AModule, Optional[dict]]:
+    """The --module cokernel (free of rank 1 when omitted) and its document."""
+    if not args.module:
+        return AModule.free(A, 1), None
+    doc = _json(args.module, "bad module JSON")
     if not isinstance(doc, dict) or "rank" not in doc:
         raise SchemaError('module object needs "rank" and "presentation"')
     rank = doc["rank"]
     rows = doc.get("presentation", [])
     if not isinstance(rank, int) or rank < 0 or not isinstance(rows, list):
         raise SchemaError("bad module document")
-    pres = [[_poly(s, A.ring) for s in row] for row in rows]
-    return AModule(A, rank, pres)
+    return AModule(A, rank, [_polys(row, A.ring) for row in rows]), doc
 
 
 def _matrix_doc(doc, A: FPAlgebra) -> RingMatrix:
     if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
         raise SchemaError("matrix must be a list of rows of strings")
-    return RingMatrix(A, [[_poly(s, A.ring) for s in row] for row in doc])
+    return RingMatrix(A, [_polys(row, A.ring) for row in doc])
 
 
-def _complex_from_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"bad complex JSON: {exc}") from None
-    if not isinstance(doc, dict) or "matrices" not in doc:
-        raise SchemaError('complex document needs "matrices"')
-    field = _parse_field(doc.get("field", "Q"))
-    vars_ = doc.get("vars", [])
-    R = PolyRing(field, vars_, doc.get("order", "grevlex"))
-    A = FPAlgebra(R, [_poly(s, R) for s in doc.get("relations", [])])
+def _complex_from_file(path: str) -> tuple[FreeComplex, dict]:
+    doc = _json_file(path, "complex", "matrices")
+    A = _algebra_from_doc(doc)
     mats = [_matrix_doc(m, A) for m in doc["matrices"]]
-    ranks = doc.get("expected_ranks")
-    return A, FreeComplex(A, mats, ranks), doc
+    return FreeComplex(A, mats, doc.get("expected_ranks")), doc
 
 
 # ---------------------------------------------------------------------------
 # reports
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _emit(args, command: str, inputs: dict, payload: dict, t0: float) -> None:
-    report = {"command": command, "inputs": inputs}
-    report.update(payload)
-    report["inputs_digest"] = hashlib.sha256(
-        _canonical({"command": command, "inputs": inputs}).encode()).hexdigest()
+def _emit(args, inputs: dict, payload: dict, t0: float) -> None:
+    head = {"command": args.command, "inputs": inputs}
+    report = {**head, **payload}
+    canonical = json.dumps(head, sort_keys=True, separators=(",", ":"))
+    report["inputs_digest"] = hashlib.sha256(canonical.encode()).hexdigest()
     report["timing_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     text = json.dumps(report, sort_keys=True, indent=2)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
+def _strs(items) -> list[str]:
+    return [str(p) for p in items]
+
+
 def _cert_json(cert) -> dict:
     out = {"holds": cert.holds, "k": cert.k}
     if not cert.holds:
         out["fail_stage"] = cert.fail_stage
-        out["witness"] = [str(p) for p in cert.witness or ()]
+        out["witness"] = _strs(cert.witness or ())
     return out
 
 
@@ -204,138 +208,121 @@ def _ring_inputs(R, A=None) -> dict:
     field = "Q" if not R.field.p else f"Fp:{R.field.p}"
     out = {"field": field, "vars": list(R.vars), "order": R.order}
     if A is not None:
-        out["relations"] = [str(r) for r in A.relations.gens]
+        out["relations"] = _strs(A.relations.gens)
     return out
 
+
+def _conditions_json(report) -> list[dict]:
+    out = []
+    for c in report.conditions:
+        rec = {"level": c.level, "required_depth": c.required_depth,
+               "ideal_gens": _strs(c.ideal.gens),
+               "verdict": {None: "skipped", True: "holds",
+                           False: "fails"}[c.holds]}
+        if c.certificate is not None:
+            rec.update(_cert_json(c.certificate))
+        out.append(rec)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (inputs, payload) for the report
 
-def _cmd_gb(args, t0):
-    R = _ring_from_args(args)
-    gens = [_poly(s, R) for s in _parse_ideal_doc(args.ideal)]
-    I = IdealGens(R, gens)
-    gb = buchberger(I)
-    for g in gens:  # re-verify: the basis reduces every input to zero
-        if not normal_form(g, gb).is_zero:
-            raise VerificationError("basis does not reduce a generator")
-    inputs = {**_ring_inputs(R), "ideal": [str(g) for g in gens]}
-    _emit(args, "gb", inputs, {"verdict": "computed",
-                               "basis": [str(g) for g in gb.basis]}, t0)
-    return 0
+def _gb(args):
+    R = _algebra(args).ring
+    gens = _ideal(args.ideal, R)
+    gb = IdealGens(R, gens).groebner()
+    if not all(gb.contains(g) for g in gens):  # every input reduces to 0
+        raise VerificationError("basis does not reduce a generator")
+    return ({**_ring_inputs(R), "ideal": _strs(gens)},
+            {"verdict": "computed", "basis": _strs(gb.basis)})
 
 
-def _cmd_member(args, t0):
-    R = _ring_from_args(args)
-    gens = [_poly(s, R) for s in _parse_ideal_doc(args.ideal)]
+def _member(args):
+    R = _algebra(args).ring
+    gens = _ideal(args.ideal, R)
     f = _poly(args.poly, R)
     lift = module_membership([f], [[g] for g in IdealGens(R, gens).gens])
-    inputs = {**_ring_inputs(R), "ideal": [str(g) for g in gens],
-              "poly": str(f)}
-    payload = {"verdict": "member" if lift is not None else "not-member"}
-    if lift is not None:
-        payload["lift"] = [str(c) for c in lift]
-    _emit(args, "member", inputs, payload, t0)
-    return 0
+    payload = ({"verdict": "not-member"} if lift is None
+               else {"verdict": "member", "lift": _strs(lift)})
+    return {**_ring_inputs(R), "ideal": _strs(gens), "poly": str(f)}, payload
 
 
-def _cmd_colon(args, t0):
-    R = _ring_from_args(args)
-    I = IdealGens(R, [_poly(s, R) for s in _parse_ideal_doc(args.ideal)])
-    J = IdealGens(R, [_poly(s, R) for s in _parse_ideal_doc(args.by)])
+def _colon(args):
+    R = _algebra(args).ring
+    I = IdealGens(R, _ideal(args.ideal, R))
+    J = IdealGens(R, _ideal(args.by, R))
     Q = ideal_colon(I, J)
-    gbI = buchberger(I)
-    for q in Q.gens:  # re-verify Q J subseteq I
-        for j in J.gens:
-            if not gbI.contains(q * j):
-                raise VerificationError("colon generator fails membership")
-    inputs = {**_ring_inputs(R), "ideal": [str(g) for g in I.gens],
-              "by": [str(g) for g in J.gens]}
-    _emit(args, "colon", inputs,
-          {"verdict": "computed", "gens": [str(g) for g in Q.gens]}, t0)
-    return 0
+    gbI = I.groebner()  # re-verify Q J subseteq I
+    if not all(gbI.contains(q * j) for q in Q.gens for j in J.gens):
+        raise VerificationError("colon generator fails membership")
+    return ({**_ring_inputs(R), "ideal": _strs(I.gens), "by": _strs(J.gens)},
+            {"verdict": "computed", "gens": _strs(Q.gens)})
 
 
-def _cmd_sat(args, t0):
-    R = _ring_from_args(args)
-    I = IdealGens(R, [_poly(s, R) for s in _parse_ideal_doc(args.ideal)])
+def _sat(args):
+    R = _algebra(args).ring
+    I = IdealGens(R, _ideal(args.ideal, R))
     f = _poly(args.poly, R)
     S = saturation(I, f)
-    gbS = buchberger(S)
-    for g in I.gens:  # re-verify I subseteq sat
-        if not gbS.contains(g):
-            raise VerificationError("saturation lost a generator")
-    inputs = {**_ring_inputs(R), "ideal": [str(g) for g in I.gens],
-              "poly": str(f)}
-    _emit(args, "sat", inputs,
-          {"verdict": "computed", "gens": [str(g) for g in S.gens]}, t0)
-    return 0
+    gbS = S.groebner()
+    if not all(gbS.contains(g) for g in I.gens):  # re-verify I in sat
+        raise VerificationError("saturation lost a generator")
+    return ({**_ring_inputs(R), "ideal": _strs(I.gens), "poly": str(f)},
+            {"verdict": "computed", "gens": _strs(S.gens)})
 
 
-def _cmd_dim(args, t0):
-    R = _ring_from_args(args)
-    I = IdealGens(R, [_poly(s, R) for s in _parse_ideal_doc(args.ideal)])
-    d = krull_dimension(I)
-    inputs = {**_ring_inputs(R), "ideal": [str(g) for g in I.gens]}
-    _emit(args, "dim", inputs, {"verdict": "computed", "dimension": d}, t0)
-    return 0
+def _dim(args):
+    R = _algebra(args).ring
+    I = IdealGens(R, _ideal(args.ideal, R))
+    return ({**_ring_inputs(R), "ideal": _strs(I.gens)},
+            {"verdict": "computed", "dimension": krull_dimension(I)})
 
 
-def _cmd_depth(args, t0):
-    A = _algebra_from_args(args)
-    a = AIdeal(A, [_poly(s, A.ring) for s in _parse_ideal_doc(args.ideal)])
-    E = _module_from_args(args, A)
+def _ideal_and_module(args):
+    """The ideal and module of the depth commands, and their inputs echo."""
+    A = _algebra(args)
+    a = AIdeal(A, _ideal(args.ideal, A.ring))
+    E, module = _module(args, A)
+    return a, E, {**_ring_inputs(A.ring, A), "ideal": _strs(a.gens),
+                  "module": module}
+
+
+def _depth(args):
+    a, E, inputs = _ideal_and_module(args)
     cert = depth_at_least(a, E, args.atleast)
-    inputs = {**_ring_inputs(A.ring, A), "ideal": [str(g) for g in a.gens],
-              "atleast": args.atleast,
-              "module": json.loads(args.module) if args.module else None}
     verdict = (f"at least {args.atleast}" if cert.holds
                else f"fails at {cert.fail_stage}")
-    _emit(args, "depth", inputs,
-          {"verdict": verdict, "certificate": _cert_json(cert)}, t0)
-    return 0
+    return ({**inputs, "atleast": args.atleast},
+            {"verdict": verdict, "certificate": _cert_json(cert)})
 
 
-def _cmd_depth_value(args, t0):
-    A = _algebra_from_args(args)
-    a = AIdeal(A, [_poly(s, A.ring) for s in _parse_ideal_doc(args.ideal)])
-    E = _module_from_args(args, A)
+def _depth_value(args):
+    a, E, inputs = _ideal_and_module(args)
     value = depth_value(a, E)
-    inputs = {**_ring_inputs(A.ring, A), "ideal": [str(g) for g in a.gens],
-              "module": json.loads(args.module) if args.module else None}
-    shown = "infinity" if value == INFINITY else value
-    _emit(args, "depth-value", inputs,
-          {"verdict": "computed", "depth": shown}, t0)
-    return 0
+    return inputs, {"verdict": "computed",
+                    "depth": "infinity" if value == INFINITY else value}
 
 
-def _cmd_secant(args, t0):
-    A = _algebra_from_args(args)
-    seq = [_poly(s, A.ring) for s in _parse_list(args.seq)]
-    E = _module_from_args(args, A)
+def _secant(args):
+    A = _algebra(args)
+    seq = _polys(_parse_list(args.seq), A.ring)
+    E, module = _module(args, A)
     verdict = is_completely_secant(seq, E)
-    inputs = {**_ring_inputs(A.ring, A), "seq": [str(p) for p in seq],
-              "module": json.loads(args.module) if args.module else None}
-    _emit(args, "secant", inputs,
-          {"verdict": "completely-secant" if verdict else "not-secant"}, t0)
-    return 0
+    return ({**_ring_inputs(A.ring, A), "seq": _strs(seq), "module": module},
+            {"verdict": "completely-secant" if verdict else "not-secant"})
 
 
-def _cmd_wiebe(args, t0):
-    A = _algebra_from_args(args)
-    c_seq = [_poly(s, A.ring) for s in _parse_list(args.c)]
-    a_seq = [_poly(s, A.ring) for s in _parse_list(args.a)]
-    try:
-        rows = json.loads(args.u)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"bad matrix JSON: {exc}") from None
-    U = [[_poly(s, A.ring) for s in row] for row in rows]
-    E = _module_from_args(args, A)
+def _wiebe(args):
+    A = _algebra(args)
+    c_seq = _polys(_parse_list(args.c), A.ring)
+    a_seq = _polys(_parse_list(args.a), A.ring)
+    U = [_polys(row, A.ring) for row in _json(args.u, "bad matrix JSON")]
+    E, module = _module(args, A)
     rep = wiebe_check(c_seq, a_seq, U, E)
-    inputs = {**_ring_inputs(A.ring, A),
-              "c": [str(p) for p in c_seq], "a": [str(p) for p in a_seq],
-              "u": [[str(p) for p in row] for row in U],
-              "module": json.loads(args.module) if args.module else None}
-    payload = {
+    inputs = {**_ring_inputs(A.ring, A), "c": _strs(c_seq), "a": _strs(a_seq),
+              "u": [_strs(row) for row in U], "module": module}
+    return inputs, {
         "verdict": "holds" if rep.holds else "fails",
         "delta": str(rep.delta),
         "inclusion_certified": rep.inclusion_certified,
@@ -343,78 +330,39 @@ def _cmd_wiebe(args, t0):
         "colon_delta_equals_a": rep.colon_delta_equals_a,
         "colon_ideal_equals_delta_plus_c": rep.colon_ideal_equals_delta_plus_c,
     }
-    _emit(args, "wiebe", inputs, payload, t0)
-    return 0
 
 
-def _conditions_json(report) -> list[dict]:
-    out = []
-    for c in report.conditions:
-        rec = {"level": c.level, "required_depth": c.required_depth,
-               "ideal_gens": [str(g) for g in c.ideal.gens]}
-        if c.certificate is None:
-            rec["verdict"] = "skipped"
-        else:
-            rec["verdict"] = "holds" if c.holds else "fails"
-            rec.update(_cert_json(c.certificate))
-        out.append(rec)
-    return out
-
-
-def _cmd_certify(args, t0):
-    A, C, doc = _complex_from_file(args.complex)
+def _certify(args):
+    C, doc = _complex_from_file(args.complex)
     report = certify_exact(C)
-    inputs = {"complex": doc}
-    payload = {"verdict": "exact" if report.exact else "not-exact",
-               "euler_characteristic": C.ranks[0],
-               "expected_ranks": list(C.ranks),
-               "conditions": _conditions_json(report)}
-    _emit(args, "certify", inputs, payload, t0)
-    return 0
+    return {"complex": doc}, {
+        "verdict": "exact" if report.exact else "not-exact",
+        "euler_characteristic": C.ranks[0],
+        "expected_ranks": list(C.ranks),
+        "conditions": _conditions_json(report)}
 
 
-def _cmd_cayley(args, t0):
-    A, C, doc = _complex_from_file(args.complex)
-    inputs = {"complex": doc}
+def _cayley(args):
+    C, doc = _complex_from_file(args.complex)
     try:
         data = cayley_factorize(C)
     except CayleyError as exc:
-        _emit(args, "cayley", inputs,
-              {"verdict": "not-cayley", "reason": str(exc)}, t0)
-        return 0
-    payload = {
+        return {"complex": doc}, {"verdict": "not-cayley", "reason": str(exc)}
+    return {"complex": doc}, {
         "verdict": "factorized",
-        "factor_ideals": [[str(g) for g in b.gens]
-                          for b in data.factor_ideals],
-        "determinant": None if data.det is None else str(data.det),
-    }
-    _emit(args, "cayley", inputs, payload, t0)
-    return 0
+        "factor_ideals": [_strs(b.gens) for b in data.factor_ideals],
+        "determinant": None if data.det is None else str(data.det)}
 
 
-def _cmd_hilbert_burch(args, t0):
-    try:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {args.matrix}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"bad matrix JSON: {exc}") from None
-    if not isinstance(doc, dict) or "matrix" not in doc:
-        raise SchemaError('matrix document needs "matrix"')
-    field = _parse_field(doc.get("field", "Q"))
-    R = PolyRing(field, doc.get("vars", []), doc.get("order", "grevlex"))
-    A = FPAlgebra(R, [_poly(s, R) for s in doc.get("relations", [])])
+def _hilbert_burch(args):
+    doc = _json_file(args.matrix, "matrix", "matrix")
+    A = _algebra_from_doc(doc)
     M = _matrix_doc(doc["matrix"], A)
-    alpha = None
-    if args.alpha:
-        alpha = [_poly(s, R) for s in _parse_list(args.alpha)]
+    alpha = _polys(_parse_list(args.alpha), A.ring) if args.alpha else None
     rep = hilbert_burch(M, alpha)
-    inputs = {"matrix": doc,
-              "alpha": None if alpha is None else [str(p) for p in alpha]}
     payload = {
         "verdict": "exact" if rep.exact else "not-exact",
-        "delta": [str(d) for d in rep.delta],
+        "delta": _strs(rep.delta),
         "delta_annihilates": rep.delta_annihilates,
         "grade2": _cert_json(rep.grade2),
     }
@@ -425,11 +373,11 @@ def _cmd_hilbert_burch(args, t0):
             payload["factor"] = str(rep.factor)
             payload["factor_regular"] = rep.factor_regular
             payload["factor_strong_gcd"] = rep.factor_gcd.ok
-    _emit(args, "hilbert-burch", inputs, payload, t0)
-    return 0
+    return ({"matrix": doc, "alpha": None if alpha is None else _strs(alpha)},
+            payload)
 
 
-def _cmd_resultant(args, t0):
+def _resultant(args):
     field = _parse_field(args.field)
     names = _parse_list(args.vars) or ["X", "Y"]
     if len(names) != 2:
@@ -437,6 +385,7 @@ def _cmd_resultant(args, t0):
     R2 = PolyRing(field, names, args.order)
     P = _poly(args.P, R2)
     Q = _poly(args.Q, R2)
+    base = PolyRing(field, [])
 
     def coeff_list(p):
         if p.is_zero:
@@ -444,32 +393,19 @@ def _cmd_resultant(args, t0):
         deg = p.degree()
         if any(sum(m) != deg for m in p.terms):
             raise SchemaError(f"{p} is not homogeneous")
-        base = PolyRing(field, [])
-        by_x = coefficients_in(p, 0)
-        out = []
-        for k in range(deg + 1):
-            c = by_x.get(k)
-            if c is None:
-                out.append(base.zero())
-            else:
-                ((_, scalar),) = c.terms.items()
-                out.append(base.const(scalar))
-        return base, out
+        by_x = coefficients_in(p, 0)  # X^k -> c Y^(deg-k), one term each
+        return [base.const(by_x[k].lt()[1]) if k in by_x else base.zero()
+                for k in range(deg + 1)]
 
-    base, pc = coeff_list(P)
-    _, qc = coeff_list(Q)
-    A = FPAlgebra.polynomial(base)
-    g = resultant_via_cayley(A, pc, qc, args.d)
-    inputs = {"field": args.field, "vars": names, "P": str(P), "Q": str(Q),
-              "d": args.d}
-    _emit(args, "resultant", inputs,
-          {"verdict": "computed", "resultant": str(g)}, t0)
-    return 0
+    g = resultant_via_cayley(FPAlgebra.polynomial(base), coeff_list(P),
+                             coeff_list(Q), args.d)
+    return ({"field": args.field, "vars": names, "P": str(P), "Q": str(Q),
+             "d": args.d},
+            {"verdict": "computed", "resultant": str(g)})
 
 
-def _cmd_taylor(args, t0):
-    names = _parse_list(args.vars)
-    R = PolyRing(_parse_field(args.field), names, args.order)
+def _taylor(args):
+    R = _ring_from_flags(args)  # taylor reads the ring flags, not --ring
     try:
         m = MonomialList.parse(R, _parse_list(args.monomials))
     except ValueError as exc:
@@ -477,62 +413,53 @@ def _cmd_taylor(args, t0):
     T = taylor_complex(m)
     payload = {"verdict": "computed",
                "ranks": list(T.complex.sizes),
-               "matrices": [[[str(p) for p in row] for row in
-                             T.complex.matrix(k).entries]
-                            for k in range(1, T.complex.length + 1)]}
+               "matrices": [[_strs(row) for row in M.entries]
+                            for M in T.complex.matrices]}
     if args.minimal:
         payload["minimal"] = is_taylor_minimal(m)
     if args.check_homotopy:
-        samples = []
         mults = [(0,) * R.n, tuple([1] + [0] * (R.n - 1))]
-        for k in range(0, m.r + 1):
-            for J in subsets_colex(m.r, k):
-                for p in mults:
-                    samples.append((p, J))
+        samples = [(p, J) for k in range(0, m.r + 1)
+                   for J in subsets_colex(m.r, k) for p in mults]
         payload["homotopy_identity"] = homotopy_identity_check(m, samples)
         if not payload["homotopy_identity"]:
             raise VerificationError("contracting homotopy identity failed")
-    inputs = {**_ring_inputs(R),
-              "monomials": [str(m.poly(i)) for i in range(1, m.r + 1)]}
-    _emit(args, "taylor", inputs, payload, t0)
-    return 0
+    return ({**_ring_inputs(R),
+             "monomials": [str(m.poly(i)) for i in range(1, m.r + 1)]},
+            payload)
 
 
-def _cmd_mccoy(args, t0):
-    A = _algebra_from_args(args)
-    try:
-        rows = json.loads(args.matrix)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"bad matrix JSON: {exc}") from None
-    M = _matrix_doc(rows, A)
+def _mccoy(args):
+    A = _algebra(args)
+    M = _matrix_doc(_json(args.matrix, "bad matrix JSON"), A)
     verdict = mccoy_injective(M)
-    inputs = {**_ring_inputs(A.ring, A),
-              "matrix": [[str(p) for p in row] for row in M.entries]}
-    _emit(args, "mccoy", inputs,
-          {"verdict": "injective" if verdict else "not-injective",
-           "maximal_minors": [str(g) for g in
-                              determinantal_ideal(M, M.cols).gens]}, t0)
-    return 0
+    return ({**_ring_inputs(A.ring, A),
+             "matrix": [_strs(row) for row in M.entries]},
+            {"verdict": "injective" if verdict else "not-injective",
+             "maximal_minors": _strs(determinantal_ideal(M, M.cols).gens)})
 
 
-def _cmd_hodge_selftest(args, t0):
-    from .exterior import (MultiVector, complement, eps_sign, hodge_left,
-                           hodge_right, interior_right, pairing, wedge)
+def _hodge_selftest(args):
+    def check(ok: bool, identity: str, J) -> None:
+        if not ok:
+            raise VerificationError(f"{identity} fails at e_{J} (n = {n})")
+
     A = FPAlgebra.polynomial(PolyRing(QQ, ["x"]))
-    n_max = args.n
     checked = 0
-    for n in range(1, n_max + 1):
+    for n in range(1, args.n + 1):
         full = MultiVector.basis(A, n, tuple(range(1, n + 1)))
         for p in range(n + 1):
             for J in subsets_colex(n, p):
                 eJ = MultiVector.basis(A, n, J)
                 star = hodge_right(eJ)
-                assert wedge(eJ, star) == full
-                assert star == MultiVector.basis(A, n, complement(J, n)).scale(
-                    A.ring.const(eps_sign(J, complement(J, n))))
+                check(wedge(eJ, star) == full, "e_J ^ Hr(e_J) = e_{1..n}", J)
+                check(star == MultiVector.basis(A, n, complement(J, n)).scale(
+                    A.ring.const(eps_sign(J, complement(J, n)))),
+                    "Hr(e_J) = eps e_{J'}", J)
                 sign = A.ring.const((-1) ** (p * (n - p)))
-                assert hodge_right(star) == eJ.scale(sign)
-                assert hodge_left(star) == eJ
+                check(hodge_right(star) == eJ.scale(sign),
+                      "Hr(Hr(e_J)) = (-1)^(p(n-p)) e_J", J)
+                check(hodge_left(star) == eJ, "Hl(Hr(e_J)) = e_J", J)
                 checked += 3
         for p in range(1, n + 1):
             for I in subsets_colex(n, p):
@@ -541,28 +468,74 @@ def _cmd_hodge_selftest(args, t0):
                     uv = MultiVector.basis(A, n, (u,))
                     for Z in subsets_colex(n, p - 1):
                         z = MultiVector.basis(A, n, Z)
-                        assert pairing(interior_right(xb, uv), z) == \
-                            pairing(xb, wedge(uv, z))
+                        check(pairing(interior_right(xb, uv), z)
+                              == pairing(xb, wedge(uv, z)),
+                              "<x |_ u, z> = <x, u ^ z>", I)
                         checked += 1
-    _emit(args, "hodge-selftest", {"n": n_max},
-          {"verdict": "passed", "identities_checked": checked}, t0)
-    return 0
+    return {"n": args.n}, {"verdict": "passed", "identities_checked": checked}
 
 
 # ---------------------------------------------------------------------------
-# dispatcher
+# command table and dispatcher
 
-def _add_ring_opts(p, relations=True):
-    p.add_argument("--ring", default="",
-                   help='ring JSON, e.g. {"field":"Q","vars":["x"],'
-                        '"order":"grevlex","relations":[]}')
-    p.add_argument("--field", default="Q", help="Q or Fp:<prime>")
-    p.add_argument("--vars", default="", help="variables (comma list or JSON)")
-    p.add_argument("--order", default="grevlex",
-                   choices=["grevlex", "lex", "grlex"])
-    if relations:
-        p.add_argument("--relations", default="",
-                       help="relation polynomials (comma list or JSON)")
+_REQUIRED, _INT = {"required": True}, {"type": int, "required": True}
+_OPTIONAL, _FLAG = {"default": ""}, {"action": "store_true"}
+_OPTIONS = {  # --name -> argparse keywords; the flags a command lists
+    "ring": {"default": "",
+             "help": 'ring JSON, e.g. {"field":"Q","vars":["x"],'
+                     '"order":"grevlex","relations":[]}'},
+    "field": {"default": "Q", "help": "Q or Fp:<prime>"},
+    "vars": {"default": "", "help": "variables (comma list or JSON)"},
+    "order": {"default": "grevlex", "choices": ["grevlex", "lex", "grlex"]},
+    "relations": {"default": "",
+                  "help": "relation polynomials (comma list or JSON)"},
+    "ideal": _REQUIRED, "poly": _REQUIRED, "by": _REQUIRED,
+    "seq": _REQUIRED, "c": _REQUIRED, "a": _REQUIRED,
+    "P": _REQUIRED, "Q": _REQUIRED, "monomials": _REQUIRED,
+    "atleast": _INT, "d": _INT, "module": _OPTIONAL, "alpha": _OPTIONAL,
+    "check-homotopy": _FLAG, "minimal": _FLAG,
+    "n": {"type": int, "default": 5},
+    "u": {"required": True, "help": "certifying matrix (JSON rows)"},
+    "complex": {"required": True, "help": "complex JSON file"},
+    "matrix": {"required": True, "help": "matrix (JSON rows)"},
+    "out": {"help": "write report here"},
+}
+_RING = ("ring", "field", "vars", "order")
+_ALGEBRA = _RING + ("relations",)
+
+
+# subcommand -> (help, options, compute); an option is a name in _OPTIONS or
+# a (name, argparse keywords) pair, and compute(args) -> (inputs, payload)
+_COMMANDS = {
+    "gb": ("reduced Groebner basis", _RING + ("ideal",), _gb),
+    "member": ("ideal membership with lift", _RING + ("ideal", "poly"),
+               _member),
+    "colon": ("ideal quotient (I : J)", _RING + ("ideal", "by"), _colon),
+    "sat": ("saturation (I : f^inf)", _RING + ("ideal", "poly"), _sat),
+    "dim": ("Krull dimension of R/I", _RING + ("ideal",), _dim),
+    "depth": ("depth at least k", _ALGEBRA + ("ideal", "module", "atleast"),
+              _depth),
+    "depth-value": ("depth as a number", _ALGEBRA + ("ideal", "module"),
+                    _depth_value),
+    "secant": ("completely secant sequence test",
+               _ALGEBRA + ("seq", "module"), _secant),
+    "wiebe": ("Wiebe colon equalities", _ALGEBRA + ("c", "a", "u", "module"),
+              _wiebe),
+    "certify": ("exactness certification", ("complex",), _certify),
+    "cayley": ("Cayley factorization / determinant", ("complex",), _cayley),
+    "hilbert-burch": ("n x (n-1) kernel certification",
+                      (("matrix", {"required": True,
+                                   "help": "matrix JSON file"}), "alpha"),
+                      _hilbert_burch),
+    "resultant": ("resultant as a Cayley determinant",
+                  (("field", {"default": "Q"}), ("vars", {"default": "X,Y"}),
+                   "order", "P", "Q", "d"), _resultant),
+    "taylor": ("Taylor resolution of monomials",
+               _RING + ("monomials", "check-homotopy", "minimal"), _taylor),
+    "mccoy": ("injectivity via the maximal minors", _ALGEBRA + ("matrix",),
+              _mccoy),
+    "hodge-selftest": ("exterior identity suites", ("n",), _hodge_selftest),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -571,123 +544,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact certifications for finite free resolutions")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gb", help="reduced Groebner basis")
-    _add_ring_opts(p, relations=False)
-    p.add_argument("--ideal", required=True)
-
-    p = sub.add_parser("member", help="ideal membership with lift")
-    _add_ring_opts(p, relations=False)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--poly", required=True)
-
-    p = sub.add_parser("colon", help="ideal quotient (I : J)")
-    _add_ring_opts(p, relations=False)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--by", required=True)
-
-    p = sub.add_parser("sat", help="saturation (I : f^inf)")
-    _add_ring_opts(p, relations=False)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--poly", required=True)
-
-    p = sub.add_parser("dim", help="Krull dimension of R/I")
-    _add_ring_opts(p, relations=False)
-    p.add_argument("--ideal", required=True)
-
-    p = sub.add_parser("depth", help="depth at least k")
-    _add_ring_opts(p)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--module", default="")
-    p.add_argument("--atleast", type=int, required=True)
-
-    p = sub.add_parser("depth-value", help="depth as a number")
-    _add_ring_opts(p)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--module", default="")
-
-    p = sub.add_parser("secant", help="completely secant sequence test")
-    _add_ring_opts(p)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--module", default="")
-
-    p = sub.add_parser("wiebe", help="Wiebe colon equalities")
-    _add_ring_opts(p)
-    p.add_argument("--c", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--u", required=True, help="certifying matrix (JSON rows)")
-    p.add_argument("--module", default="")
-
-    p = sub.add_parser("certify", help="exactness certification")
-    p.add_argument("--complex", required=True, help="complex JSON file")
-
-    p = sub.add_parser("cayley", help="Cayley factorization / determinant")
-    p.add_argument("--complex", required=True, help="complex JSON file")
-
-    p = sub.add_parser("hilbert-burch", help="n x (n-1) kernel certification")
-    p.add_argument("--matrix", required=True, help="matrix JSON file")
-    p.add_argument("--alpha", default="")
-
-    p = sub.add_parser("resultant", help="resultant as a Cayley determinant")
-    p.add_argument("--field", default="Q")
-    p.add_argument("--vars", default="X,Y")
-    p.add_argument("--order", default="grevlex",
-                   choices=["grevlex", "lex", "grlex"])
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
-    p.add_argument("--d", type=int, required=True)
-
-    p = sub.add_parser("taylor", help="Taylor resolution of monomials")
-    _add_ring_opts(p, relations=False)
-    p.add_argument("--monomials", required=True)
-    p.add_argument("--check-homotopy", action="store_true")
-    p.add_argument("--minimal", action="store_true")
-
-    p = sub.add_parser("mccoy", help="injectivity via the maximal minors")
-    _add_ring_opts(p)
-    p.add_argument("--matrix", required=True, help="matrix (JSON rows)")
-
-    p = sub.add_parser("hodge-selftest", help="exterior identity suites")
-    p.add_argument("--n", type=int, default=5)
-
-    for name, parser in sub.choices.items():
-        parser.add_argument("--out", default=None, help="write report here")
+    for command, (help_, options, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for opt in options + ("out",):
+            name, kw = (opt, _OPTIONS[opt]) if isinstance(opt, str) else opt
+            p.add_argument(f"--{name}", **kw)
     return ap
-
-
-_HANDLERS = {
-    "gb": _cmd_gb,
-    "member": _cmd_member,
-    "colon": _cmd_colon,
-    "sat": _cmd_sat,
-    "dim": _cmd_dim,
-    "depth": _cmd_depth,
-    "depth-value": _cmd_depth_value,
-    "secant": _cmd_secant,
-    "wiebe": _cmd_wiebe,
-    "certify": _cmd_certify,
-    "cayley": _cmd_cayley,
-    "hilbert-burch": _cmd_hilbert_burch,
-    "resultant": _cmd_resultant,
-    "taylor": _cmd_taylor,
-    "mccoy": _cmd_mccoy,
-    "hodge-selftest": _cmd_hodge_selftest,
-}
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.perf_counter()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args, t0)
+        inputs, payload = _COMMANDS[args.command][2](args)
+        _emit(args, inputs, payload, t0)
+        return 0
     except (SchemaError, ParseError, ValueError, RankObstructionError) as exc:
         print(f"ffr: input error: {exc}", file=sys.stderr)
         return 2
     except RingMismatchError as exc:
         print(f"ffr: ring mismatch: {exc}", file=sys.stderr)
         return 3
-    except (VerificationError, AssertionError) as exc:
+    except VerificationError as exc:
         print(f"ffr: internal verification failure: {exc}", file=sys.stderr)
         return 4
 

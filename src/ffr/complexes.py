@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import groebner as gb
-from .algebra import AIdeal, AModule, FPAlgebra, is_faithful_ideal
+from .algebra import (AIdeal, AModule, FPAlgebra, is_faithful_ideal,
+                      scalar_columns)
 from .depth import DepthCertificate, depth_at_least
 from .exterior import (exterior_power_matrix, matrix_minor, poly_det,
                        subsets_colex)
@@ -159,7 +160,7 @@ def mccoy_injective(M: RingMatrix) -> bool:
 
 
 def kernel_generators(M: RingMatrix) -> list[list[Poly]]:
-    """Normal-form generators of ker(M : A^cols -> A^rows); test oracle.
+    """Normal-form generators of ker(M : A^cols -> A^rows).
 
     Works over the quotient: a kernel element is a syzygy of the columns
     modulo J, read off the extended-basis run with the relation columns
@@ -168,16 +169,9 @@ def kernel_generators(M: RingMatrix) -> list[list[Poly]]:
     A = M.algebra
     R = A.ring
     cols = M.columns()
-    extra = []
-    zero = R.zero()
-    for rel in A.relations.gens:
-        for t in range(M.rows):
-            v = [zero] * M.rows
-            v[t] = rel
-            extra.append(v)
     if not cols:
         return []
-    syz = gb.syzygy_module(cols + extra)
+    syz = gb.syzygy_module(cols + scalar_columns(A.relations.gens, M.rows, R))
     jgb = A.relations_gb()
     out = []
     for s in syz:
@@ -260,10 +254,6 @@ def euler_characteristic(C: FreeComplex) -> int:
     return C.ranks[0]
 
 
-def expected_ranks(C: FreeComplex) -> list[int]:
-    return list(C.ranks)
-
-
 def characteristic_ideal(C: FreeComplex, k: int, shift: int = 0) -> AIdeal:
     """D_k := D_(r_k)(A_k); D_(k,l) with shift l; <1> past the length."""
     if k > C.length:
@@ -307,7 +297,11 @@ class ExactnessReport:
 
 
 def certify_exact(C: FreeComplex) -> ExactnessReport:
-    """Exactness iff Gr(D_l) >= l for every l; cheapest level first."""
+    """Exactness iff Gr(D_l) >= l for every l.
+
+    Levels are checked in order l = 1..m; once one fails, the later levels
+    are reported as skipped, not decided.
+    """
     A = C.algebra
     E = AModule.free(A, 1)
     ideals = characteristic_ideals(C)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import groebner as gb
 from .algebra import (AIdeal, AModule, FPAlgebra, ideal_times_module_is_module,
                       module_colon_ideal, module_colon_scalar,
-                      quotient_dimension, submodule_basis)
+                      quotient_dimension, scalar_columns)
 from .exterior import poly_det
 from .ring import Poly, VerificationError, embed_append, mono_divides
 
@@ -139,9 +139,8 @@ def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:
         return DepthCertificate("regular-sequence", len(seq), True,
                                 sequence=seq, algebra=A)
     W = E.base_vectors()
-    zero = R.zero()
     for j, a_j in enumerate(seq, start=1):
-        basis = submodule_basis(W, q, R)
+        basis = gb.module_gb(W, rank=q, ring=R)
         colon = module_colon_scalar(W, a_j, q, R)
         witness = None
         for g in colon:
@@ -156,10 +155,7 @@ def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:
             return DepthCertificate("regular-sequence", len(seq), False,
                                     fail_stage=j, witness=tuple(witness),
                                     sequence=seq, algebra=A)
-        for t in range(q):
-            v = [zero] * q
-            v[t] = a_j
-            W.append(v)
+        W += scalar_columns([a_j], q, R)
     return DepthCertificate("regular-sequence", len(seq), True,
                             sequence=seq, algebra=A)
 
@@ -327,18 +323,6 @@ class WiebeReport:
                 and self.colon_ideal_equals_delta_plus_c)
 
 
-def _module_with(E: AModule, extra_scalars: Sequence[Poly]) -> list[list[Poly]]:
-    R = E.algebra.ring
-    zero = R.zero()
-    W = E.base_vectors()
-    for s in extra_scalars:
-        for t in range(E.rank):
-            v = [zero] * E.rank
-            v[t] = s
-            W.append(v)
-    return W
-
-
 def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
                 U: Sequence[Sequence[Poly]], E: AModule) -> WiebeReport:
     """Check (cE : Delta) = aE and (cE : a) = (<Delta> + c)E.
@@ -366,12 +350,13 @@ def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
     delta = poly_det([list(row) for row in U], R)
     secant = depth_at_least(AIdeal(A, list(c_seq)), E, n)
 
-    Wc = _module_with(E, c_seq)
-    Wa = _module_with(E, a_seq)
-    Wdc = _module_with(E, [delta] + list(c_seq))
-    basis_a = submodule_basis(Wa, E.rank, R) if E.rank else None
-    basis_dc = submodule_basis(Wdc, E.rank, R) if E.rank else None
-    basis_c = submodule_basis(Wc, E.rank, R) if E.rank else None
+    W = E.base_vectors()
+    Wc = W + scalar_columns(c_seq, E.rank, R)
+    Wa = W + scalar_columns(a_seq, E.rank, R)
+    Wdc = W + scalar_columns([delta] + list(c_seq), E.rank, R)
+    basis_a = gb.module_gb(Wa, rank=E.rank, ring=R) if E.rank else None
+    basis_dc = gb.module_gb(Wdc, rank=E.rank, ring=R) if E.rank else None
+    basis_c = gb.module_gb(Wc, rank=E.rank, ring=R) if E.rank else None
 
     eq1 = True
     eq2 = True

@@ -236,7 +236,10 @@ def hodge_right(x: MultiVector) -> MultiVector:
 
 
 def hodge_left(x: MultiVector) -> MultiVector:
-    """Left companion determined by Hl(e_J) ^ e_J = e_{1..n}; tests only."""
+    """Left companion determined by Hl(e_J) ^ e_J = e_{1..n}.
+
+    Used by the tests and by the `ffr hodge-selftest` identity suite.
+    """
     A = x.algebra
     n = x.n
     out: dict = {}

@@ -13,8 +13,9 @@ import heapq
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .ring import (Poly, PolyRing, RingMismatchError, embed_shift, mono_div,
-                   mono_divides, mono_lcm, mono_mul, project_drop_front)
+from .ring import (Poly, PolyRing, RingMismatchError, VerificationError,
+                   embed_shift, mono_div, mono_divides, mono_lcm, mono_mul,
+                   project_drop_front)
 
 Vec = dict  # {(pos, mono): coeff}
 
@@ -320,14 +321,6 @@ class GroebnerBasis:
         return f"<GB {list(map(str, self.basis))}>"
 
 
-def buchberger(I: IdealGens) -> GroebnerBasis:
-    return I.groebner()
-
-
-def normal_form(f: Poly, G: GroebnerBasis) -> Poly:
-    return G.normal_form(f)
-
-
 def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
     """Ideal equality; reduced bases are canonical so this is syntactic."""
     return I.groebner().basis == J.groebner().basis
@@ -515,24 +508,26 @@ def module_gb(vectors: Sequence[Sequence[Poly]],
     return ModuleBasis(ring, rank, vectors)
 
 
-def syzygy_module(vectors: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
-    """Generators of {(c_1..c_s) : sum c_i v_i = 0}.
+def _tagged_basis(vectors: Sequence[Sequence[Poly]], rank: int,
+                  ring: PolyRing) -> ModuleBasis:
+    """Extended basis: the POT basis of the v_i, each padded with a unit tag.
 
-    Extended-basis method: each v_i is padded with a unit tag coordinate,
-    one POT Groebner run is made on the extended module, and the elements
-    supported entirely on the tag block are the syzygies.
+    Its elements supported on the tag block (positions rank..) are the
+    syzygies of the v_i; reducing (v, 0) leaves minus a lift of v in it.
     """
+    s = len(vectors)
+    zero, one = ring.zero(), ring.one()
+    extended = [list(v) + [one if j == i else zero for j in range(s)]
+                for i, v in enumerate(vectors)]
+    return ModuleBasis(ring, rank + s, extended)
+
+
+def syzygy_module(vectors: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
+    """Generators of {(c_1..c_s) : sum c_i v_i = 0}, by one tagged run."""
     if not vectors:
         return []
     rank, ring = _module_rank_ring(vectors)
-    s = len(vectors)
-    zero = ring.zero()
-    extended = []
-    for i, v in enumerate(vectors):
-        tags = [zero] * s
-        tags[i] = ring.one()
-        extended.append(list(v) + tags)
-    gb = ModuleBasis(ring, rank + s, extended)
+    gb = _tagged_basis(vectors, rank, ring)
     result = []
     for w in gb.vectors:
         if all(p.is_zero for p in w[:rank]):
@@ -551,15 +546,9 @@ def module_membership(v: Sequence[Poly],
     rank, ring = _module_rank_ring(gens)
     if len(v) != rank:
         raise RingMismatchError("vector rank mismatch")
-    s = len(gens)
     zero = ring.zero()
-    extended = []
-    for i, g in enumerate(gens):
-        tags = [zero] * s
-        tags[i] = ring.one()
-        extended.append(list(g) + tags)
-    gb = ModuleBasis(ring, rank + s, extended)
-    r = gb.normal_form(list(v) + [zero] * s)
+    r = _tagged_basis(gens, rank, ring).normal_form(
+        list(v) + [zero] * len(gens))
     if any(not p.is_zero for p in r[:rank]):
         return None
     lift = [-p for p in r[rank:]]
@@ -568,5 +557,5 @@ def module_membership(v: Sequence[Poly],
         for c, g in zip(lift, gens):
             acc = acc + c * g[j]
         if acc != v[j]:
-            raise AssertionError("membership lift failed re-substitution")
+            raise VerificationError("membership lift failed re-substitution")
     return lift

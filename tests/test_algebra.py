@@ -101,22 +101,24 @@ def test_quotient_dimension():
 
 def _kronecker_regular_on_module(A, gens, E):
     """Is the Kronecker polynomial of `gens` regular on E[T]?"""
-    from ffr.algebra import module_colon_scalar, submodule_basis
+    from ffr.algebra import module_colon_scalar
+    from ffr.groebner import module_gb
     names = A.ring.fresh_names(1)
     ext = A.extend_append(names)
     f = ext.nf(kronecker_poly(gens, names[0], ring=A.ring)) if gens else ext.ring.zero()
     Eext = E.transport(ext)
     W = Eext.base_vectors()
-    basis = submodule_basis(W, Eext.rank, ext.ring)
+    basis = module_gb(W, rank=Eext.rank, ring=ext.ring)
     colon = module_colon_scalar(W, f, Eext.rank, ext.ring)
     return all(basis.contains(g) for g in colon)
 
 
 def _ideal_regular_on_module(A, gens, E):
     """Is <gens> E-regular: (0 :_E <gens>) = 0?"""
-    from ffr.algebra import module_colon_ideal, submodule_basis
+    from ffr.algebra import module_colon_ideal
+    from ffr.groebner import module_gb
     W = E.base_vectors()
-    basis = submodule_basis(W, E.rank, A.ring)
+    basis = module_gb(W, rank=E.rank, ring=A.ring)
     colon = module_colon_ideal(W, gens, E.rank, A.ring)
     return all(basis.contains(g) for g in colon)
 
@@ -178,14 +180,15 @@ def test_local_global_principle_for_regularity():
 
 
 def test_module_colon_scalar_rank2():
-    from ffr.algebra import module_colon_scalar, submodule_basis
+    from ffr.algebra import module_colon_scalar
+    from ffr.groebner import module_gb
     B = algebra(["x", "y"])
     R = B.ring
     # E = coker [[x],[y]]; x*(column scaled) relations
     E = AModule(B, 2, [[B.parse("x")], [B.parse("y")]])
     W = E.base_vectors()
     colon = module_colon_scalar(W, B.parse("x"), 2, R)
-    basis = submodule_basis(W, 2, R)
+    basis = module_gb(W, rank=2, ring=R)
     # (0 :_E x): x*(v) in W means v is a multiple of the column (x,y) scaled by
     # something with x*v in <(x,y)>; sanity: every returned generator really lands in W
     for g in colon:

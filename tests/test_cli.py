@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import ffr
 from ffr.cli import run
 from ffr.ring import PolyRing, QQ, parse_poly
 
@@ -212,3 +216,18 @@ def test_report_written_to_file(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["dimension"] == 0
+
+
+def test_exit_4_survives_python_O():
+    # a broken Hodge star must fail the self-test even with asserts stripped
+    code = ("import sys, ffr.exterior\n"
+            "ffr.exterior.hodge_right = lambda x: x\n"
+            "from ffr.cli import run\n"
+            "sys.exit(run(['hodge-selftest', '--n', '2']))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ffr.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("ffr: internal verification failure: ")

@@ -70,18 +70,13 @@ class AIdeal:
     __slots__ = ("algebra", "gens")
 
     def __init__(self, algebra: FPAlgebra, gens: Sequence[Poly]):
-        normalized = []
+        reps = []
         for g in gens:
             if g.ring != algebra.ring:
                 raise RingMismatchError("generator in a different ring")
-            r = algebra.nf(g)
-            if r.is_zero:
-                continue
-            if any(r == h or r == -h for h in normalized):
-                continue
-            normalized.append(r)
+            reps.append(algebra.nf(g))
         self.algebra = algebra
-        self.gens = tuple(normalized)
+        self.gens = tuple(algebra.ring.unique_up_to_sign(reps))
 
     def lifted(self) -> gb.IdealGens:
         """The preimage ideal <gens> + J in k[X]."""

@@ -20,7 +20,7 @@ from .complexes import (FreeComplex, RingMatrix, certify_exact,
                         kernel_generators, mccoy_injective,
                         presentation_matrix)
 from .depth import DepthCertificate, depth_at_least
-from .exterior import (MultiVector, hodge_right, matrix_minor, subsets_colex)
+from .exterior import MultiVector, hodge_right, minors, subsets_colex
 from .ring import FFRError, Poly, VerificationError, mono_gcd
 
 
@@ -292,13 +292,10 @@ def signed_maximal_minors(M: RingMatrix) -> list[Poly]:
     n = M.rows
     if M.cols != n - 1:
         raise ValueError("need an n x (n-1) matrix")
-    ents = [list(r) for r in M.entries]
-    out = []
-    for i in range(n):
-        rows = [r for r in range(n) if r != i]
-        minor = matrix_minor(ents, M.algebra.ring, rows, list(range(n - 1)))
-        out.append(minor if i % 2 == 0 else -minor)
-    return [M.algebra.nf(p) for p in out]
+    table = minors(M.entries, M.algebra.ring, n - 1)
+    full = tuple(range(1, n + 1))
+    out = [table[full[:i] + full[i + 1:], full[:-1]] for i in range(n)]
+    return [M.algebra.nf(-p if i % 2 else p) for i, p in enumerate(out)]
 
 
 def hilbert_burch(M: RingMatrix,

@@ -125,11 +125,6 @@ def _algebra_from_doc(doc: dict) -> FPAlgebra:
     return FPAlgebra(R, _polys(doc.get("relations", []), R))
 
 
-def _ring_from_flags(args) -> PolyRing:
-    vars_ = _parse_list(args.vars)
-    return PolyRing(_parse_field(args.field), vars_, args.order)
-
-
 def _algebra(args) -> FPAlgebra:
     """The algebra of --ring, or else of the ring flags.
 
@@ -137,7 +132,8 @@ def _algebra(args) -> FPAlgebra:
     document as well.
     """
     if not args.ring:
-        R = _ring_from_flags(args)
+        R = PolyRing(_parse_field(args.field), _parse_list(args.vars),
+                     args.order)
         relations = _parse_list(getattr(args, "relations", ""))
         return FPAlgebra(R, _polys(relations, R))
     doc = _json(args.ring, "bad ring JSON")
@@ -159,13 +155,20 @@ def _module(args, A: FPAlgebra) -> tuple[AModule, Optional[dict]]:
     rows = doc.get("presentation", [])
     if not isinstance(rank, int) or rank < 0 or not isinstance(rows, list):
         raise SchemaError("bad module document")
-    return AModule(A, rank, [_polys(row, A.ring) for row in rows]), doc
+    return AModule(A, rank, _rows(rows, A.ring, "module presentation")), doc
+
+
+def _rows(doc, ring: PolyRing, kind: str) -> list[list[Poly]]:
+    """The polynomials of a JSON list of rows of strings."""
+    if not isinstance(doc, list) or not all(
+            isinstance(r, list) and all(isinstance(s, str) for s in r)
+            for r in doc):
+        raise SchemaError(f"{kind} must be a list of rows of strings")
+    return [_polys(row, ring) for row in doc]
 
 
 def _matrix_doc(doc, A: FPAlgebra) -> RingMatrix:
-    if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
-        raise SchemaError("matrix must be a list of rows of strings")
-    return RingMatrix(A, [_polys(row, A.ring) for row in doc])
+    return RingMatrix(A, _rows(doc, A.ring, "matrix"))
 
 
 def _complex_from_file(path: str) -> tuple[FreeComplex, dict]:
@@ -186,8 +189,11 @@ def _emit(args, inputs: dict, payload: dict, t0: float) -> None:
     report["timing_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SchemaError(f"cannot write {args.out}: {exc}") from None
     else:
         print(text)
 
@@ -317,7 +323,7 @@ def _wiebe(args):
     A = _algebra(args)
     c_seq = _polys(_parse_list(args.c), A.ring)
     a_seq = _polys(_parse_list(args.a), A.ring)
-    U = [_polys(row, A.ring) for row in _json(args.u, "bad matrix JSON")]
+    U = _rows(_json(args.u, "bad matrix JSON"), A.ring, "matrix")
     E, module = _module(args, A)
     rep = wiebe_check(c_seq, a_seq, U, E)
     inputs = {**_ring_inputs(A.ring, A), "c": _strs(c_seq), "a": _strs(a_seq),
@@ -405,7 +411,7 @@ def _resultant(args):
 
 
 def _taylor(args):
-    R = _ring_from_flags(args)  # taylor reads the ring flags, not --ring
+    R = _algebra(args).ring
     try:
         m = MonomialList.parse(R, _parse_list(args.monomials))
     except ValueError as exc:

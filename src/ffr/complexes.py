@@ -15,8 +15,8 @@ from . import groebner as gb
 from .algebra import (AIdeal, AModule, FPAlgebra, is_faithful_ideal,
                       scalar_columns)
 from .depth import DepthCertificate, depth_at_least
-from .exterior import (exterior_power_matrix, matrix_minor, poly_det,
-                       subsets_colex)
+from .exterior import (boundary_matrix, exterior_power_matrix, matrix_minor,
+                       minors, poly_det)
 from .ring import FFRError, Poly, RingMismatchError
 
 
@@ -96,17 +96,15 @@ class RingMatrix:
     def det(self) -> Poly:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return self.algebra.nf(poly_det([list(r) for r in self.entries],
-                                        self.algebra.ring))
+        return self.algebra.nf(poly_det(self.entries, self.algebra.ring))
 
     def minor(self, rset: Sequence[int], cset: Sequence[int]) -> Poly:
-        return self.algebra.nf(matrix_minor([list(r) for r in self.entries],
-                                            self.algebra.ring, rset, cset))
+        return self.algebra.nf(matrix_minor(self.entries, self.algebra.ring,
+                                            rset, cset))
 
     def exterior_power(self, r: int) -> "RingMatrix":
-        ents = exterior_power_matrix([list(r_) for r_ in self.entries],
-                                     self.algebra.ring, r)
-        return RingMatrix(self.algebra, ents)
+        return RingMatrix(self.algebra, exterior_power_matrix(
+            self.entries, self.algebra.ring, r))
 
     def __eq__(self, other):
         return (isinstance(other, RingMatrix) and self.algebra == other.algebra
@@ -119,15 +117,7 @@ class RingMatrix:
 def determinantal_ideal(M: RingMatrix, k: int) -> AIdeal:
     """D_k(M): the k x k minors; <1> for k <= 0, <0> past the format."""
     A = M.algebra
-    if k <= 0:
-        return AIdeal(A, [A.ring.one()])
-    if k > min(M.rows, M.cols):
-        return AIdeal(A, [])
-    gens = []
-    for rset in subsets_colex(M.rows, k):
-        for cset in subsets_colex(M.cols, k):
-            gens.append(M.minor([i - 1 for i in rset], [j - 1 for j in cset]))
-    return AIdeal(A, gens)
+    return AIdeal(A, list(minors(M.entries, A.ring, max(k, 0)).values()))
 
 
 def presentation_matrix(E: AModule) -> RingMatrix:
@@ -368,21 +358,10 @@ def koszul_complex(algebra: FPAlgebra, seq: Sequence[Poly]) -> FreeComplex:
     n = len(seq)
     seq = [algebra.nf(p) for p in seq]
     zero = algebra.ring.zero()
-    mats = []
-    for k in range(1, n + 1):
-        rows_idx = subsets_colex(n, k - 1)
-        cols_idx = subsets_colex(n, k)
-        row_pos = {s: i for i, s in enumerate(rows_idx)}
-        ents = [[zero] * len(cols_idx) for _ in rows_idx]
-        for j, J in enumerate(cols_idx):
-            for pos, i in enumerate(J):
-                K = J[:pos] + J[pos + 1:]
-                coeff = seq[i - 1]
-                if pos % 2:
-                    coeff = -coeff
-                ents[row_pos[K]][j] = coeff
-        mats.append(RingMatrix(algebra, ents))
-    return FreeComplex(algebra, mats)
+    return FreeComplex(algebra, [
+        RingMatrix(algebra, boundary_matrix(
+            n, k, lambda J, pos: seq[J[pos] - 1], zero))
+        for k in range(1, n + 1)])
 
 
 def pfaffian(entries: Sequence[Sequence[Poly]], ring) -> Poly:
@@ -423,18 +402,17 @@ class PfaffianData:
 
 def adjugate(M: RingMatrix) -> RingMatrix:
     n = M.rows
-    ents = [list(r) for r in M.entries]
     A = M.algebra
-    out = [[A.ring.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rset = [r for r in range(n) if r != j]
-            cset = [c for c in range(n) if c != i]
-            cof = matrix_minor(ents, A.ring, rset, cset)
-            if (i + j) % 2:
-                cof = -cof
-            out[i][j] = cof
-    return RingMatrix(A, out, n, n)
+    table = minors(M.entries, A.ring, max(n - 1, 0))
+    full = tuple(range(1, n + 1))
+    drop = [full[:t] + full[t + 1:] for t in range(n)]
+
+    def cofactor(i: int, j: int) -> Poly:
+        c = table[drop[j], drop[i]]
+        return -c if (i + j) % 2 else c
+
+    return RingMatrix(A, [[cofactor(i, j) for j in range(n)]
+                          for i in range(n)], n, n)
 
 
 def pfaffian_data(X: RingMatrix) -> PfaffianData:

@@ -347,7 +347,7 @@ def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
             counterexamples["inclusion"] = [c_seq[i]]
             break
 
-    delta = poly_det([list(row) for row in U], R)
+    delta = poly_det(U, R)
     secant = depth_at_least(AIdeal(A, list(c_seq)), E, n)
 
     W = E.base_vectors()

@@ -4,6 +4,11 @@ Multivectors map p-subsets of {1..n} (sorted index tuples) to ring
 elements.  One subset enumerator - colexicographic - is shared by every
 consumer (exterior powers of matrices, Cayley factorization, Taylor bases)
 so that matrix layouts line up.
+
+Every subset-indexed matrix is built here: `minors` is the one table of
+k x k minors (determinants, determinantal ideals, exterior powers,
+adjugates, decomposable wedges), and `boundary_matrix` the one colex
+layout of the Koszul and Taylor differentials.
 """
 
 from __future__ import annotations
@@ -42,43 +47,72 @@ def complement(I: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# determinants of polynomial matrices (Laplace expansion, memoized per call)
+# minors and boundary matrices (Laplace expansion, memoized per call)
+
+def minors(rows: Sequence[Sequence[Poly]], ring: PolyRing, k: int) -> dict:
+    """Every k x k minor, keyed (I, J) by 1-based colex row and column
+    subsets, I outermost.
+
+    Each minor is expanded along its first column; one memo serves the
+    whole table, so a sub-minor shared by several minors is computed once.
+    """
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    if k == 0:
+        return {((), ()): ring.one()}
+    memo: dict = {}
+
+    def rec(I: tuple[int, ...], J: tuple[int, ...]) -> Poly:
+        if len(I) == 1:
+            return rows[I[0] - 1][J[0] - 1]
+        got = memo.get((I, J))
+        if got is not None:
+            return got
+        column = J[0] - 1
+        acc = ring.zero()
+        for pos, r in enumerate(I):
+            entry = rows[r - 1][column]
+            if entry.is_zero:
+                continue
+            term = entry * rec(I[:pos] + I[pos + 1:], J[1:])
+            acc = acc - term if pos % 2 else acc + term
+        memo[I, J] = acc
+        return acc
+
+    cols = subsets_colex(ncols, k)
+    return {(I, J): rec(I, J) for I in subsets_colex(len(rows), k)
+            for J in cols}
+
 
 def poly_det(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> Poly:
     """Determinant of a square matrix of polynomials."""
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise ValueError("matrix is not square")
-    if m == 0:
-        return ring.one()
-    memo: dict = {}
-
-    def rec(rset: tuple[int, ...], cset: tuple[int, ...]) -> Poly:
-        if len(rset) == 1:
-            return rows[rset[0]][cset[0]]
-        key = (rset, cset)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        c0 = cset[0]
-        acc = ring.zero()
-        for pos, r in enumerate(rset):
-            entry = rows[r][c0]
-            if entry.is_zero:
-                continue
-            sub = rec(rset[:pos] + rset[pos + 1:], cset[1:])
-            term = entry * sub
-            acc = acc - term if pos % 2 else acc + term
-        memo[key] = acc
-        return acc
-
-    return rec(tuple(range(m)), tuple(range(m)))
+    full = tuple(range(1, m + 1))
+    return minors(rows, ring, m)[full, full]
 
 
 def matrix_minor(rows: Sequence[Sequence[Poly]], ring: PolyRing,
                  rset: Sequence[int], cset: Sequence[int]) -> Poly:
     """Minor on row indices rset and column indices cset (0-based)."""
     return poly_det([[rows[i][j] for j in cset] for i in rset], ring)
+
+
+def boundary_matrix(n: int, k: int, coeff, zero: Poly) -> list[list[Poly]]:
+    """The map e_J -> sum_pos (-1)^pos coeff(J, pos) e_(J minus J[pos]).
+
+    Rows are the colex (k-1)-subsets of {1..n}, columns the colex k-subsets.
+    """
+    row_of = subset_index(n, k - 1)
+    cols = subsets_colex(n, k)
+    ents = [[zero] * len(cols) for _ in row_of]
+    for j, J in enumerate(cols):
+        for pos in range(k):
+            c = coeff(J, pos)
+            ents[row_of[J[:pos] + J[pos + 1:]]][j] = -c if pos % 2 else c
+    return ents
 
 
 @dataclass(frozen=True)
@@ -203,11 +237,9 @@ def decomposable(algebra: FPAlgebra, columns: Sequence[Sequence[Poly]],
     if k > n:
         raise ValueError("more columns than the ambient rank")
     rows = [[columns[j][i] for j in range(k)] for i in range(n)]
-    coords = {}
-    for I in subsets_colex(n, k):
-        coords[I] = matrix_minor(rows, algebra.ring, [i - 1 for i in I],
-                                 list(range(k)))
-    return MultiVector.from_dict(algebra, n, k, coords)
+    table = minors(rows, algebra.ring, k)
+    return MultiVector.from_dict(algebra, n, k,
+                                 {I: c for (I, _), c in table.items()})
 
 
 def pairing(u: MultiVector, v: MultiVector) -> Poly:
@@ -330,17 +362,7 @@ def exterior_power_matrix(entries: Sequence[Sequence[Poly]], ring: PolyRing,
     Entry (I, J) is the r x r minor of the underlying matrix on rows I and
     columns J.
     """
-    nrows = len(entries)
-    ncols = len(entries[0]) if entries else 0
-    if r == 0:
-        return [[ring.one()]]
-    rows_idx = subsets_colex(nrows, r)
-    cols_idx = subsets_colex(ncols, r)
-    out = []
-    for I in rows_idx:
-        line = []
-        for J in cols_idx:
-            line.append(matrix_minor(entries, ring, [i - 1 for i in I],
-                                     [j - 1 for j in J]))
-        out.append(line)
-    return out
+    table = minors(entries, ring, r)
+    cols = subsets_colex(len(entries[0]) if entries else 0, r)
+    return [[table[I, J] for J in cols]
+            for I in subsets_colex(len(entries), r)]

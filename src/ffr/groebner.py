@@ -263,17 +263,8 @@ class IdealGens:
     __slots__ = ("ring", "gens", "_gb")
 
     def __init__(self, ring: PolyRing, gens: Sequence[Poly]):
-        seen = []
-        for g in gens:
-            if g.ring != ring:
-                raise RingMismatchError("generator in a different ring")
-            if g.is_zero:
-                continue
-            if any(g == h or g == -h for h in seen):
-                continue
-            seen.append(g)
         self.ring = ring
-        self.gens = tuple(seen)
+        self.gens = tuple(ring.unique_up_to_sign(gens))
         self._gb = None
 
     def groebner(self) -> "GroebnerBasis":
@@ -396,6 +387,17 @@ def ideal_colon(I: IdealGens, J: IdealGens) -> IdealGens:
     return result
 
 
+def _rabinowitsch(I: IdealGens, f: Poly) -> tuple[PolyRing, list[Poly]]:
+    """The ring with a fresh front variable t in the elimination block, and
+    there the generators of I and 1 - t f."""
+    R = I.ring
+    ext = R.extend_front_elim(R.fresh_names(1, "t"))
+    t = ext.var(0)
+    gens = [embed_shift(g, ext, 1) for g in I.gens]
+    gens.append(ext.one() - t * embed_shift(f, ext, 1))
+    return ext, gens
+
+
 def saturation(I: IdealGens, f: Poly) -> IdealGens:
     """(I : f^inf) by single-shot Rabinowitsch elimination."""
     R = I.ring
@@ -403,35 +405,17 @@ def saturation(I: IdealGens, f: Poly) -> IdealGens:
         raise RingMismatchError("polynomial in a different ring")
     if f.is_zero:
         return IdealGens(R, [R.one()])
-    ext = R.extend_front_elim(R.fresh_names(1, "t"))
-    t = ext.var(0)
-    gens = [embed_shift(g, ext, 1) for g in I.gens]
-    gens.append(ext.one() - t * embed_shift(f, ext, 1))
+    ext, gens = _rabinowitsch(I, f)
     return IdealGens(R, _eliminate_front(gens, ext, R, 1))
-
-
-def saturation_by_iteration(I: IdealGens, f: Poly) -> IdealGens:
-    """Stabilization loop (I : f) subseteq (I : f^2) ... ; test oracle only."""
-    current = I
-    while True:
-        nxt = ideal_colon_poly(current, f)
-        if ideal_equal(nxt, current):
-            return current
-        current = nxt
 
 
 def radical_membership(f: Poly, I: IdealGens) -> bool:
     """f in sqrt(I), via 1 in I + <1 - t f> in an extended ring."""
-    R = I.ring
-    if f.ring != R:
+    if f.ring != I.ring:
         raise RingMismatchError("polynomial in a different ring")
     if f.is_zero:
         return True
-    ext = R.extend_front_elim(R.fresh_names(1, "t"))
-    t = ext.var(0)
-    gens = [embed_shift(g, ext, 1) for g in I.gens]
-    gens.append(ext.one() - t * embed_shift(f, ext, 1))
-    return IdealGens(ext, gens).groebner().is_unit_ideal()
+    return IdealGens(*_rabinowitsch(I, f)).groebner().is_unit_ideal()
 
 
 def krull_dimension(I: IdealGens) -> int:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .algebra import FPAlgebra
 from .complexes import FreeComplex, RingMatrix
-from .exterior import subsets_colex
+from .exterior import boundary_matrix, subsets_colex
 from .ring import Poly, PolyRing, mono_div, mono_divides, mono_gcd, mono_lcm
 
 
@@ -124,22 +124,13 @@ def taylor_complex(m: MonomialList) -> TaylorComplex:
     R = m.ring
     algebra = FPAlgebra.polynomial(R)
     one = R.field.one()
-    zero = R.zero()
-    mats = []
-    for k in range(1, m.r + 1):
-        rows = subsets_colex(m.r, k - 1)
-        cols = subsets_colex(m.r, k)
-        row_pos = {s: i for i, s in enumerate(rows)}
-        ents = [[zero] * len(cols) for _ in rows]
-        for cj, J in enumerate(cols):
-            lcm_J = m.lcm_of(J)
-            for pos, j in enumerate(J):
-                K = J[:pos] + J[pos + 1:]
-                coeff = Poly(R, {mono_div(lcm_J, m.lcm_of(K)): one})
-                if pos % 2:
-                    coeff = -coeff
-                ents[row_pos[K]][cj] = coeff
-        mats.append(RingMatrix(algebra, ents))
+
+    def coeff(J, pos):
+        return Poly(R, {mono_div(m.lcm_of(J),
+                                 m.lcm_of(J[:pos] + J[pos + 1:])): one})
+
+    mats = [RingMatrix(algebra, boundary_matrix(m.r, k, coeff, R.zero()))
+            for k in range(1, m.r + 1)]
     return TaylorComplex(m, FreeComplex(algebra, mats))
 
 

@@ -237,6 +237,27 @@ class PolyRing:
         return PolyRing(self.field, names + self.vars, self.order,
                         self.elim + len(names), _allow_reserved=True)
 
+    def unique_up_to_sign(self, polys: Iterable["Poly"]) -> list["Poly"]:
+        """The nonzero polys of this ring, first occurrences only, where p
+        and -p count as one.
+
+        p and -p have the same support, so only polys in one support bucket
+        are compared.
+        """
+        kept: list = []
+        buckets: dict = {}
+        for p in polys:
+            if p.ring != self:
+                raise RingMismatchError("generator in a different ring")
+            if p.is_zero:
+                continue
+            bucket = buckets.setdefault(frozenset(p.terms), [])
+            if any(p == h or p == -h for h in bucket):
+                continue
+            bucket.append(p)
+            kept.append(p)
+        return kept
+
     def fresh_names(self, count: int, tag: str = "") -> list[str]:
         names, i = [], 0
         taken = set(self.vars)

@@ -231,3 +231,47 @@ def test_exit_4_survives_python_O():
     assert proc.returncode == 4, proc.stdout + proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("ffr: internal verification failure: ")
+
+
+def test_taylor_reads_ring_document(capsys):
+    # vars, field and order come from --ring; its relations are ignored,
+    # as by every command without --relations
+    ring = json.dumps({"field": "Fp:7", "vars": ["x", "y"], "order": "lex",
+                       "relations": ["x^2"]})
+    code, rep = run_json(capsys, ["taylor", "--ring", ring,
+                                  "--monomials", "x,y"])
+    assert code == 0
+    code, flags = run_json(capsys, ["taylor", "--field", "Fp:7", "--vars",
+                                    "x,y", "--order", "lex",
+                                    "--monomials", "x,y"])
+    assert code == 0
+    for r in (rep, flags):
+        r.pop("timing_ms")
+    assert rep == flags
+    assert rep["matrices"] == [[["x", "y"]], [["6*y"], ["x"]]]  # -1 = 6 mod 7
+
+
+def test_exit_2_on_misshapen_rows(capsys):
+    # rows that are not lists of strings: one input-error line, no traceback
+    cases = [
+        ["wiebe", "--vars", "x,y", "--c", "x", "--a", "y", "--u", "5"],
+        ["wiebe", "--vars", "x,y", "--c", "x", "--a", "y", "--u", "[[1]]"],
+        ["depth", "--vars", "x", "--ideal", "x", "--atleast", "1",
+         "--module", '{"rank": 1, "presentation": [5]}'],
+        ["mccoy", "--vars", "x", "--matrix", "[[1]]"],
+    ]
+    for argv in cases:
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("ffr: input error: ") and err.count("\n") == 1
+        assert "rows of strings" in err
+
+
+def test_exit_2_on_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = run(["dim", "--vars", "x", "--ideal", "x", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"ffr: input error: cannot write {out}: [Errno 2] "
+                            f"No such file or directory: '{out}'\n")

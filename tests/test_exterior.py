@@ -1,15 +1,19 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from ffr.algebra import FPAlgebra
+from ffr.cayley import signed_maximal_minors
+from ffr.complexes import RingMatrix, adjugate, koszul_complex
 from ffr.exterior import (MultiVector, are_proportional, complement,
                           decomposable, eps_sign, exterior_power_matrix,
                           hodge_left, hodge_right, interior_right,
-                          matrix_minor, pairing, poly_det, subsets_colex,
-                          sylvester_plucker, wedge)
+                          matrix_minor, minors, pairing, poly_det,
+                          subsets_colex, sylvester_plucker, wedge)
 from ffr.groebner import syzygy_module
-from ffr.ring import Poly, PolyRing, QQ
+from ffr.monomial import MonomialList, taylor_complex
+from ffr.ring import CoefField, Poly, PolyRing, QQ
 
 
 def scalars(n=0):
@@ -346,3 +350,161 @@ def test_exterior_power_matrix_alignment():
         for b, J in enumerate(cols):
             assert L2[a][b] == matrix_minor(M, R, [i - 1 for i in I],
                                             [j - 1 for j in J])
+
+
+# ---------------------------------------------------------------------------
+# the minors table against an independent oracle: the Leibniz formula
+
+def leibniz_minor(rows, ring, I, J):
+    """Sum over permutations of the signed products, on 1-based subsets."""
+    acc = ring.zero()
+    for perm in permutations(range(len(I))):
+        inversions = sum(1 for a in range(len(perm))
+                         for b in range(a + 1, len(perm)) if perm[a] > perm[b])
+        term = ring.one()
+        for i, j in zip(I, perm):
+            term = term * rows[i - 1][J[j] - 1]
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+def random_rows(rng, R, nrows, ncols, zero_row=None):
+    def entry():
+        if rng.random() < 0.3:
+            return R.zero()
+        return Poly(R, {(rng.randint(0, 2), rng.randint(0, 1)):
+                        R.field.from_int(rng.randint(-4, 4))
+                        for _ in range(rng.randint(1, 2))})
+    return [[R.zero() if i == zero_row else entry() for _ in range(ncols)]
+            for i in range(nrows)]
+
+
+ORACLE_FIELDS = [QQ, CoefField(32003)]
+SHAPES = [(0, 0), (1, 1), (1, 3), (3, 1), (2, 2), (2, 4), (4, 2), (3, 3),
+          (3, 4), (4, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_minors_table_matches_leibniz(field):
+    R = PolyRing(field, ["x", "y"])
+    rng = random.Random(field.p + 1)
+    for nrows, ncols in SHAPES:
+        for zero_row in (None, 0):
+            rows = random_rows(rng, R, nrows, ncols, zero_row)
+            cols = ncols if nrows else 0
+            for k in range(min(nrows, cols) + 2):
+                table = minors(rows, R, k)
+                keys = [(I, J) for I in subsets_colex(nrows, k)
+                        for J in subsets_colex(cols, k)]
+                assert list(table) == keys  # I outermost, both colex
+                for (I, J), value in table.items():
+                    assert value == leibniz_minor(rows, R, I, J)
+                powered = exterior_power_matrix(rows, R, k)
+                assert powered == [[table[I, J] for J in subsets_colex(cols, k)]
+                                   for I in subsets_colex(nrows, k)]
+            if nrows == cols:
+                full = tuple(range(1, nrows + 1))
+                assert poly_det(rows, R) == leibniz_minor(rows, R, full, full)
+    # k = 0 is the empty minor, 1, also for the empty matrix
+    assert minors([], R, 0) == {((), ()): R.one()}
+    assert exterior_power_matrix([], R, 0) == [[R.one()]]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_minor_consumers_match_leibniz(field):
+    R = PolyRing(field, ["x", "y"])
+    A = FPAlgebra.polynomial(R)
+    rng = random.Random(field.p + 2)
+    for n in range(1, 5):
+        for zero_row in (None, n - 1):
+            square = random_rows(rng, R, n, n, zero_row)
+            full = tuple(range(1, n + 1))
+            drop = [full[:t] + full[t + 1:] for t in range(n)]
+            adj = adjugate(RingMatrix(A, square))
+            assert adj.entries == tuple(
+                tuple((-1) ** (i + j) * leibniz_minor(square, R, drop[j],
+                                                      drop[i])
+                      for j in range(n)) for i in range(n))
+            tall = random_rows(rng, R, n, n - 1, zero_row)
+            assert signed_maximal_minors(RingMatrix(A, tall, n, n - 1)) == [
+                (-1) ** i * leibniz_minor(tall, R, drop[i], full[:-1])
+                for i in range(n)]
+            for k in range(n + 1):
+                columns = [[row[j] for row in square] for j in range(k)]
+                wedge_k = decomposable(A, columns, n)
+                for I in subsets_colex(n, k):
+                    assert wedge_k.coeff(I) == leibniz_minor(
+                        square, R, I, full[:k])
+
+
+# Koszul and Taylor differentials as built before `boundary_matrix` existed:
+# one string per matrix, rows joined by ";", entries by ","
+KOSZUL_BEFORE = {
+    1: (
+        'a1',
+    ),
+    2: (
+        'a1,a2',
+        '-a2;a1',
+    ),
+    3: (
+        'a1,a2,a3',
+        '-a2,-a3,0;a1,0,-a3;0,a1,a2',
+        'a3;-a2;a1',
+    ),
+    4: (
+        'a1,a2,a3,a4',
+        '-a2,-a3,0,-a4,0,0;a1,0,-a3,0,-a4,0;0,a1,a2,0,0,-a4;0,0,0,a1,a2,a3',
+        'a3,a4,0,0;-a2,0,a4,0;a1,0,0,a4;0,-a2,-a3,0;0,a1,0,-a3;0,0,a1,a2',
+        '-a4;a3;-a2;a1',
+    ),
+}
+
+TAYLOR_BEFORE = {
+    1: (
+        'x^2*y',
+    ),
+    2: (
+        'x^2*y,x*y^3',
+        '-y^2;x',
+    ),
+    3: (
+        'x^2*y,x*y^3,x*z',
+        '-y^2,-z,0;x,0,-z;0,x*y,y^3',
+        'z;-y^2;x',
+    ),
+    4: (
+        'x^2*y,x*y^3,x*z,y*z',
+        '-y^2,-z,0,-z,0,0;x,0,-z,0,-z,0;0,x*y,y^3,0,0,-y;0,0,0,x^2,x*y^2,x',
+        'z,z,0,0;-y^2,0,1,0;x,0,0,1;0,-y^2,-1,0;0,x,0,-1;0,0,x,y^2',
+        '-1;1;-y^2;x',
+    ),
+    5: (
+        'x^2*y,x*y^3,x*z,y*z,z^3',
+        '-y^2,-z,0,-z,0,0,-z^3,0,0,0;x,0,-z,0,-z,0,0,-z^3,0,0;0,x*y,y^3,0,0,-y,0,0,-z^2,0;0,0,0,x^2,x*y^2,x,0,0,0,-z^2;0,0,0,0,0,0,x^2*y,x*y^3,x,y',
+        'z,z,0,0,z^3,0,0,0,0,0;-y^2,0,1,0,0,z^2,0,0,0,0;x,0,0,1,0,0,z^2,0,0,0;0,-y^2,-1,0,0,0,0,z^2,0,0;0,x,0,-1,0,0,0,0,z^2,0;0,0,x,y^2,0,0,0,0,0,z^2;0,0,0,0,-y^2,-1,0,-1,0,0;0,0,0,0,x,0,-1,0,-1,0;0,0,0,0,0,x*y,y^3,0,0,-y;0,0,0,0,0,0,0,x^2,x*y^2,x',
+        '-1,-z^2,0,0,0;1,0,-z^2,0,0;-y^2,0,0,-z^2,0;x,0,0,0,-z^2;0,1,1,0,0;0,-y^2,0,1,0;0,x,0,0,1;0,0,-y^2,-1,0;0,0,x,0,-1;0,0,0,x,y^2',
+        'z^2;-1;1;-y^2;x',
+    ),
+}
+
+TAYLOR_MONOMIALS = ("x^2*y", "x*y^3", "x*z", "y*z", "z^3")
+
+
+def matrices_text(C):
+    return tuple(";".join(",".join(map(str, row)) for row in M.entries)
+                 for M in C.matrices)
+
+
+@pytest.mark.parametrize("n", sorted(KOSZUL_BEFORE))
+def test_koszul_matrices_unchanged(n):
+    A = FPAlgebra.polynomial(PolyRing(QQ, ["a1", "a2", "a3", "a4"]))
+    C = koszul_complex(A, A.ring.gens()[:n])
+    assert matrices_text(C) == KOSZUL_BEFORE[n]
+
+
+@pytest.mark.parametrize("r", sorted(TAYLOR_BEFORE))
+def test_taylor_matrices_unchanged(r):
+    R = PolyRing(QQ, ["x", "y", "z"])
+    T = taylor_complex(MonomialList.parse(R, TAYLOR_MONOMIALS[:r]))
+    assert matrices_text(T.complex) == TAYLOR_BEFORE[r]

@@ -4,10 +4,9 @@ from itertools import permutations
 import pytest
 
 from ffr.groebner import (IdealGens, exact_div, ideal_colon,
-                          ideal_equal, ideal_intersection,
+                          ideal_colon_poly, ideal_equal, ideal_intersection,
                           ideal_product, krull_dimension, module_membership,
-                          radical_membership, saturation,
-                          saturation_by_iteration, syzygy_module)
+                          radical_membership, saturation, syzygy_module)
 from ffr.ring import PolyRing, QQ, CoefField, parse_poly
 
 
@@ -137,6 +136,16 @@ def test_saturation_examples():
     assert ideal_equal(saturation(ideal(R, "x"), P(R, "y")), ideal(R, "x"))
     got = saturation(ideal(R, "x^2*y", "x*y^2"), P(R, "x*y"))
     assert got.groebner().is_unit_ideal()
+
+
+def saturation_by_iteration(I, f):
+    """Oracle: the chain (I : f) subseteq (I : f^2) ... until it stabilizes."""
+    current = I
+    while True:
+        nxt = ideal_colon_poly(current, f)
+        if ideal_equal(nxt, current):
+            return current
+        current = nxt
 
 
 def test_saturation_matches_iteration():

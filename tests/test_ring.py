@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from ffr.ring import (CoefField, ParseError, Poly, PolyRing, QQ, content_ideal,
-                      format_poly, kronecker_poly, parse_poly)
+from ffr.ring import (CoefField, ParseError, Poly, PolyRing, QQ,
+                      RingMismatchError, content_ideal, format_poly,
+                      kronecker_poly, parse_poly)
 
 
 def ring_qq(*vars, order="grevlex"):
@@ -206,3 +207,38 @@ def test_kronecker_poly():
 
     with pytest.raises(ValueError):
         kronecker_poly([x], "y")
+
+
+def unique_up_to_sign_quadratic(polys):
+    """Oracle: the pairwise rule the ideal constructors used before."""
+    seen = []
+    for g in polys:
+        if g.is_zero or any(g == h or g == -h for h in seen):
+            continue
+        seen.append(g)
+    return seen
+
+
+@pytest.mark.parametrize("p", [0, 32003, 2])
+def test_unique_up_to_sign_matches_quadratic_rule(p):
+    R = PolyRing(CoefField(p), ["x", "y"])
+    rng = random.Random(p)
+    monos = [(0, 0), (1, 0), (0, 1), (2, 1)]
+    for _ in range(40):
+        # few supports and coefficients, so buckets collide often
+        base = [Poly(R, {m: R.field.from_int(rng.randint(-2, 2))
+                         for m in rng.sample(monos, rng.randint(1, 2))})
+                for _ in range(rng.randint(0, 6))]
+        polys = base + [-g for g in base] + rng.sample(base, len(base) // 2)
+        polys += [R.zero()] * rng.randint(0, 2)
+        rng.shuffle(polys)
+        got = R.unique_up_to_sign(polys)
+        want = unique_up_to_sign_quadratic(polys)
+        assert got == want
+        assert all(a is b for a, b in zip(got, want))  # first occurrences
+
+
+def test_unique_up_to_sign_rejects_other_ring():
+    R, S = ring_qq("x"), ring_qq("y")
+    with pytest.raises(RingMismatchError):
+        R.unique_up_to_sign([R.var(0), S.var(0)])

@@ -16,7 +16,7 @@ from .ring import Poly, PolyRing, RingMismatchError, embed_append, parse_poly
 class FPAlgebra:
     """A base ring k[X1..Xn]/J given by ring and relation ideal J."""
 
-    __slots__ = ("ring", "relations", "_gb")
+    __slots__ = ("ring", "relations")
 
     def __init__(self, ring: PolyRing, relations: Sequence[Poly] = ()):
         for r in relations:
@@ -24,16 +24,13 @@ class FPAlgebra:
                 raise RingMismatchError("relation in a different ring")
         self.ring = ring
         self.relations = gb.IdealGens(ring, relations)
-        self._gb = None
 
     @classmethod
     def polynomial(cls, ring: PolyRing) -> "FPAlgebra":
         return cls(ring, ())
 
     def relations_gb(self) -> gb.GroebnerBasis:
-        if self._gb is None:
-            self._gb = self.relations.groebner()
-        return self._gb
+        return self.relations.groebner()
 
     def nf(self, p: Poly) -> Poly:
         """Canonical representative of p modulo J."""
@@ -162,13 +159,7 @@ def module_colon_scalar(vectors: Sequence[Sequence[Poly]], f: Poly, rank: int,
             return [[ring.one()]]
         colon = gb.ideal_colon_poly(I, f)
         return [[g] for g in colon.gens]
-    syz = gb.syzygy_module(scalar_columns([f], rank, ring) + list(vectors))
-    result = []
-    for s in syz:
-        x = s[:rank]
-        if any(not p.is_zero for p in x):
-            result.append(list(x))
-    return result
+    return module_colon_ideal(vectors, [f], rank, ring)
 
 
 def module_colon_ideal(vectors: Sequence[Sequence[Poly]],

@@ -91,6 +91,14 @@ def _parse_list(text: Optional[str]) -> list[str]:
     return [s for s in (part.strip() for part in text.split(",")) if s]
 
 
+def _array(value, name: str, item=str, items: str = "strings") -> list:
+    """A document field that must be a JSON array of `item`s."""
+    if not isinstance(value, list) or not all(isinstance(x, item)
+                                              for x in value):
+        raise SchemaError(f"{name} must be an array of {items}")
+    return value
+
+
 def _parse_ideal_doc(text: str) -> list[str]:
     text = text.strip()
     if not text.startswith("{"):
@@ -98,9 +106,7 @@ def _parse_ideal_doc(text: str) -> list[str]:
     data = _json(text, "bad ideal JSON")
     if not isinstance(data, dict) or "gens" not in data:
         raise SchemaError('ideal object needs a "gens" array')
-    if not isinstance(data["gens"], list):
-        raise SchemaError('"gens" must be an array of strings')
-    return data["gens"]
+    return _array(data["gens"], '"gens"')
 
 
 def _poly(src: str, ring: PolyRing) -> Poly:
@@ -120,9 +126,13 @@ def _ideal(text: str, ring: PolyRing) -> list[Poly]:
 
 def _algebra_from_doc(doc: dict) -> FPAlgebra:
     """The algebra of a ring, complex or matrix document."""
-    R = PolyRing(_parse_field(doc.get("field", "Q")), doc.get("vars", []),
-                 doc.get("order", "grevlex"))
-    return FPAlgebra(R, _polys(doc.get("relations", []), R))
+    field, order = doc.get("field", "Q"), doc.get("order", "grevlex")
+    if not isinstance(field, str) or not isinstance(order, str):
+        raise SchemaError('"field" and "order" must be strings')
+    R = PolyRing(_parse_field(field), _array(doc.get("vars", []), '"vars"'),
+                 order)
+    return FPAlgebra(R, _polys(_array(doc.get("relations", []),
+                                      '"relations"'), R))
 
 
 def _algebra(args) -> FPAlgebra:
@@ -173,9 +183,13 @@ def _matrix_doc(doc, A: FPAlgebra) -> RingMatrix:
 
 def _complex_from_file(path: str) -> tuple[FreeComplex, dict]:
     doc = _json_file(path, "complex", "matrices")
+    ranks = doc.get("expected_ranks")
+    if ranks is not None:
+        _array(ranks, '"expected_ranks"', int, "integers")
+    # any items: _matrix_doc checks each matrix
+    matrices = _array(doc["matrices"], '"matrices"', object, "matrices")
     A = _algebra_from_doc(doc)
-    mats = [_matrix_doc(m, A) for m in doc["matrices"]]
-    return FreeComplex(A, mats, doc.get("expected_ranks")), doc
+    return FreeComplex(A, [_matrix_doc(m, A) for m in matrices], ranks), doc
 
 
 # ---------------------------------------------------------------------------

@@ -50,15 +50,6 @@ def _vec_to_polys(v: Vec, ring: PolyRing, rank: int) -> list[Poly]:
     return [Poly(ring, t, _trusted=True) for t in coords]
 
 
-def _vkey(ring: PolyRing):
-    key = ring._key
-    return lambda t: (-t[0], key(t[1]))
-
-
-def _vec_lt(v: Vec, vkey):
-    return max(v, key=vkey)
-
-
 def _vec_monic(v: Vec, c, field) -> Vec:
     if c == field.one():
         return v
@@ -87,7 +78,6 @@ class _Reducers:
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
-        self.vkey = _vkey(ring)
         self.by_pos: dict[int, list] = {}
         self.entries: list = []  # (vec, ltpos, ltmono)
         self._keys: dict = {}
@@ -99,13 +89,17 @@ class _Reducers:
             self._keys[t] = k
         return k
 
-    def add(self, v: Vec):
-        pos, mono = _vec_lt(v, self.vkey)
-        v = _vec_monic(v, v[(pos, mono)], self.ring.field)
+    def put(self, v: Vec, pos: int, mono: tuple):
+        """Append a monic v whose leading term (pos, mono) is known."""
         entry = (v, pos, mono)
         self.entries.append(entry)
         self.by_pos.setdefault(pos, []).append(entry)
         return entry
+
+    def add(self, v: Vec):
+        pos, mono = max(v, key=self.term_key)
+        return self.put(_vec_monic(v, v[(pos, mono)], self.ring.field),
+                        pos, mono)
 
     def find(self, pos: int, mono: tuple):
         for entry in self.by_pos.get(pos, ()):
@@ -168,14 +162,14 @@ def _spair(e1, e2, field) -> Vec:
     return _vec_sub_scaled(a, v2, field.one(), mono_div(lcm, m2), field)
 
 
-def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> list[Vec]:
-    """Reduced Groebner basis of the submodule generated by `vecs`.
+def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
+    """The reduced Groebner basis of the submodule generated by `vecs`, as
+    a reducer table whose entries are in descending lead order.
 
     Pair pruning: Gebauer-Moeller chain criteria always; the coprimality
     (product) criterion only for rank 1, where it is valid.
     """
     field = ring.field
-    vkey = _vkey(ring)
     red = _Reducers(ring)
     lead: list[tuple[int, tuple]] = []  # (pos, mono) per basis element
     pairs: set[tuple[int, int]] = set()
@@ -229,26 +223,20 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> list[Vec]:
         if r:
             update(r)
 
-    # minimalize + interreduce to the canonical reduced basis
-    entries = red.entries
-    minimal: list[int] = []
-    order = sorted(range(len(entries)), key=lambda k: vkey(entries[k][1:3]))
-    for k in order:
-        _, pos, mono = entries[k]
-        if not any(entries[i][1] == pos and mono_divides(entries[i][2], mono)
-                   for i in minimal):
-            minimal.append(k)
-    result: list[Vec] = []
-    for k in minimal:
-        others = _Reducers(ring)
-        for i in minimal:
-            if i != k:
-                others.add(entries[i][0])
-        r = _vec_nf(entries[k][0], others)
-        if r:
-            result.append(_vec_monic(r, r[_vec_lt(r, vkey)], field))
-    result.sort(key=lambda v: vkey(_vec_lt(v, vkey)), reverse=True)
-    return result
+    # minimalize: keep the leads no smaller kept lead divides
+    minimal = _Reducers(ring)
+    for v, pos, mono in sorted(red.entries,
+                               key=lambda e: red.term_key(e[1:])):
+        if minimal.find(pos, mono) is None:
+            minimal.put(v, pos, mono)
+    # interreduce: a lead divides no smaller term, so reducing each tail
+    # against the whole minimal table is reducing it against the others
+    table = _Reducers(ring)
+    for v, pos, mono in reversed(minimal.entries):
+        tail = dict(v)
+        one = tail.pop((pos, mono))
+        table.put({(pos, mono): one, **_vec_nf(tail, minimal)}, pos, mono)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +258,7 @@ class IdealGens:
     def groebner(self) -> "GroebnerBasis":
         if self._gb is None:
             vecs = [_vec_from_polys([g]) for g in self.gens]
-            basis = _buchberger_vecs(vecs, self.ring, 1)
-            polys = tuple(_vec_to_polys(v, self.ring, 1)[0] for v in basis)
-            self._gb = GroebnerBasis(self, polys)
+            self._gb = GroebnerBasis(self, _buchberger_vecs(vecs, self.ring, 1))
         return self._gb
 
     def __repr__(self):
@@ -284,13 +270,12 @@ class GroebnerBasis:
 
     __slots__ = ("source", "basis", "ring", "_red")
 
-    def __init__(self, source: IdealGens, basis: tuple[Poly, ...]):
+    def __init__(self, source: IdealGens, table: _Reducers):
         self.source = source
         self.ring = source.ring
-        self.basis = basis
-        self._red = _Reducers(self.ring)
-        for g in basis:
-            self._red.add(_vec_from_polys([g]))
+        self._red = table
+        self.basis = tuple(_vec_to_polys(v, self.ring, 1)[0]
+                           for v, _, _ in table.entries)
 
     @property
     def order(self) -> str:
@@ -468,11 +453,9 @@ class ModuleBasis:
         self.ring = ring
         self.rank = rank
         vecs = [_vec_from_polys(v) for v in generators]
-        basis = _buchberger_vecs(vecs, ring, rank)
-        self.vectors = tuple(tuple(_vec_to_polys(v, ring, rank)) for v in basis)
-        self._red = _Reducers(ring)
-        for v in basis:
-            self._red.add(v)
+        self._red = _buchberger_vecs(vecs, ring, rank)
+        self.vectors = tuple(tuple(_vec_to_polys(v, ring, rank))
+                             for v, _, _ in self._red.entries)
 
     def normal_form(self, coords: Sequence[Poly]) -> list[Poly]:
         return _vec_to_polys(_vec_nf(_vec_from_polys(coords), self._red),

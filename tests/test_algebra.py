@@ -194,3 +194,21 @@ def test_module_colon_scalar_rank2():
     for g in colon:
         scaled = [B.parse("x") * g[0], B.parse("x") * g[1]]
         assert module_membership(scaled, W) is not None
+    # f = 0 and rank 3: f g lies in W for every generator g, and the colon
+    # holds W; (W : 0) is the whole free module, given by its unit vectors
+    C = algebra(["x", "y", "z"])
+    x, y, z = (C.parse(v) for v in "xyz")
+    zero, one = C.ring.zero(), C.ring.one()
+    for E in (AModule(C, 2, [[x], [y]]),
+              AModule(C, 3, [[x, zero], [y, z], [zero, x]])):
+        W = E.base_vectors()
+        r = E.rank
+        for f in (x, y * z, zero):
+            colon = module_colon_scalar(W, f, r, C.ring)
+            for g in colon:
+                assert module_membership([f * p for p in g], W) is not None
+            for w in W:
+                assert module_membership(w, colon) is not None
+            if f.is_zero:
+                assert colon == [[one if i == t else zero for i in range(r)]
+                                 for t in range(r)]

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import ffr
 from ffr.cli import run
 from ffr.ring import PolyRing, QQ, parse_poly
@@ -275,3 +277,45 @@ def test_exit_2_on_unwritable_out(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"ffr: input error: cannot write {out}: [Errno 2] "
                             f"No such file or directory: '{out}'\n")
+
+
+def _complex_file(tmp_path, **fields):
+    doc = {"field": "Q", "vars": ["x"], "matrices": [[["x"]]], **fields}
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# wrongly typed fields of ring, ideal and complex documents: one input-error
+# line and exit 2, no traceback
+BAD_DOCUMENTS = {
+    "vars-not-array": (["gb", "--ring", '{"vars":5}', "--ideal", "x"],
+                       '"vars" must be an array of strings'),
+    "vars-not-strings": (["gb", "--ring", '{"vars":[1]}', "--ideal", "x"],
+                         '"vars" must be an array of strings'),
+    "field-not-string": (["gb", "--ring", '{"vars":["x"],"field":5}',
+                          "--ideal", "x"],
+                         '"field" and "order" must be strings'),
+    "gens-not-strings": (["gb", "--vars", "x", "--ideal", '{"gens":[1]}'],
+                         '"gens" must be an array of strings'),
+    "relations-not-array": (["depth", "--ring",
+                             '{"vars":["x"],"relations":5}', "--ideal", "x",
+                             "--atleast", "1"],
+                            '"relations" must be an array of strings'),
+    "matrices-not-array": ({"matrices": 5},
+                           '"matrices" must be an array of matrices'),
+    "expected-ranks-not-array": ({"expected_ranks": 5},
+                                 '"expected_ranks" must be an array of '
+                                 'integers'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+def test_exit_2_on_wrongly_typed_document(case, tmp_path, capsys):
+    argv, message = BAD_DOCUMENTS[case]
+    if isinstance(argv, dict):
+        argv = ["certify", "--complex", _complex_file(tmp_path, **argv)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ffr: input error: {message}\n"

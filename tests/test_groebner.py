@@ -1,13 +1,15 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from ffr.groebner import (IdealGens, exact_div, ideal_colon,
+from ffr.groebner import (IdealGens, _tagged_basis, exact_div, ideal_colon,
                           ideal_colon_poly, ideal_equal, ideal_intersection,
-                          ideal_product, krull_dimension, module_membership,
-                          radical_membership, saturation, syzygy_module)
-from ffr.ring import PolyRing, QQ, CoefField, parse_poly
+                          ideal_product, krull_dimension, module_gb,
+                          module_membership, radical_membership, saturation,
+                          syzygy_module)
+from ffr.ring import (CoefField, Poly, PolyRing, QQ, mono_div, mono_divides,
+                      mono_lcm, parse_poly)
 
 
 def R2(order="grevlex"):
@@ -398,3 +400,94 @@ def test_product_of_ideals():
     R = R2()
     IJ = ideal_product(ideal(R, "x", "y"), ideal(R, "x"))
     assert ideal_equal(IJ, ideal(R, "x^2", "x*y"))
+
+
+# ---------------------------------------------------------------------------
+# the reduced-basis certificate, checked on the table a basis keeps
+
+def _random_poly(rng, R, terms=3, degree=2):
+    field = R.field
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        m = tuple(rng.randint(0, degree) for _ in range(R.n))
+        out[m] = field.from_int(rng.randint(-3, 3))
+    return Poly(R, out)
+
+
+def _lead(vector):
+    """(position, leading monomial) of a vector in the POT order."""
+    pos = next(i for i, p in enumerate(vector) if not p.is_zero)
+    return pos, vector[pos].lm()
+
+
+def _entry_polys(entry, R, rank):
+    v = entry[0]
+    return tuple(Poly(R, {m: c for (p, m), c in v.items() if p == i})
+                 for i in range(rank))
+
+
+def _check_reduced(R, rank, vectors, table, generators, normal_form):
+    """The reduced-basis certificate of `vectors` (the basis kept by a
+    GroebnerBasis or ModuleBasis) and of its reducer table."""
+    one = R.field.one()
+    assert vectors == tuple(_entry_polys(e, R, rank) for e in table.entries)
+    leads = [_lead(v) for v in vectors]
+    assert leads == [(e[1], e[2]) for e in table.entries]
+    # monic, and no term divisible by another element's lead
+    for k, v in enumerate(vectors):
+        pos, mono = leads[k]
+        assert v[pos].terms[mono] == one
+        for j, (lpos, lmono) in enumerate(leads):
+            if j != k:
+                assert not any(mono_divides(lmono, m) for m in v[lpos].terms)
+    # leads strictly descend in the POT order
+    keys = [(-pos, R.mono_key(mono)) for pos, mono in leads]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    # every generator and every same-position S-pair reduces to 0
+    zero = [R.zero()] * rank
+    for g in generators:
+        assert normal_form(list(g)) == zero
+    for i, j in combinations(range(len(vectors)), 2):
+        (pi, mi), (pj, mj) = leads[i], leads[j]
+        if pi != pj:
+            continue
+        lcm = mono_lcm(mi, mj)
+        ui = Poly(R, {mono_div(lcm, mi): one})
+        uj = Poly(R, {mono_div(lcm, mj): one})
+        s = [ui * a - uj * b for a, b in zip(vectors[i], vectors[j])]
+        assert normal_form(s) == zero
+
+
+def _certificate_rings():
+    for field in (QQ, CoefField(32003)):
+        for order in ("grevlex", "lex", "grlex"):
+            R = PolyRing(field, ["x", "y", "z"], order)
+            yield R
+            yield R.extend_front_elim(R.fresh_names(1, "t"))
+
+
+def test_reduced_basis_certificate_ideals():
+    rng = random.Random(41)
+    for R in _certificate_rings():
+        for _ in range(4):
+            gens = [_random_poly(rng, R) for _ in range(rng.randint(1, 4))]
+            G = IdealGens(R, gens).groebner()
+            _check_reduced(R, 1, tuple((g,) for g in G.basis), G._red,
+                           [(g,) for g in G.source.gens],
+                           lambda v: [G.normal_form(v[0])])
+
+
+def test_reduced_basis_certificate_modules():
+    rng = random.Random(43)
+    for R in _certificate_rings():
+        for _ in range(3):
+            vectors = [[_random_poly(rng, R, terms=2) for _ in range(2)]
+                       for _ in range(rng.randint(1, 3))]
+            M = module_gb(vectors)
+            _check_reduced(R, 2, M.vectors, M._red, vectors, M.normal_form)
+            T = _tagged_basis(vectors, 2, R)
+            tagged = [list(v) + [R.one() if j == i else R.zero()
+                                 for j in range(len(vectors))]
+                      for i, v in enumerate(vectors)]
+            _check_reduced(R, T.rank, T.vectors, T._red, tagged,
+                           T.normal_form)

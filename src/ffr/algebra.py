@@ -29,12 +29,9 @@ class FPAlgebra:
     def polynomial(cls, ring: PolyRing) -> "FPAlgebra":
         return cls(ring, ())
 
-    def relations_gb(self) -> gb.GroebnerBasis:
-        return self.relations.groebner()
-
     def nf(self, p: Poly) -> Poly:
         """Canonical representative of p modulo J."""
-        return self.relations_gb().normal_form(p)
+        return self.relations.groebner().normal_form(p)
 
     def parse(self, src: str) -> Poly:
         return parse_poly(src, self.ring)
@@ -197,24 +194,20 @@ def module_colon_ideal(vectors: Sequence[Sequence[Poly]],
 
 def is_trivial(A: FPAlgebra) -> bool:
     """True iff 1 in J."""
-    return A.relations_gb().is_unit_ideal()
+    return A.relations.groebner().is_unit_ideal()
 
 
 def is_regular_element(A: FPAlgebra, f: Poly) -> bool:
-    """f is a non-zero-divisor of A, i.e. (J : f) = J in k[X]."""
-    J = A.relations
-    colon = gb.ideal_colon_poly(gb.IdealGens(A.ring, J.gens), A.nf(f))
-    jgb = A.relations_gb()
-    return all(jgb.contains(g) for g in colon.gens)
+    """f is a non-zero-divisor of A, i.e. the ideal <f> is faithful."""
+    return is_faithful_ideal(A, AIdeal(A, [f]))
 
 
 def is_faithful_ideal(A: FPAlgebra, a: AIdeal) -> bool:
     """Ann_A(a) = 0, i.e. (J : <gens>) = J in k[X]."""
     if not a.gens:
         return is_trivial(A)
-    J = gb.IdealGens(A.ring, A.relations.gens)
-    colon = gb.ideal_colon(J, gb.IdealGens(A.ring, a.gens))
-    jgb = A.relations_gb()
+    colon = gb.ideal_colon(A.relations, gb.IdealGens(A.ring, a.gens))
+    jgb = A.relations.groebner()
     return all(jgb.contains(g) for g in colon.gens)
 
 

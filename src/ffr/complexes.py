@@ -59,9 +59,6 @@ class RingMatrix:
         return cls(algebra, [[one if i == j else zero for j in range(n)]
                              for i in range(n)], n, n)
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i][j]
-
     def column(self, j: int) -> list[Poly]:
         return [self.entries[i][j] for i in range(self.rows)]
 
@@ -162,7 +159,7 @@ def kernel_generators(M: RingMatrix) -> list[list[Poly]]:
     if not cols:
         return []
     syz = gb.syzygy_module(cols + scalar_columns(A.relations.gens, M.rows, R))
-    jgb = A.relations_gb()
+    jgb = A.relations.groebner()
     out = []
     for s in syz:
         c = [jgb.normal_form(p) for p in s[:M.cols]]
@@ -232,6 +229,9 @@ class FreeComplex:
 
     def matrix(self, k: int) -> RingMatrix:
         """A_k for 1 <= k <= m."""
+        if not 1 <= k <= len(self.matrices):
+            raise ValueError(f"no matrix A_{k} in a complex of length "
+                             f"{len(self.matrices)}")
         return self.matrices[k - 1]
 
     def __repr__(self):

@@ -58,21 +58,6 @@ def _vec_monic(v: Vec, c, field) -> Vec:
     return {t: mul(x, inv) for t, x in v.items()}
 
 
-def _vec_sub_scaled(v: Vec, w: Vec, c, m: tuple, field) -> Vec:
-    """v - c * X^m * w, in place on a copy of v."""
-    sub = field.sub
-    mul = field.mul
-    res = dict(v)
-    for (p, mm), cw in w.items():
-        t = (p, mono_mul(mm, m))
-        s = sub(res.get(t, 0), mul(c, cw))
-        if s:
-            res[t] = s
-        elif t in res:
-            del res[t]
-    return res
-
-
 class _Reducers:
     """Monic reducers indexed by leading position, with a key memo."""
 
@@ -154,59 +139,69 @@ def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False) -> Vec:
     return work if top_only else out
 
 
-def _spair(e1, e2, field) -> Vec:
-    v1, pos, m1 = e1
+def _spair(e1, e2, lcm: tuple, field) -> Vec:
+    """lcm/m1 * v1 - lcm/m2 * v2 for monic entries with leads m1, m2."""
+    v1, _, m1 = e1
     v2, _, m2 = e2
-    lcm = mono_lcm(m1, m2)
-    a = _vec_sub_scaled({}, v1, field.neg(field.one()), mono_div(lcm, m1), field)
-    return _vec_sub_scaled(a, v2, field.one(), mono_div(lcm, m2), field)
+    s1 = mono_div(lcm, m1)
+    res = {(p, mono_mul(m, s1)): c for (p, m), c in v1.items()}
+    s2 = mono_div(lcm, m2)
+    sub = field.sub
+    for (p, m), c in v2.items():
+        t = (p, mono_mul(m, s2))
+        d = sub(res.get(t, 0), c)
+        if d:
+            res[t] = d
+        elif t in res:
+            del res[t]
+    return res
 
 
 def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
     """The reduced Groebner basis of the submodule generated by `vecs`, as
     a reducer table whose entries are in descending lead order.
 
+    The run's elements are the entries (vec, pos, mono) of `red`, in the
+    order they were added.  Each open pair of elements i < j is one record
+    (ring._key(lcm), i, j, lcm), built once when j is added: `min(pairs)`
+    picks the pair of smallest lcm, ties broken by (i, j), and the pruning
+    and the S-polynomial read the stored lcm.
+
     Pair pruning: Gebauer-Moeller chain criteria always; the coprimality
     (product) criterion only for rank 1, where it is valid.
     """
     field = ring.field
     red = _Reducers(ring)
-    lead: list[tuple[int, tuple]] = []  # (pos, mono) per basis element
-    pairs: set[tuple[int, int]] = set()
-
-    def pair_lcm(i, j):
-        return mono_lcm(lead[i][1], lead[j][1])
+    entries = red.entries
+    pairs: set[tuple] = set()
 
     def update(v: Vec):
         # Gebauer-Moeller: prune old pairs, minimalize new ones.
-        entry = red.add(v)
-        t = len(lead)
-        posn, monon = entry[1], entry[2]
+        _, posn, monon = red.add(v)
+        t = len(entries) - 1
         stale = set()
-        for (i, j) in pairs:
-            if lead[i][0] != posn:
+        for pair in pairs:
+            _, i, j, lij = pair
+            if entries[i][1] != posn:
                 continue
-            lij = pair_lcm(i, j)
             if (mono_divides(monon, lij)
-                    and mono_lcm(lead[i][1], monon) != lij
-                    and mono_lcm(lead[j][1], monon) != lij):
-                stale.add((i, j))
+                    and mono_lcm(entries[i][2], monon) != lij
+                    and mono_lcm(entries[j][2], monon) != lij):
+                stale.add(pair)
         pairs.difference_update(stale)
-        cands = [i for i in range(t) if lead[i][0] == posn]
         lcms: dict[tuple, list[int]] = {}
-        for i in cands:
-            lcms.setdefault(mono_lcm(lead[i][1], monon), []).append(i)
+        for i in range(t):
+            if entries[i][1] == posn:
+                lcms.setdefault(mono_lcm(entries[i][2], monon), []).append(i)
         kept: list[tuple] = []
-        for L in sorted(lcms, key=ring._key):
+        for key, L in sorted((ring._key(L), L) for L in lcms):
             if any(mono_divides(K, L) for K in kept):
                 continue
             kept.append(L)
-            if rank == 1 and any(mono_lcm(lead[i][1], monon)
-                                 == mono_mul(lead[i][1], monon)
+            if rank == 1 and any(L == mono_mul(entries[i][2], monon)
                                  for i in lcms[L]):
                 continue  # product criterion
-            pairs.add((min(lcms[L]), t))
-        lead.append((posn, monon))
+            pairs.add((key, min(lcms[L]), t, L))
 
     for v in vecs:
         if not v:
@@ -216,10 +211,11 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
             update(r)
 
     while pairs:
-        i, j = min(pairs, key=lambda p: (ring._key(pair_lcm(*p)), p))
-        pairs.discard((i, j))
-        s = _spair(red.entries[i], red.entries[j], field)
-        r = _vec_nf(s, red, top_only=True)
+        pair = min(pairs)
+        pairs.discard(pair)
+        _, i, j, lcm = pair
+        r = _vec_nf(_spair(entries[i], entries[j], lcm, field), red,
+                    top_only=True)
         if r:
             update(r)
 
@@ -284,6 +280,8 @@ class GroebnerBasis:
     def normal_form(self, f: Poly) -> Poly:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial in a different ring")
+        if not self.basis:
+            return f
         return _vec_to_polys(_vec_nf(_vec_from_polys([f]), self._red),
                              self.ring, 1)[0]
 
@@ -300,10 +298,6 @@ class GroebnerBasis:
 def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
     """Ideal equality; reduced bases are canonical so this is syntactic."""
     return I.groebner().basis == J.groebner().basis
-
-
-def ideal_sum(I: IdealGens, J: IdealGens) -> IdealGens:
-    return IdealGens(I.ring, list(I.gens) + list(J.gens))
 
 
 def ideal_product(I: IdealGens, J: IdealGens) -> IdealGens:

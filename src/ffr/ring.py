@@ -137,10 +137,6 @@ def mono_gcd(a: tuple, b: tuple) -> tuple:
     return tuple(min(x, y) for x, y in zip(a, b))
 
 
-def mono_deg(a: tuple) -> int:
-    return sum(a)
-
-
 def _key_grevlex(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
@@ -312,10 +308,6 @@ class Poly:
     def lm(self):
         t = self.lt()
         return t[0] if t else None
-
-    def lc(self):
-        t = self.lt()
-        return t[1] if t else None
 
     def monic(self) -> "Poly":
         t = self.lt()

@@ -1,11 +1,15 @@
 import random
 
+import pytest
+
 from ffr.algebra import (AIdeal, AModule, FPAlgebra, annihilator,
                          ideal_times_module_is_module, is_faithful_ideal,
                          is_regular_element, is_trivial, module_colon_element,
                          quotient_dimension)
+from ffr.complexes import RingMatrix
 from ffr.groebner import module_membership
-from ffr.ring import PolyRing, QQ, kronecker_poly, parse_poly
+from ffr.ring import (CoefField, PolyRing, QQ, RingMismatchError,
+                      kronecker_poly, parse_poly)
 
 
 def algebra(vars, *relations, order="grevlex"):
@@ -29,6 +33,30 @@ def test_regular_elements():
     C = algebra(["x", "y", "z"], "x*(y-1)")
     assert is_regular_element(C, C.parse("y"))
     assert not is_regular_element(C, C.parse("x"))
+    # 0 and the elements of J are zero-divisors of a nontrivial ring
+    for D, f in ((A, "0"), (B, "0"), (C, "0"), (A, "x^3"), (C, "x*y-x")):
+        assert not is_regular_element(D, D.parse(f))
+    # over the trivial ring every element, 0 included, is regular
+    T = algebra(["x"], "x-1", "x")
+    for f in ("0", "1", "x", "x^2+1"):
+        assert is_regular_element(T, T.parse(f))
+
+
+def test_nf_and_ring_checks_over_polynomial_ring():
+    B = algebra(["x", "y"])
+    f = B.parse("x^2*y - 3*y + 1")
+    assert B.nf(f) == f
+    assert B.nf(B.parse("0")).is_zero
+    assert not B.relations.groebner().contains(f)
+    # a polynomial of another ring is refused, with and without relations
+    g = parse_poly("x", PolyRing(CoefField(7), ["x", "y"]))
+    for A in (B, algebra(["x", "y"], "x*y")):
+        with pytest.raises(RingMismatchError):
+            A.nf(g)
+        with pytest.raises(RingMismatchError):
+            AModule(A, 1, [[g]])
+        with pytest.raises(RingMismatchError):
+            RingMatrix(A, [[g]])
 
 
 def test_faithful_ideals():

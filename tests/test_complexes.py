@@ -156,6 +156,18 @@ def test_characteristic_ideals_koszul2():
     assert characteristic_ideal(C, 5).gens == (A.ring.one(),)
 
 
+def test_matrix_index_is_checked():
+    A = algebra(["x", "y", "z"])
+    C = koszul_complex(A, [A.parse("x"), A.parse("y"), A.parse("z")])
+    assert [C.matrix(k) for k in (1, 2, 3)] == list(C.matrices)
+    for k in (0, -1, 4):
+        with pytest.raises(ValueError):
+            C.matrix(k)
+    with pytest.raises(ValueError):
+        characteristic_ideal(C, 0)
+    assert characteristic_ideal(C, 4).gens == (A.ring.one(),)
+
+
 def test_characteristic_ideals_zero_rank():
     A = algebra(["x"])
     Z = RingMatrix.zero(A, 0, 0)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -363,37 +364,47 @@ def test_gb_over_prime_field():
 
 
 def test_gb_matches_independent_oracle():
-    # cross-validate the reduced bases against sympy's groebner
+    # cross-validate the reduced bases against sympy's groebner, over Q and
+    # F_32003 in grevlex, lex and grlex; sympy prints F_p coefficients as
+    # symmetric residues, so both sides are compared monic with residues
+    # taken mod p
     sympy = pytest.importorskip("sympy")
     rng = random.Random(23)
-    for order in ("grevlex", "lex"):
-        R = R3(order=order)
-        syms = sympy.symbols("x y z")
-        for _ in range(12):
-            gens = []
-            for _ in range(rng.randint(1, 3)):
-                terms = {}
+    syms = sympy.symbols("x y z")
+
+    def monic(terms, lc, p):
+        if p:
+            inv = pow(int(lc) % p, p - 2, p)
+            return sorted((m, int(c) * inv % p) for m, c in terms)
+        return sorted((m, Fraction(str(c)) / Fraction(str(lc)))
+                      for m, c in terms)
+
+    for field in (QQ, CoefField(32003)):
+        p = field.p
+        for order in ("grevlex", "lex", "grlex"):
+            R = PolyRing(field, ["x", "y", "z"], order)
+            for _ in range(12):
+                gens = []
                 for _ in range(rng.randint(1, 3)):
-                    m = tuple(rng.randint(0, 2) for _ in range(3))
-                    terms[m] = QQ.from_int(rng.randint(-3, 3))
-                from ffr.ring import Poly
-                gens.append(Poly(R, terms))
-            gens = [g for g in gens if not g.is_zero]
-            if not gens:
-                continue
-            mine = IdealGens(R, gens).groebner().basis
-            sym_in = [sympy.sympify(str(g).replace("^", "**")) for g in gens]
-            oracle = sympy.groebner(sym_in, *syms, order=order)
-
-            def monic_str(expr):
-                p = sympy.Poly(expr, *syms)
-                return str(sympy.expand((p / p.LC(order=order)).as_expr()))
-
-            oracle_strs = sorted(monic_str(e) for e in oracle.exprs)
-            mine_strs = sorted(
-                monic_str(sympy.sympify(str(g).replace("^", "**")))
-                for g in mine)
-            assert mine_strs == oracle_strs
+                    terms = {}
+                    for _ in range(rng.randint(1, 3)):
+                        m = tuple(rng.randint(0, 2) for _ in range(3))
+                        terms[m] = field.from_int(rng.randint(-3, 3))
+                    gens.append(Poly(R, terms))
+                gens = [g for g in gens if not g.is_zero]
+                if not gens:
+                    continue
+                mine = IdealGens(R, gens).groebner().basis
+                sym_in = [sympy.sympify(str(g).replace("^", "**"))
+                          for g in gens]
+                opts = {"modulus": p} if p else {}
+                oracle = sympy.groebner(sym_in, *syms, order=order, **opts)
+                oracle_basis = sorted(
+                    monic(q.terms(), q.LC(order=order), p)
+                    for q in oracle.polys)
+                mine_basis = sorted(monic(g.terms.items(), g.lt()[1], p)
+                                    for g in mine)
+                assert mine_basis == oracle_basis, (field, order, gens)
 
 
 def test_product_of_ideals():

@@ -118,7 +118,7 @@ class AModule:
 
     def base_vectors(self) -> list[list[Poly]]:
         """Presentation columns plus J e_t: the submodule W with M = A^q/W."""
-        return self.relation_columns() + scalar_columns(
+        return self.relation_columns() + gb.scalar_columns(
             self.algebra.relations.gens, self.rank, self.algebra.ring)
 
     def transport(self, algebra: FPAlgebra) -> "AModule":
@@ -129,64 +129,6 @@ class AModule:
 
     def __repr__(self):
         return f"<AModule rank {self.rank}, {self.ncols} relations>"
-
-
-# ---------------------------------------------------------------------------
-# submodule machinery (internal, shared with depth)
-
-def scalar_columns(scalars: Sequence[Poly], rank: int,
-                   ring: PolyRing) -> list[list[Poly]]:
-    """The vectors s e_t of R^rank: scalars outermost, then t = 1..rank."""
-    zero = ring.zero()
-    out = []
-    for s in scalars:
-        for t in range(rank):
-            v = [zero] * rank
-            v[t] = s
-            out.append(v)
-    return out
-
-
-def module_colon_scalar(vectors: Sequence[Sequence[Poly]], f: Poly, rank: int,
-                        ring: PolyRing) -> list[list[Poly]]:
-    """Generators of (W : f) = {x in R^rank : f x in W}."""
-    if rank == 1:
-        I = gb.IdealGens(ring, [v[0] for v in vectors])
-        if f.is_zero:
-            return [[ring.one()]]
-        colon = gb.ideal_colon_poly(I, f)
-        return [[g] for g in colon.gens]
-    return module_colon_ideal(vectors, [f], rank, ring)
-
-
-def module_colon_ideal(vectors: Sequence[Sequence[Poly]],
-                       ideal_gens: Sequence[Poly], rank: int,
-                       ring: PolyRing) -> list[list[Poly]]:
-    """Generators of (W : a) = {x : g x in W for every generator g of a}."""
-    gens = [g for g in ideal_gens if not g.is_zero]
-    if not gens:  # (W : 0) is everything
-        return scalar_columns([ring.one()], rank, ring)
-    k = len(gens)
-    zero = ring.zero()
-    mains = []
-    for t in range(rank):
-        v = [zero] * (rank * k)
-        for i, g in enumerate(gens):
-            v[i * rank + t] = g
-        mains.append(v)
-    stacked = []
-    for i in range(k):
-        for w in vectors:
-            v = [zero] * (rank * k)
-            v[i * rank:(i + 1) * rank] = list(w)
-            stacked.append(v)
-    syz = gb.syzygy_module(mains + stacked)
-    result = []
-    for s in syz:
-        x = s[:rank]
-        if any(not p.is_zero for p in x):
-            result.append(list(x))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +160,7 @@ def module_colon_element(E: AModule, f: Poly) -> list[list[Poly]]:
     R = E.algebra.ring
     W = E.base_vectors()
     basis = gb.module_gb(W, rank=E.rank, ring=R)
-    gens = module_colon_scalar(W, E.algebra.nf(f), E.rank, R)
+    gens = gb.module_colon(W, [E.algebra.nf(f)], E.rank, R)
     out = []
     for g in gens:
         r = basis.normal_form(g)
@@ -232,10 +174,10 @@ def ideal_times_module_is_module(a: AIdeal, E: AModule) -> bool:
     if E.rank == 0:
         return True
     R = E.algebra.ring
-    span = E.base_vectors() + scalar_columns(a.gens, E.rank, R)
+    span = E.base_vectors() + gb.scalar_columns(a.gens, E.rank, R)
     basis = gb.module_gb(span, rank=E.rank, ring=R)
     return all(basis.contains(e_t)
-               for e_t in scalar_columns([R.one()], E.rank, R))
+               for e_t in gb.scalar_columns([R.one()], E.rank, R))
 
 
 def annihilator(E: AModule) -> AIdeal:
@@ -246,7 +188,7 @@ def annihilator(E: AModule) -> AIdeal:
     R = A.ring
     W = E.base_vectors()
     result: Optional[gb.IdealGens] = None
-    for e_t in scalar_columns([R.one()], E.rank, R):
+    for e_t in gb.scalar_columns([R.one()], E.rank, R):
         syz = gb.syzygy_module([e_t] + W)
         colon = gb.IdealGens(R, [s[0] for s in syz])
         result = colon if result is None else gb.ideal_intersection(result, colon)
@@ -256,7 +198,7 @@ def annihilator(E: AModule) -> AIdeal:
 def algebra_membership(v: Sequence[Poly], gens: Sequence[Sequence[Poly]],
                        algebra: FPAlgebra) -> Optional[list[Poly]]:
     """Lift of v over span(gens) + J A^rank; coefficients for gens only."""
-    aug = [list(g) for g in gens] + scalar_columns(
+    aug = [list(g) for g in gens] + gb.scalar_columns(
         algebra.relations.gens, len(v), algebra.ring)
     lift = gb.module_membership(list(v), aug)
     return None if lift is None else lift[:len(gens)]

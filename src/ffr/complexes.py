@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import groebner as gb
-from .algebra import (AIdeal, AModule, FPAlgebra, is_faithful_ideal,
-                      scalar_columns)
+from .algebra import AIdeal, AModule, FPAlgebra, is_faithful_ideal
 from .depth import DepthCertificate, depth_at_least
 from .exterior import (boundary_matrix, exterior_power_matrix, matrix_minor,
                        minors, poly_det)
@@ -158,7 +157,7 @@ def kernel_generators(M: RingMatrix) -> list[list[Poly]]:
     cols = M.columns()
     if not cols:
         return []
-    syz = gb.syzygy_module(cols + scalar_columns(A.relations.gens, M.rows, R))
+    syz = gb.syzygy_module(cols + gb.scalar_columns(A.relations.gens, M.rows, R))
     jgb = A.relations.groebner()
     out = []
     for s in syz:

@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 from . import groebner as gb
 from .algebra import (AIdeal, AModule, FPAlgebra, ideal_times_module_is_module,
-                      module_colon_ideal, module_colon_scalar,
-                      quotient_dimension, scalar_columns)
+                      quotient_dimension)
 from .exterior import poly_det
 from .ring import Poly, VerificationError, embed_append, mono_divides
 
@@ -141,7 +140,7 @@ def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:
     W = E.base_vectors()
     for j, a_j in enumerate(seq, start=1):
         basis = gb.module_gb(W, rank=q, ring=R)
-        colon = module_colon_scalar(W, a_j, q, R)
+        colon = gb.module_colon(W, [a_j], q, R)
         witness = None
         for g in colon:
             r = basis.normal_form(g)
@@ -155,7 +154,7 @@ def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:
             return DepthCertificate("regular-sequence", len(seq), False,
                                     fail_stage=j, witness=tuple(witness),
                                     sequence=seq, algebra=A)
-        W += scalar_columns([a_j], q, R)
+        W += gb.scalar_columns([a_j], q, R)
     return DepthCertificate("regular-sequence", len(seq), True,
                             sequence=seq, algebra=A)
 
@@ -351,9 +350,9 @@ def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
     secant = depth_at_least(AIdeal(A, list(c_seq)), E, n)
 
     W = E.base_vectors()
-    Wc = W + scalar_columns(c_seq, E.rank, R)
-    Wa = W + scalar_columns(a_seq, E.rank, R)
-    Wdc = W + scalar_columns([delta] + list(c_seq), E.rank, R)
+    Wc = W + gb.scalar_columns(c_seq, E.rank, R)
+    Wa = W + gb.scalar_columns(a_seq, E.rank, R)
+    Wdc = W + gb.scalar_columns([delta] + list(c_seq), E.rank, R)
     basis_a = gb.module_gb(Wa, rank=E.rank, ring=R) if E.rank else None
     basis_dc = gb.module_gb(Wdc, rank=E.rank, ring=R) if E.rank else None
     basis_c = gb.module_gb(Wc, rank=E.rank, ring=R) if E.rank else None
@@ -362,7 +361,7 @@ def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
     eq2 = True
     if E.rank:
         # (cE : Delta) subseteq aE, and conversely Delta aE subseteq cE
-        for g in module_colon_scalar(Wc, A.nf(delta), E.rank, R):
+        for g in gb.module_colon(Wc, [A.nf(delta)], E.rank, R):
             if not basis_a.contains(g):
                 eq1 = False
                 counterexamples.setdefault("colon_delta", []).append(
@@ -375,7 +374,7 @@ def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
                     counterexamples.setdefault("colon_delta", []).append(tuple(v))
                     break
         # (cE : a) subseteq (<Delta> + c)E, and conversely
-        for g in module_colon_ideal(Wc, list(a_seq), E.rank, R):
+        for g in gb.module_colon(Wc, a_seq, E.rank, R):
             if not basis_dc.contains(g):
                 eq2 = False
                 counterexamples.setdefault("colon_ideal", []).append(

@@ -221,6 +221,7 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
 
     # minimalize: keep the leads no smaller kept lead divides
     minimal = _Reducers(ring)
+    minimal._keys = red._keys  # one term-key memo for the whole run
     for v, pos, mono in sorted(red.entries,
                                key=lambda e: red.term_key(e[1:])):
         if minimal.find(pos, mono) is None:
@@ -228,6 +229,7 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
     # interreduce: a lead divides no smaller term, so reducing each tail
     # against the whole minimal table is reducing it against the others
     table = _Reducers(ring)
+    table._keys = red._keys
     for v, pos, mono in reversed(minimal.entries):
         tail = dict(v)
         one = tail.pop((pos, mono))
@@ -325,45 +327,15 @@ def ideal_intersection(I: IdealGens, J: IdealGens) -> IdealGens:
     return IdealGens(R, _eliminate_front(gens, ext, R, 1))
 
 
-def exact_div(g: Poly, f: Poly) -> Poly:
-    """Quotient g/f when f divides g exactly; raises ValueError otherwise."""
-    if f.is_zero:
-        raise ValueError("division by zero polynomial")
-    R = g.ring
-    field = R.field
-    q = R.zero()
-    r = g
-    fm, fc = f.lt()
-    while not r.is_zero:
-        rm, rc = r.lt()
-        if not mono_divides(fm, rm):
-            raise ValueError("not an exact multiple")
-        c = field.div(rc, fc)
-        m = mono_div(rm, fm)
-        term = Poly(R, {m: c})
-        q = q + term
-        r = r - term * f
-    return q
-
-
-def ideal_colon_poly(I: IdealGens, f: Poly) -> IdealGens:
-    """(I : f) = (1/f) (I  cap  <f>)."""
-    if f.is_zero:
-        return IdealGens(I.ring, [I.ring.one()])
-    inter = ideal_intersection(I, IdealGens(I.ring, [f]))
-    return IdealGens(I.ring, [exact_div(g, f) for g in inter.gens])
-
-
 def ideal_colon(I: IdealGens, J: IdealGens) -> IdealGens:
-    """(I : J) = intersection of the (I : f) over the generators f of J."""
-    if I.ring != J.ring:
+    """(I : J), by one syzygy run over all generators of J."""
+    R = I.ring
+    if J.ring != R:
         raise RingMismatchError("ideals over different rings")
     if not J.gens:
-        return IdealGens(I.ring, [I.ring.one()])
-    result = ideal_colon_poly(I, J.gens[0])
-    for f in J.gens[1:]:
-        result = ideal_intersection(result, ideal_colon_poly(I, f))
-    return result
+        return IdealGens(R, [R.one()])
+    colon = module_colon([[g] for g in I.gens], J.gens, 1, R)
+    return IdealGens(R, [x[0] for x in colon])
 
 
 def _rabinowitsch(I: IdealGens, f: Poly) -> tuple[PolyRing, list[Poly]]:
@@ -493,6 +465,57 @@ def syzygy_module(vectors: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
     for w in gb.vectors:
         if all(p.is_zero for p in w[:rank]):
             result.append(list(w[rank:]))
+    return result
+
+
+def scalar_columns(scalars: Sequence[Poly], rank: int,
+                   ring: PolyRing) -> list[list[Poly]]:
+    """The vectors s e_t of R^rank: scalars outermost, then t = 1..rank."""
+    zero = ring.zero()
+    out = []
+    for s in scalars:
+        for t in range(rank):
+            v = [zero] * rank
+            v[t] = s
+            out.append(v)
+    return out
+
+
+def module_colon(vectors: Sequence[Sequence[Poly]],
+                 ideal_gens: Sequence[Poly], rank: int,
+                 ring: PolyRing) -> list[list[Poly]]:
+    """Generators of (W : a) = {x in R^rank : g x in W for every g in a},
+    for W spanned by `vectors` and a by the nonzero `ideal_gens`.
+
+    One syzygy run, stacked: with g_1..g_k those generators, R^(rank k)
+    is k blocks of R^rank.  The generators are the rank vectors
+    (g_1 e_t | ... | g_k e_t), then every w of W in block i, for each i.
+    A syzygy's first rank coefficients x satisfy g_i x in W for every i,
+    and every such x extends to a syzygy; the nonzero x are returned.
+    (W : 0) is all of R^rank, given by its unit vectors.
+    """
+    gens = [g for g in ideal_gens if not g.is_zero]
+    if not gens:
+        return scalar_columns([ring.one()], rank, ring)
+    k = len(gens)
+    zero = ring.zero()
+    mains = []
+    for t in range(rank):
+        v = [zero] * (rank * k)
+        for i, g in enumerate(gens):
+            v[i * rank + t] = g
+        mains.append(v)
+    stacked = []
+    for i in range(k):
+        for w in vectors:
+            v = [zero] * (rank * k)
+            v[i * rank:(i + 1) * rank] = list(w)
+            stacked.append(v)
+    result = []
+    for s in syzygy_module(mains + stacked):
+        x = s[:rank]
+        if any(not p.is_zero for p in x):
+            result.append(list(x))
     return result
 
 

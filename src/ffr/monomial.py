@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .algebra import FPAlgebra
 from .complexes import FreeComplex, RingMatrix
-from .exterior import boundary_matrix, subsets_colex
+from .exterior import boundary_matrix, subset_index, subsets_colex
 from .ring import Poly, PolyRing, mono_div, mono_divides, mono_gcd, mono_lcm
 
 
@@ -91,30 +91,23 @@ class TaylorComplex:
     monomials: MonomialList
     complex: FreeComplex
 
-    def basis(self, k: int) -> tuple[tuple[int, ...], ...]:
-        return subsets_colex(self.monomials.r, k)
-
     def differential(self, elem: Elem, k: int) -> Elem:
-        """d applied to an element of L_k given as {k-subset: Poly}."""
-        m = self.monomials
-        R = m.ring
-        one = R.field.one()
+        """d applied to an element of L_k given as {k-subset: Poly}: the
+        matrix A_k of the complex applied to its colex coordinates."""
+        r = self.monomials.r
+        col_of = subset_index(r, k)
+        if any(J not in col_of for J in elem):
+            raise ValueError("subset of the wrong grade")
+        if k == 0:
+            return {}  # L_0 ends the complex
+        cols = [(col_of[J], c) for J, c in elem.items()]
+        zero = self.monomials.ring.zero()
         out: Elem = {}
-        for J, c in elem.items():
-            if len(J) != k:
-                raise ValueError("subset of the wrong grade")
-            lcm_J = m.lcm_of(J)
-            for pos, j in enumerate(J):
-                K = J[:pos] + J[pos + 1:]
-                quot = Poly(R, {mono_div(lcm_J, m.lcm_of(K)): one})
-                term = c * quot
-                if pos % 2:
-                    term = -term
-                s = out.get(K, R.zero()) + term
-                if s.is_zero:
-                    out.pop(K, None)
-                else:
-                    out[K] = s
+        for K, row in zip(subsets_colex(r, k - 1),
+                          self.complex.matrix(k).entries):
+            s = sum((row[j] * c for j, c in cols), zero)
+            if not s.is_zero:
+                out[K] = s
         return out
 
 

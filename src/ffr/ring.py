@@ -266,6 +266,8 @@ class PolyRing:
         return names
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, PolyRing) and self.field == other.field
                 and self.vars == other.vars and self.order == other.order
                 and self.elim == other.elim)

@@ -7,7 +7,7 @@ from ffr.algebra import (AIdeal, AModule, FPAlgebra, annihilator,
                          is_regular_element, is_trivial, module_colon_element,
                          quotient_dimension)
 from ffr.complexes import RingMatrix
-from ffr.groebner import module_membership
+from ffr.groebner import module_colon, module_gb, module_membership
 from ffr.ring import (CoefField, PolyRing, QQ, RingMismatchError,
                       kronecker_poly, parse_poly)
 
@@ -129,25 +129,21 @@ def test_quotient_dimension():
 
 def _kronecker_regular_on_module(A, gens, E):
     """Is the Kronecker polynomial of `gens` regular on E[T]?"""
-    from ffr.algebra import module_colon_scalar
-    from ffr.groebner import module_gb
     names = A.ring.fresh_names(1)
     ext = A.extend_append(names)
     f = ext.nf(kronecker_poly(gens, names[0], ring=A.ring)) if gens else ext.ring.zero()
     Eext = E.transport(ext)
     W = Eext.base_vectors()
     basis = module_gb(W, rank=Eext.rank, ring=ext.ring)
-    colon = module_colon_scalar(W, f, Eext.rank, ext.ring)
+    colon = module_colon(W, [f], Eext.rank, ext.ring)
     return all(basis.contains(g) for g in colon)
 
 
 def _ideal_regular_on_module(A, gens, E):
     """Is <gens> E-regular: (0 :_E <gens>) = 0?"""
-    from ffr.algebra import module_colon_ideal
-    from ffr.groebner import module_gb
     W = E.base_vectors()
     basis = module_gb(W, rank=E.rank, ring=A.ring)
-    colon = module_colon_ideal(W, gens, E.rank, A.ring)
+    colon = module_colon(W, gens, E.rank, A.ring)
     return all(basis.contains(g) for g in colon)
 
 
@@ -208,14 +204,12 @@ def test_local_global_principle_for_regularity():
 
 
 def test_module_colon_scalar_rank2():
-    from ffr.algebra import module_colon_scalar
-    from ffr.groebner import module_gb
     B = algebra(["x", "y"])
     R = B.ring
     # E = coker [[x],[y]]; x*(column scaled) relations
     E = AModule(B, 2, [[B.parse("x")], [B.parse("y")]])
     W = E.base_vectors()
-    colon = module_colon_scalar(W, B.parse("x"), 2, R)
+    colon = module_colon(W, [B.parse("x")], 2, R)
     basis = module_gb(W, rank=2, ring=R)
     # (0 :_E x): x*(v) in W means v is a multiple of the column (x,y) scaled by
     # something with x*v in <(x,y)>; sanity: every returned generator really lands in W
@@ -232,7 +226,7 @@ def test_module_colon_scalar_rank2():
         W = E.base_vectors()
         r = E.rank
         for f in (x, y * z, zero):
-            colon = module_colon_scalar(W, f, r, C.ring)
+            colon = module_colon(W, [f], r, C.ring)
             for g in colon:
                 assert module_membership([f * p for p in g], W) is not None
             for w in W:

@@ -208,7 +208,7 @@ def test_two_generator_theorem_monomial_pairs():
         b1 = f"-({a2})"
         quot = lambda s: str(  # noqa: E731
             parse_poly(s, A.ring))
-        from ffr.groebner import exact_div
+        from colon_oracle import exact_div
         ga1 = exact_div(A.parse(a1), A.parse(g))
         ga2 = exact_div(A.parse(a2), A.parse(g))
         M2 = RingMatrix(A, [[-ga2], [ga1]], 2, 1)

@@ -1,0 +1,92 @@
+"""Property tests for the syzygy colon `groebner.module_colon`.
+
+Rank 1 is checked against the elimination colon of `colon_oracle`; rank 2
+against the defining property of (W : a).  Skipped when `hypothesis` is not
+installed.
+
+Polynomials have at most two terms of degree at most 2 in each of x, y, z:
+with three such terms a single colon's tagged syzygy run can take minutes,
+which is a speed problem, not a wrong answer.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from colon_oracle import ideal_colon_poly  # noqa: E402
+from ffr.groebner import (IdealGens, ideal_colon, ideal_equal,  # noqa: E402
+                          ideal_intersection, module_colon, module_gb)
+from ffr.ring import CoefField, PolyRing, QQ, parse_poly  # noqa: E402
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+rings = st.builds(PolyRing, st.sampled_from([QQ, CoefField(32003)]),
+                  st.just(["x", "y", "z"]),
+                  st.sampled_from(["grevlex", "lex"]))
+terms = st.tuples(st.integers(-3, 3).filter(bool),
+                  *[st.integers(0, 2)] * 3)
+polys = st.lists(terms, min_size=1, max_size=2).map(
+    lambda ts: " + ".join(f"({c})*x^{a}*y^{b}*z^{d}" for c, a, b, d in ts))
+
+
+@st.composite
+def colon_cases(draw):
+    """A ring, generators of I, and 1-3 generators of J, some of them zero
+    or in I."""
+    R = draw(rings)
+    I = [parse_poly(s, R) for s in draw(st.lists(polys, min_size=1,
+                                                 max_size=3))]
+    J = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["poly", "zero", "in-I"]))
+        if kind == "zero":
+            J.append(R.zero())
+        elif kind == "in-I":
+            J.append(parse_poly(draw(polys), R) * draw(st.sampled_from(I)))
+        else:
+            J.append(parse_poly(draw(polys), R))
+    return R, I, J
+
+
+@SETTINGS
+@given(colon_cases())
+def test_ideal_colon_matches_elimination_oracle(case):
+    R, I, J = case
+    ideal = IdealGens(R, I)
+    expected = IdealGens(R, [R.one()])
+    for f in J:
+        expected = ideal_intersection(expected, ideal_colon_poly(ideal, f))
+    assert ideal_equal(ideal_colon(ideal, IdealGens(R, J)), expected)
+
+
+@st.composite
+def rank2_cases(draw):
+    """A ring, 1-2 vectors spanning W in R^2, and 1-2 generators of a, some
+    of them zero."""
+    R = draw(rings)
+    vectors = st.tuples(polys, polys).map(
+        lambda v: [parse_poly(s, R) for s in v])
+    W = draw(st.lists(vectors, min_size=1, max_size=2))
+    a = draw(st.lists(st.one_of(st.just(R.zero()),
+                                polys.map(lambda s: parse_poly(s, R))),
+                      min_size=1, max_size=2))
+    return R, W, a
+
+
+@SETTINGS
+@given(rank2_cases())
+def test_rank2_colon_is_the_colon_module(case):
+    R, W, a = case
+    colon = module_colon(W, a, 2, R)
+    basis_W = module_gb(W, rank=2, ring=R)
+    for x in colon:
+        for g in a:
+            assert basis_W.contains([g * p for p in x])
+    basis_colon = module_gb(colon, rank=2, ring=R)
+    for w in W:
+        assert basis_colon.contains(w)

@@ -304,7 +304,8 @@ def test_singular_sequences():
 
 def _singular_bounded(seq, A, bound):
     """Brute-force variant with saturation replaced by colon with x^bound."""
-    from ffr.groebner import IdealGens, ideal_colon_poly
+    from colon_oracle import ideal_colon_poly
+    from ffr.groebner import IdealGens
     current = IdealGens(A.ring, A.relations.gens)
     for x in seq:
         x = A.nf(x)

@@ -139,6 +139,23 @@ def test_taylor_differentials_of_worked_example():
         assert d4.entries[ri][0] == P(expected_d4[K])
 
 
+def test_taylor_differential_on_elements():
+    # d on sums of basis elements of the worked example, d.d = 0, and grades
+    m = mlist(["x", "y", "z"], *WORKED_EXAMPLE)
+    T = taylor_complex(m)
+    P = lambda s: parse_poly(s, m.ring)  # noqa: E731
+    got = T.differential({(1, 2): P("x"), (3, 4): P("1")}, 2)
+    assert got == {(1,): P("-x*y^2"), (2,): P("x^2"), (3,): P("-y"),
+                   (4,): P("x")}
+    d3 = T.differential({(1, 3, 4): P("1")}, 3)
+    assert d3 == {(1, 3): P("1"), (1, 4): P("-1"), (3, 4): P("x")}
+    assert T.differential(d3, 2) == {}
+    assert T.differential({(): P("1")}, 0) == {}
+    for elem, k in (({(1, 2): P("1")}, 3), ({(1, 5): P("1")}, 2)):
+        with pytest.raises(ValueError):
+            T.differential(elem, k)
+
+
 def test_taylor_weights_of_worked_example():
     m = mlist(["x", "y", "z"], *WORKED_EXAMPLE)
     weights = {(1,): 3, (2,): 4, (3,): 2, (4,): 2,

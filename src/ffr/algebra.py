@@ -181,18 +181,21 @@ def ideal_times_module_is_module(a: AIdeal, E: AModule) -> bool:
 
 
 def annihilator(E: AModule) -> AIdeal:
-    """Ann(E), as the intersection over t of (W : e_t)."""
+    """Ann(E) = {c : c e_t in W for every t}, by one relative syzygy run:
+    the vector (e_1 | ... | e_q) of R^(q q) modulo W in each of the q
+    blocks."""
     A = E.algebra
-    if E.rank == 0:
+    q = E.rank
+    if q == 0:
         return AIdeal(A, [A.ring.one()])
     R = A.ring
+    zero = R.zero()
+    units = [u for e_t in gb.scalar_columns([R.one()], q, R) for u in e_t]
     W = E.base_vectors()
-    result: Optional[gb.IdealGens] = None
-    for e_t in gb.scalar_columns([R.one()], E.rank, R):
-        syz = gb.syzygy_module([e_t] + W)
-        colon = gb.IdealGens(R, [s[0] for s in syz])
-        result = colon if result is None else gb.ideal_intersection(result, colon)
-    return AIdeal(A, list(result.gens))
+    blocks = [[zero] * (t * q) + list(w) + [zero] * ((q - 1 - t) * q)
+              for t in range(q) for w in W]
+    syz = gb.syzygy_module([units], blocks)
+    return AIdeal(A, [s[0] for s in syz])
 
 
 def algebra_membership(v: Sequence[Poly], gens: Sequence[Sequence[Poly]],

@@ -358,16 +358,6 @@ class SylvesterData:
     b: int
 
 
-def _conv(u: Sequence[Poly], v: Sequence[Poly], zero: Poly) -> list[Poly]:
-    out = [zero] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(v):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
 def sylvester_complex(algebra: FPAlgebra, p_coeffs: Sequence[Poly],
                       q_coeffs: Sequence[Poly], d: int) -> SylvesterData:
     """0 -> A^a -K-> A^(a+b) -S-> A^b for binary forms P, Q of degrees p, q.
@@ -384,37 +374,28 @@ def sylvester_complex(algebra: FPAlgebra, p_coeffs: Sequence[Poly],
         raise ValueError("d must be at least p + q - 1")
     a = d + 1 - (p + q)
     b = d + 1
-    R = algebra.ring
-    zero = R.zero()
+    zero = algebra.ring.zero()
     pc = [algebra.nf(c) for c in p_coeffs]
     qc = [algebra.nf(c) for c in q_coeffs]
 
-    def one_hot(deg: int, k: int) -> list[Poly]:
-        v = [zero] * (deg + 1)
-        v[k] = R.one()
-        return v
+    def shifted(coeffs: list[Poly], i: int, e: int) -> Poly:
+        """The coefficient of X^e in X^i times the form with `coeffs`."""
+        return coeffs[e - i] if 0 <= e - i < len(coeffs) else zero
 
     # S: b x (a+b); columns are X^i Y^(d-p-i) P (i decreasing), then
     # X^j Y^(d-q-j) Q (j decreasing); rows are X^k Y^(d-k), k decreasing.
-    s_cols = []
-    for i in range(d - p, -1, -1):
-        coeffs = _conv(one_hot(d - p, i), pc, zero)
-        s_cols.append([coeffs[d - t] for t in range(d + 1)])
-    for j in range(d - q, -1, -1):
-        coeffs = _conv(one_hot(d - q, j), qc, zero)
-        s_cols.append([coeffs[d - t] for t in range(d + 1)])
+    s_cols = [[shifted(pc, i, d - t) for t in range(d + 1)]
+              for i in range(d - p, -1, -1)]
+    s_cols += [[shifted(qc, j, d - t) for t in range(d + 1)]
+               for j in range(d - q, -1, -1)]
     S = RingMatrix(algebra, [[s_cols[c][r] for c in range(a + b)]
                              for r in range(b)], b, a + b)
 
     # K: (a+b) x a; column for W = X^k Y^(d-p-q-k), k decreasing, carries
     # (W Q, -W P) over the two blocks of the middle module's basis.
-    k_cols = []
-    for k in range(d - p - q, -1, -1):
-        wq = _conv(one_hot(d - p - q, k), qc, zero)      # degree d - p
-        wp = _conv(one_hot(d - p - q, k), pc, zero)      # degree d - q
-        col = [wq[d - p - t] for t in range(d - p + 1)]
-        col += [-wp[d - q - t] for t in range(d - q + 1)]
-        k_cols.append(col)
+    k_cols = [[shifted(qc, k, d - p - t) for t in range(d - p + 1)]
+              + [-shifted(pc, k, d - q - t) for t in range(d - q + 1)]
+              for k in range(d - p - q, -1, -1)]
     K = RingMatrix(algebra, [[k_cols[c][r] for c in range(a)]
                              for r in range(a + b)], a + b, a)
 

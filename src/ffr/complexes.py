@@ -149,19 +149,18 @@ def kernel_generators(M: RingMatrix) -> list[list[Poly]]:
     """Normal-form generators of ker(M : A^cols -> A^rows).
 
     Works over the quotient: a kernel element is a syzygy of the columns
-    modulo J, read off the extended-basis run with the relation columns
-    adjoined.
+    modulo J A^rows, one relative syzygy run.
     """
     A = M.algebra
     R = A.ring
     cols = M.columns()
     if not cols:
         return []
-    syz = gb.syzygy_module(cols + gb.scalar_columns(A.relations.gens, M.rows, R))
+    syz = gb.syzygy_module(cols, gb.scalar_columns(A.relations.gens, M.rows, R))
     jgb = A.relations.groebner()
     out = []
     for s in syz:
-        c = [jgb.normal_form(p) for p in s[:M.cols]]
+        c = [jgb.normal_form(p) for p in s]
         if any(not p.is_zero for p in c) and c not in out:
             out.append(c)
     return out

@@ -351,42 +351,26 @@ def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
 
     W = E.base_vectors()
     Wc = W + gb.scalar_columns(c_seq, E.rank, R)
-    Wa = W + gb.scalar_columns(a_seq, E.rank, R)
-    Wdc = W + gb.scalar_columns([delta] + list(c_seq), E.rank, R)
-    basis_a = gb.module_gb(Wa, rank=E.rank, ring=R) if E.rank else None
-    basis_dc = gb.module_gb(Wdc, rank=E.rank, ring=R) if E.rank else None
     basis_c = gb.module_gb(Wc, rank=E.rank, ring=R) if E.rank else None
 
-    eq1 = True
-    eq2 = True
-    if E.rank:
-        # (cE : Delta) subseteq aE, and conversely Delta aE subseteq cE
-        for g in gb.module_colon(Wc, [A.nf(delta)], E.rank, R):
-            if not basis_a.contains(g):
-                eq1 = False
-                counterexamples.setdefault("colon_delta", []).append(
-                    tuple(basis_a.normal_form(g)))
-                break
-        if eq1:
-            for v in Wa:
-                if not basis_c.contains([delta * p for p in v]):
-                    eq1 = False
-                    counterexamples.setdefault("colon_delta", []).append(tuple(v))
-                    break
-        # (cE : a) subseteq (<Delta> + c)E, and conversely
-        for g in gb.module_colon(Wc, a_seq, E.rank, R):
-            if not basis_dc.contains(g):
-                eq2 = False
-                counterexamples.setdefault("colon_ideal", []).append(
-                    tuple(basis_dc.normal_form(g)))
-                break
-        if eq2:
-            for v in Wdc:
-                ok = all(basis_c.contains([a * p for p in v]) for a in a_seq)
-                if not ok:
-                    eq2 = False
-                    counterexamples.setdefault("colon_ideal", []).append(tuple(v))
-                    break
+    def colon_is(by: Sequence[Poly], target: Sequence[Poly], key: str) -> bool:
+        # (cE : by) subseteq target E, and conversely by target E subseteq cE
+        if not E.rank:
+            return True
+        Wt = W + gb.scalar_columns(target, E.rank, R)
+        basis_t = gb.module_gb(Wt, rank=E.rank, ring=R)
+        for g in gb.module_colon(Wc, [A.nf(b) for b in by], E.rank, R):
+            if not basis_t.contains(g):
+                counterexamples[key] = [tuple(basis_t.normal_form(g))]
+                return False
+        for v in Wt:
+            if not all(basis_c.contains([b * p for p in v]) for b in by):
+                counterexamples[key] = [tuple(v)]
+                return False
+        return True
+
+    eq1 = colon_is([delta], a_seq, "colon_delta")
+    eq2 = colon_is(a_seq, [delta] + list(c_seq), "colon_ideal")
     return WiebeReport(delta, inclusion, secant, eq1, eq2, counterexamples)
 
 

@@ -442,30 +442,38 @@ def module_gb(vectors: Sequence[Sequence[Poly]],
 
 
 def _tagged_basis(vectors: Sequence[Sequence[Poly]], rank: int,
-                  ring: PolyRing) -> ModuleBasis:
-    """Extended basis: the POT basis of the v_i, each padded with a unit tag.
+                  ring: PolyRing,
+                  modulo: Sequence[Sequence[Poly]] = ()) -> ModuleBasis:
+    """Extended basis: the POT basis of the v_i, each padded with a unit
+    tag, and of the u_j of `modulo`, padded with zero tags.
 
     Its elements supported on the tag block (positions rank..) are the
-    syzygies of the v_i; reducing (v, 0) leaves minus a lift of v in it.
+    c with sum c_i v_i in span(u_j); reducing (v, 0) leaves minus a lift
+    of v in it.
     """
     s = len(vectors)
     zero, one = ring.zero(), ring.one()
     extended = [list(v) + [one if j == i else zero for j in range(s)]
                 for i, v in enumerate(vectors)]
+    extended += [list(u) + [zero] * s for u in modulo]
     return ModuleBasis(ring, rank + s, extended)
 
 
-def syzygy_module(vectors: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
-    """Generators of {(c_1..c_s) : sum c_i v_i = 0}, by one tagged run."""
+def syzygy_module(vectors: Sequence[Sequence[Poly]],
+                  modulo: Sequence[Sequence[Poly]] = ()) -> list[list[Poly]]:
+    """Generators of {(c_1..c_s) : sum c_i v_i in span(modulo)}, by one
+    tagged run; with `modulo` empty, the syzygies of the v_i.
+
+    This is Singular's `modulo`: only the v_i carry tags, so the run keeps
+    no cofactors of the u_j.  The tag-block elements of the POT basis
+    form the reduced basis of that module, in descending lead order.
+    """
     if not vectors:
         return []
-    rank, ring = _module_rank_ring(vectors)
-    gb = _tagged_basis(vectors, rank, ring)
-    result = []
-    for w in gb.vectors:
-        if all(p.is_zero for p in w[:rank]):
-            result.append(list(w[rank:]))
-    return result
+    rank, ring = _module_rank_ring(list(vectors) + list(modulo))
+    gb = _tagged_basis(vectors, rank, ring, modulo)
+    return [list(w[rank:]) for w in gb.vectors
+            if all(p.is_zero for p in w[:rank])]
 
 
 def scalar_columns(scalars: Sequence[Poly], rank: int,
@@ -487,11 +495,10 @@ def module_colon(vectors: Sequence[Sequence[Poly]],
     """Generators of (W : a) = {x in R^rank : g x in W for every g in a},
     for W spanned by `vectors` and a by the nonzero `ideal_gens`.
 
-    One syzygy run, stacked: with g_1..g_k those generators, R^(rank k)
-    is k blocks of R^rank.  The generators are the rank vectors
-    (g_1 e_t | ... | g_k e_t), then every w of W in block i, for each i.
-    A syzygy's first rank coefficients x satisfy g_i x in W for every i,
-    and every such x extends to a syzygy; the nonzero x are returned.
+    One relative syzygy run, stacked: with g_1..g_k those generators,
+    R^(rank k) is k blocks of R^rank.  The rank vectors
+    (g_1 e_t | ... | g_k e_t) are taken modulo every w of W in block i,
+    for each i: x is in the result iff (g_1 x | ... | g_k x) lies in W^k.
     (W : 0) is all of R^rank, given by its unit vectors.
     """
     gens = [g for g in ideal_gens if not g.is_zero]
@@ -499,24 +506,11 @@ def module_colon(vectors: Sequence[Sequence[Poly]],
         return scalar_columns([ring.one()], rank, ring)
     k = len(gens)
     zero = ring.zero()
-    mains = []
-    for t in range(rank):
-        v = [zero] * (rank * k)
-        for i, g in enumerate(gens):
-            v[i * rank + t] = g
-        mains.append(v)
-    stacked = []
-    for i in range(k):
-        for w in vectors:
-            v = [zero] * (rank * k)
-            v[i * rank:(i + 1) * rank] = list(w)
-            stacked.append(v)
-    result = []
-    for s in syzygy_module(mains + stacked):
-        x = s[:rank]
-        if any(not p.is_zero for p in x):
-            result.append(list(x))
-    return result
+    mains = [[g if j == t else zero for g in gens for j in range(rank)]
+             for t in range(rank)]
+    stacked = [[zero] * (i * rank) + list(w) + [zero] * ((k - 1 - i) * rank)
+               for i in range(k) for w in vectors]
+    return syzygy_module(mains, stacked)
 
 
 def module_membership(v: Sequence[Poly],

@@ -6,7 +6,7 @@ from ffr.algebra import (AIdeal, AModule, FPAlgebra, annihilator,
                          ideal_times_module_is_module, is_faithful_ideal,
                          is_regular_element, is_trivial, module_colon_element,
                          quotient_dimension)
-from ffr.complexes import RingMatrix
+from ffr.complexes import RingMatrix, kernel_generators
 from ffr.groebner import module_colon, module_gb, module_membership
 from ffr.ring import (CoefField, PolyRing, QQ, RingMismatchError,
                       kronecker_poly, parse_poly)
@@ -117,6 +117,22 @@ def test_annihilator():
     ann = annihilator(quot)
     assert sorted(map(str, ann.gens)) == ["x", "y"]
     assert annihilator(AModule.free(B, 2)).gens == ()
+
+
+def test_annihilator_and_kernel_rank2():
+    # E = coker [[x, 0, y], [0, y, z]]: Ann(E) = (W : e_1) cap (W : e_2)
+    rows = [["x", "0", "y"], ["0", "y", "z"]]
+    B = algebra(["x", "y", "z"])
+    E = AModule(B, 2, [[B.parse(s) for s in row] for row in rows])
+    assert [str(g) for g in annihilator(E).gens] == ["x*y", "y^2", "x*z"]
+    C = algebra(["x", "y", "z"], "x*y - z^2")
+    E = AModule(C, 2, [[C.parse(s) for s in row] for row in rows])
+    assert [str(g) for g in annihilator(E).gens] == ["z^2", "y^2", "x*z",
+                                                     "y*z"]
+    ker = kernel_generators(RingMatrix.from_strings(C, rows))
+    assert [[str(p) for p in k] for k in ker] == [
+        ["z^3", "x^3", "-x^2*z"], ["y^2", "x*z", "-z^2"],
+        ["y*z", "x^2", "-x*z"]]
 
 
 def test_quotient_dimension():

@@ -116,6 +116,27 @@ def test_colon_by_unit():
     assert ideal_equal(ideal_colon(I, ideal(R, "1")), I)
 
 
+def test_colon_dense_trinomials():
+    # Dense quadric-to-sextic inputs over F_32003; the basis below equals
+    # the elimination colon's (I : f).
+    R = PolyRing(CoefField(32003), ["x", "y", "z"], "grevlex")
+    I = ideal(R, "32002*x^2 + 2*y^2", "2*y^2 + z^2 + 2*z",
+              "32001*x^2*y^2*z^2 + 2*x^2*y^2 + 32001*x*y")
+    f = P(R, "x*y^2*z + 32001*x^2*z^2 + 32001*z")
+    got = ideal_colon(I, IdealGens(R, [f])).groebner().basis
+    assert [str(g) for g in got] == [
+        "x*z^5 + 4*x*z^4 + 3*x*z^3 + 31999*x*z^2 + 31999*x*z + 32001*y*z"
+        " + 31999*y",
+        "y*z^5 + 4*y*z^4 + 3*y*z^3 + 31999*y*z^2 + 32002*x*z + 31999*y*z"
+        " + 32001*x",
+        "z^6 + 4*z^5 + 3*z^4 + 31999*z^3 + 2*x*y + 31999*z^2",
+        "x^2 + z^2 + 2*z",
+        "y^2 + 16002*z^2 + z",
+    ]
+    gbI = I.groebner()
+    assert all(gbI.contains(f * g) for g in got)
+
+
 def test_colon_duality_random():
     rng = random.Random(5)
     R = R2()

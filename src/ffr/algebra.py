@@ -189,11 +189,8 @@ def annihilator(E: AModule) -> AIdeal:
     if q == 0:
         return AIdeal(A, [A.ring.one()])
     R = A.ring
-    zero = R.zero()
     units = [u for e_t in gb.scalar_columns([R.one()], q, R) for u in e_t]
-    W = E.base_vectors()
-    blocks = [[zero] * (t * q) + list(w) + [zero] * ((q - 1 - t) * q)
-              for t in range(q) for w in W]
+    blocks = gb.diagonal_blocks(E.base_vectors(), q, R)
     syz = gb.syzygy_module([units], blocks)
     return AIdeal(A, [s[0] for s in syz])
 

@@ -98,7 +98,7 @@ def _outer_product_holds(M: RingMatrix, col: Sequence[Poly],
     return True
 
 
-def cayley_factorize(C: FreeComplex, check: bool = True) -> CayleyData:
+def cayley_factorize(C: FreeComplex) -> CayleyData:
     """Downward recursion from u_m = [1], solving M = u_{k-1} (u_k*)^T.
 
     Each coordinate of u_{k-1} is the unique lift of the corresponding row
@@ -111,7 +111,7 @@ def cayley_factorize(C: FreeComplex, check: bool = True) -> CayleyData:
     if m < 1:
         raise ValueError("empty complex")
     hyp = _hypotheses(C)
-    if check and not hyp.holds:
+    if not hyp.holds:
         raise CayleyError(
             f"depth hypothesis fails at level {hyp.failing_level}")
     u: list[Optional[MultiVector]] = [None] * (m + 1)
@@ -141,8 +141,7 @@ def cayley_factorize(C: FreeComplex, check: bool = True) -> CayleyData:
         subs = subsets_colex(C.sizes[k - 1], r_k)
         u[k - 1] = MultiVector.from_dict(A, C.sizes[k - 1], r_k,
                                          dict(zip(subs, coords)))
-    ideals = tuple(AIdeal(A, [c for _, c in vec.coords])
-                   for vec in u)
+    ideals = tuple(AIdeal(A, list(vec.coords.values())) for vec in u)
     det = None
     if C.ranks[0] == 0:
         det = u[0].coeff(tuple(range(1, C.sizes[0] + 1)))

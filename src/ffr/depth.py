@@ -49,12 +49,6 @@ class DepthCertificate:
     sequence: tuple[Poly, ...] = ()
     algebra: Optional[FPAlgebra] = None
 
-    def describe(self) -> str:
-        if self.holds:
-            return f"at least {self.k}"
-        w = ", ".join(str(p) for p in self.witness) if self.witness else "?"
-        return f"fails at {self.fail_stage} (witness [{w}])"
-
 
 def _block_shape(count: int) -> int:
     """Fewest block variables fitting `count` monomials within degree 7."""

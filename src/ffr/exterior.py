@@ -1,9 +1,10 @@
 """Exterior algebra of a free module A^n.
 
-Multivectors map p-subsets of {1..n} (sorted index tuples) to ring
-elements.  One subset enumerator - colexicographic - is shared by every
-consumer (exterior powers of matrices, Cayley factorization, Taylor bases)
-so that matrix layouts line up.
+`MultiVector` is the one element type of every subset-indexed free
+module: the exterior powers Lambda^p(A^n), also in Cayley factorization,
+and the Taylor modules L_k of `monomial.py`.  It maps p-subsets of {1..n}
+(sorted index tuples) to ring elements, in the one colexicographic subset
+order that every consumer shares, so that matrix layouts line up.
 
 Every subset-indexed matrix is built here: `minors` is the one table of
 k x k minors (determinants, determinantal ideals, exterior powers,
@@ -13,7 +14,7 @@ layout of the Koszul and Taylor differentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
@@ -122,27 +123,25 @@ class MultiVector:
     algebra: FPAlgebra
     n: int
     grade: int
-    coords: tuple  # tuple of (subset, Poly) pairs, colex order, zeros dropped
+    coords: dict = field(hash=False)  # colex key order, zeros dropped
 
     @classmethod
     def from_dict(cls, algebra: FPAlgebra, n: int, grade: int,
                   coords: dict) -> "MultiVector":
         index = subset_index(n, grade)
-        items = []
-        for s in subsets_colex(n, grade):
-            c = coords.get(s)
-            if c is not None:
-                c = algebra.nf(c)
-                if not c.is_zero:
-                    items.append((s, c))
         for s in coords:
             if s not in index:
                 raise ValueError(f"bad subset {s} for grade {grade}, n={n}")
-        return cls(algebra, n, grade, tuple(items))
+        out = {}
+        for s in sorted(coords, key=index.__getitem__):
+            c = algebra.nf(coords[s])
+            if not c.is_zero:
+                out[s] = c
+        return cls(algebra, n, grade, out)
 
     @classmethod
     def zero(cls, algebra: FPAlgebra, n: int, grade: int) -> "MultiVector":
-        return cls(algebra, n, grade, ())
+        return cls(algebra, n, grade, {})
 
     @classmethod
     def basis(cls, algebra: FPAlgebra, n: int, I: Sequence[int]) -> "MultiVector":
@@ -158,18 +157,14 @@ class MultiVector:
         return cls.from_dict(algebra, len(coords), 1,
                              {(i + 1,): c for i, c in enumerate(coords)})
 
-    def as_dict(self) -> dict:
-        return dict(self.coords)
-
     def coeff(self, I: Sequence[int]) -> Poly:
-        d = self.as_dict()
-        return d.get(tuple(I), self.algebra.ring.zero())
+        return self.coords.get(tuple(I), self.algebra.ring.zero())
 
     def coord_list(self) -> list[Poly]:
         """Coordinates over the colex basis of p-subsets, dense."""
-        d = self.as_dict()
         zero = self.algebra.ring.zero()
-        return [d.get(s, zero) for s in subsets_colex(self.n, self.grade)]
+        return [self.coords.get(s, zero)
+                for s in subsets_colex(self.n, self.grade)]
 
     @property
     def is_zero(self) -> bool:
@@ -183,23 +178,25 @@ class MultiVector:
         self._check(other)
         if self.grade != other.grade:
             raise ValueError("grades differ")
-        d = self.as_dict()
-        for s, c in other.coords:
-            d[s] = d.get(s, self.algebra.ring.zero()) + c
+        d = dict(self.coords)
+        for s, c in other.coords.items():
+            d[s] = d[s] + c if s in d else c
         return MultiVector.from_dict(self.algebra, self.n, self.grade, d)
 
     def __sub__(self, other: "MultiVector") -> "MultiVector":
         return self + other.scale(-self.algebra.ring.one())
 
-    def scale(self, c: Poly) -> "MultiVector":
-        return MultiVector.from_dict(self.algebra, self.n, self.grade,
-                                     {s: c * v for s, v in self.coords})
+    def scale(self, c) -> "MultiVector":
+        """Multiply by a ring element or a field scalar."""
+        return MultiVector.from_dict(
+            self.algebra, self.n, self.grade,
+            {s: c * v for s, v in self.coords.items()})
 
     def __repr__(self):
         if self.is_zero:
             return "<0>"
         parts = [f"({v})e{''.join(map(str, s)) if s else '_'}"
-                 for s, v in self.coords]
+                 for s, v in self.coords.items()]
         return "<" + " + ".join(parts) + ">"
 
 
@@ -208,9 +205,9 @@ def wedge(x: MultiVector, y: MultiVector) -> MultiVector:
     x._check(y)
     A = x.algebra
     out: dict = {}
-    for I, cI in x.coords:
+    for I, cI in x.coords.items():
         setI = set(I)
-        for J, cJ in y.coords:
+        for J, cJ in y.coords.items():
             if setI & set(J):
                 continue
             K = tuple(sorted(I + J))
@@ -247,24 +244,26 @@ def pairing(u: MultiVector, v: MultiVector) -> Poly:
     u._check(v)
     if u.grade != v.grade:
         raise ValueError("grades differ")
-    dv = v.as_dict()
     acc = u.algebra.ring.zero()
-    for s, c in u.coords:
-        w = dv.get(s)
+    for s, c in u.coords.items():
+        w = v.coords.get(s)
         if w is not None:
             acc = acc + c * w
     return u.algebra.nf(acc)
 
 
+def _hodge(x: MultiVector, left: bool) -> MultiVector:
+    out: dict = {}
+    for I, c in x.coords.items():
+        J = complement(I, x.n)
+        sign = eps_sign(J, I) if left else eps_sign(I, J)
+        out[J] = c if sign > 0 else -c
+    return MultiVector.from_dict(x.algebra, x.n, x.n - x.grade, out)
+
+
 def hodge_right(x: MultiVector) -> MultiVector:
     """x* with coordinates <x*, e_J> = [x ^ e_J]; e_J* = eps_{J,Jc} e_Jc."""
-    A = x.algebra
-    n = x.n
-    out: dict = {}
-    for I, c in x.coords:
-        J = complement(I, n)
-        out[J] = c if eps_sign(I, J) > 0 else -c
-    return MultiVector.from_dict(A, n, n - x.grade, out)
+    return _hodge(x, left=False)
 
 
 def hodge_left(x: MultiVector) -> MultiVector:
@@ -272,13 +271,7 @@ def hodge_left(x: MultiVector) -> MultiVector:
 
     Used by the tests and by the `ffr hodge-selftest` identity suite.
     """
-    A = x.algebra
-    n = x.n
-    out: dict = {}
-    for I, c in x.coords:
-        J = complement(I, n)
-        out[J] = c if eps_sign(J, I) > 0 else -c
-    return MultiVector.from_dict(A, n, n - x.grade, out)
+    return _hodge(x, left=True)
 
 
 def interior_right(x: MultiVector, u: MultiVector) -> MultiVector:
@@ -293,11 +286,10 @@ def interior_right(x: MultiVector, u: MultiVector) -> MultiVector:
     A = x.algebra
     if x.grade == 0:
         return MultiVector.zero(A, x.n, 0)
-    du = u.as_dict()
     out: dict = {}
-    for I, c in x.coords:
+    for I, c in x.coords.items():
         for pos, j in enumerate(I):
-            w = du.get((j,))
+            w = u.coords.get((j,))
             if w is None:
                 continue
             K = I[:pos] + I[pos + 1:]
@@ -342,7 +334,7 @@ def are_proportional(u: MultiVector, v: MultiVector) -> bool:
     if u.grade != v.grade:
         raise ValueError("grades differ")
     A = u.algebra
-    du, dv = u.as_dict(), v.as_dict()
+    du, dv = u.coords, v.coords
     subs = subsets_colex(u.n, u.grade)
     zero = A.ring.zero()
     for a in range(len(subs)):

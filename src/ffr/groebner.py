@@ -489,6 +489,15 @@ def scalar_columns(scalars: Sequence[Poly], rank: int,
     return out
 
 
+def diagonal_blocks(vectors: Sequence[Sequence[Poly]], k: int,
+                    ring: PolyRing) -> list[list[Poly]]:
+    """Each w of R^n placed in each of k blocks of R^(n k), zero elsewhere:
+    blocks outermost, then the vectors in order."""
+    zero = ring.zero()
+    return [[zero] * (i * len(w)) + list(w) + [zero] * ((k - 1 - i) * len(w))
+            for i in range(k) for w in vectors]
+
+
 def module_colon(vectors: Sequence[Sequence[Poly]],
                  ideal_gens: Sequence[Poly], rank: int,
                  ring: PolyRing) -> list[list[Poly]]:
@@ -504,13 +513,10 @@ def module_colon(vectors: Sequence[Sequence[Poly]],
     gens = [g for g in ideal_gens if not g.is_zero]
     if not gens:
         return scalar_columns([ring.one()], rank, ring)
-    k = len(gens)
     zero = ring.zero()
     mains = [[g if j == t else zero for g in gens for j in range(rank)]
              for t in range(rank)]
-    stacked = [[zero] * (i * rank) + list(w) + [zero] * ((k - 1 - i) * rank)
-               for i in range(k) for w in vectors]
-    return syzygy_module(mains, stacked)
+    return syzygy_module(mains, diagonal_blocks(vectors, len(gens), ring))
 
 
 def module_membership(v: Sequence[Poly],

@@ -2,18 +2,21 @@
 Taylor resolution on the subset lattice with its explicit contracting
 homotopy, and the minimality test for that resolution.
 
-Elements of the Taylor modules L_k are dicts {k-subset: coefficient}; the
+Elements of the Taylor modules L_k are grade-k `exterior.MultiVector`s
+over {1..r}, the element type of every subset-indexed free module; the
 subset bases are the shared colexicographic enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import FPAlgebra
 from .complexes import FreeComplex, RingMatrix
-from .exterior import boundary_matrix, subset_index, subsets_colex
+from .exterior import (MultiVector, boundary_matrix, subset_index,
+                       subsets_colex)
 from .ring import Poly, PolyRing, mono_div, mono_divides, mono_gcd, mono_lcm
 
 
@@ -37,6 +40,11 @@ class MonomialList:
                 raise ValueError(f"{s!r} has a nontrivial coefficient")
             monos.append(m)
         return cls(ring, tuple(monos))
+
+    @cached_property
+    def algebra(self) -> FPAlgebra:
+        """The polynomial ring as an algebra: the base of every L_k."""
+        return FPAlgebra.polynomial(self.ring)
 
     @property
     def r(self) -> int:
@@ -70,20 +78,6 @@ def monomial_syzygies(m: MonomialList) -> list[list[Poly]]:
     return out
 
 
-Elem = dict  # {subset: Poly}
-
-
-def _elem_add(a: Elem, b: Elem, ring: PolyRing) -> Elem:
-    out = dict(a)
-    for J, c in b.items():
-        s = out.get(J, ring.zero()) + c
-        if s.is_zero:
-            out.pop(J, None)
-        else:
-            out[J] = s
-    return out
-
-
 @dataclass(frozen=True)
 class TaylorComplex:
     """The Taylor resolution: L_k free on the k-subsets of {1..r}."""
@@ -91,45 +85,46 @@ class TaylorComplex:
     monomials: MonomialList
     complex: FreeComplex
 
-    def differential(self, elem: Elem, k: int) -> Elem:
-        """d applied to an element of L_k given as {k-subset: Poly}: the
-        matrix A_k of the complex applied to its colex coordinates."""
-        r = self.monomials.r
-        col_of = subset_index(r, k)
-        if any(J not in col_of for J in elem):
-            raise ValueError("subset of the wrong grade")
+    def differential(self, elem: MultiVector) -> MultiVector:
+        """d applied to an element of L_k: the matrix A_k of the complex
+        applied to its nonzero colex coordinates.  L_0 ends the complex,
+        so d is zero there."""
+        r, k = self.monomials.r, elem.grade
+        if elem.n != r:
+            raise ValueError(f"element of rank {elem.n}, complex of rank {r}")
+        A = self.complex.algebra
         if k == 0:
-            return {}  # L_0 ends the complex
-        cols = [(col_of[J], c) for J, c in elem.items()]
-        zero = self.monomials.ring.zero()
-        out: Elem = {}
-        for K, row in zip(subsets_colex(r, k - 1),
-                          self.complex.matrix(k).entries):
-            s = sum((row[j] * c for j, c in cols), zero)
-            if not s.is_zero:
-                out[K] = s
-        return out
+            return MultiVector.zero(A, r, 0)
+        col_of = subset_index(r, k)
+        rows = self.complex.matrix(k).entries
+        zero = A.ring.zero()
+        out: dict = {}
+        for J, c in elem.coords.items():
+            j = col_of[J]
+            for K, row in zip(subsets_colex(r, k - 1), rows):
+                if not row[j].is_zero:
+                    out[K] = out.get(K, zero) + row[j] * c
+        return MultiVector.from_dict(A, r, k - 1, out)
 
 
 def taylor_complex(m: MonomialList) -> TaylorComplex:
     """The full complex with d(e_J) weighted by lcm ratios; d.d = 0 is
     checked by the FreeComplex constructor."""
     R = m.ring
-    algebra = FPAlgebra.polynomial(R)
     one = R.field.one()
 
     def coeff(J, pos):
         return Poly(R, {mono_div(m.lcm_of(J),
                                  m.lcm_of(J[:pos] + J[pos + 1:])): one})
 
-    mats = [RingMatrix(algebra, boundary_matrix(m.r, k, coeff, R.zero()))
+    mats = [RingMatrix(m.algebra, boundary_matrix(m.r, k, coeff, R.zero()))
             for k in range(1, m.r + 1)]
-    return TaylorComplex(m, FreeComplex(algebra, mats))
+    return TaylorComplex(m, FreeComplex(m.algebra, mats))
 
 
 def taylor_homotopy(m: MonomialList, p: tuple[int, ...],
-                    J: Sequence[int]) -> Elem:
-    """h(p e_J) for a monomial multiplier p.
+                    J: Sequence[int]) -> MultiVector:
+    """h(p e_J) for a monomial multiplier p, an element of L_(|J|+1).
 
     With i the least index such that m_i divides lcm(m_J) p: the value is
     (lcm(m_J) p / lcm(m_J')) e_J' for J' = J + {i} when i exists outside J,
@@ -145,21 +140,19 @@ def taylor_homotopy(m: MonomialList, p: tuple[int, ...],
             found = i
             break
     if found is None or found in J:
-        return {}
+        return MultiVector.zero(m.algebra, m.r, len(J) + 1)
     Jp = tuple(sorted(J + (found,)))
     quot = mono_div(target, m.lcm_of(Jp))
-    return {Jp: Poly(R, {quot: R.field.one()})}
+    return MultiVector.from_dict(m.algebra, m.r, len(Jp),
+                                 {Jp: Poly(R, {quot: R.field.one()})})
 
 
-def _homotopy_elem(m: MonomialList, elem: Elem) -> Elem:
+def _homotopy_elem(m: MonomialList, elem: MultiVector) -> MultiVector:
     """h extended to polynomial coefficients, term by term."""
-    R = m.ring
-    out: Elem = {}
-    for J, c in elem.items():
+    out = MultiVector.zero(m.algebra, m.r, elem.grade + 1)
+    for J, c in elem.coords.items():
         for mono, coeff in c.terms.items():
-            part = taylor_homotopy(m, mono, J)
-            scaled = {K: v.scale(coeff) for K, v in part.items()}
-            out = _elem_add(out, scaled, R)
+            out = out + taylor_homotopy(m, mono, J).scale(coeff)
     return out
 
 
@@ -179,14 +172,14 @@ def homotopy_identity_check(m: MonomialList,
         J = tuple(J)
         if not J and not any(mono_divides(mi, p) for mi in m.monomials):
             continue
-        elem: Elem = {J: Poly(R, {p: one})}
+        elem = MultiVector.from_dict(m.algebra, m.r, len(J),
+                                     {J: Poly(R, {p: one})})
+        total = MultiVector.zero(m.algebra, m.r, len(J))
         h_elem = _homotopy_elem(m, elem)
-        dh = T.differential(h_elem, len(J) + 1) if h_elem else {}
-        hd: Elem = {}
+        if not h_elem.is_zero:
+            total = total + T.differential(h_elem)
         if J:
-            d_elem = T.differential(elem, len(J))
-            hd = _homotopy_elem(m, d_elem)
-        total = _elem_add(dh, hd, R)
+            total = total + _homotopy_elem(m, T.differential(elem))
         if total != elem:
             return False
     return True

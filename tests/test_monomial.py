@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ffr.complexes import certify_exact
-from ffr.exterior import subsets_colex
+from ffr.exterior import MultiVector, subsets_colex
 from ffr.groebner import module_membership, syzygy_module
 from ffr.monomial import (MonomialList, homotopy_identity_check,
                           is_taylor_minimal, monomial_syzygies,
@@ -144,16 +144,20 @@ def test_taylor_differential_on_elements():
     m = mlist(["x", "y", "z"], *WORKED_EXAMPLE)
     T = taylor_complex(m)
     P = lambda s: parse_poly(s, m.ring)  # noqa: E731
-    got = T.differential({(1, 2): P("x"), (3, 4): P("1")}, 2)
-    assert got == {(1,): P("-x*y^2"), (2,): P("x^2"), (3,): P("-y"),
-                   (4,): P("x")}
-    d3 = T.differential({(1, 3, 4): P("1")}, 3)
-    assert d3 == {(1, 3): P("1"), (1, 4): P("-1"), (3, 4): P("x")}
-    assert T.differential(d3, 2) == {}
-    assert T.differential({(): P("1")}, 0) == {}
+    L = lambda k, d: MultiVector.from_dict(m.algebra, 4, k, d)  # noqa: E731
+    got = T.differential(L(2, {(1, 2): P("x"), (3, 4): P("1")}))
+    assert got == L(1, {(1,): P("-x*y^2"), (2,): P("x^2"), (3,): P("-y"),
+                        (4,): P("x")})
+    d3 = T.differential(L(3, {(1, 3, 4): P("1")}))
+    assert d3 == L(2, {(1, 3): P("1"), (1, 4): P("-1"), (3, 4): P("x")})
+    assert T.differential(d3) == MultiVector.zero(m.algebra, 4, 1)
+    assert T.differential(L(0, {(): P("1")})).is_zero
+    # a subset of the wrong grade, or outside {1..r}, is no element of L_k
     for elem, k in (({(1, 2): P("1")}, 3), ({(1, 5): P("1")}, 2)):
         with pytest.raises(ValueError):
-            T.differential(elem, k)
+            T.differential(L(k, elem))
+    with pytest.raises(ValueError):
+        T.differential(MultiVector.basis(m.algebra, 5, (1, 5)))
 
 
 def test_taylor_weights_of_worked_example():
@@ -206,11 +210,13 @@ def test_homotopy_examples():
     R = m.ring
     # J empty, p = x: least divisor index is 1, lcm quotient is 1
     got = taylor_homotopy(m, (1, 0), ())
-    assert got == {(1,): R.one()}
+    assert got == MultiVector.basis(m.algebra, 2, (1,))
+    assert got.coords == {(1,): R.one()}
     # no divisor at all
-    assert taylor_homotopy(m, (0, 0), ()) == {}
+    assert taylor_homotopy(m, (0, 0), ()) == MultiVector.zero(m.algebra, 2, 1)
     # J already contains the least divisor
-    assert taylor_homotopy(m, (1, 0), (1,)) == {}
+    assert taylor_homotopy(m, (1, 0), (1,)) == \
+        MultiVector.zero(m.algebra, 2, 2)
 
 
 def test_homotopy_identity_exhaustive_worked_example():

@@ -6,6 +6,7 @@ from pathlib import Path
 import ffr
 
 SRC = Path(ffr.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def test_no_bare_assert_in_library():
@@ -15,3 +16,23 @@ def test_no_bare_assert_in_library():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_definition_is_used():
+    # a function, class or method nobody names is dead code
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+            elif (path.parent == SRC and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.ClassDef))
+                  and not node.name.startswith("__")):
+                defined.append((f"{path.name}:{node.lineno}", node.name))
+    assert [f"{where} {name}" for where, name in defined
+            if name not in used] == []

@@ -45,6 +45,8 @@ class FPAlgebra:
         return FPAlgebra(ext, [embed_append(r, ext) for r in self.relations.gens])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FPAlgebra) and self.ring == other.ring
                 and self.relations.gens == other.relations.gens)
 

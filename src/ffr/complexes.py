@@ -74,17 +74,11 @@ class RingMatrix:
             raise RingMismatchError("matrices over different algebras")
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
-        zero = self.algebra.ring.zero()
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(self.algebra, out, self.rows, other.cols)
+        dot = self.algebra.ring.dot
+        cols = other.columns()
+        return RingMatrix(self.algebra,
+                          [[dot(row, col) for col in cols]
+                           for row in self.entries], self.rows, other.cols)
 
     def is_zero(self) -> bool:
         return all(p.is_zero for row in self.entries for p in row)
@@ -242,11 +236,11 @@ def euler_characteristic(C: FreeComplex) -> int:
     return C.ranks[0]
 
 
-def characteristic_ideal(C: FreeComplex, k: int, shift: int = 0) -> AIdeal:
-    """D_k := D_(r_k)(A_k); D_(k,l) with shift l; <1> past the length."""
+def characteristic_ideal(C: FreeComplex, k: int) -> AIdeal:
+    """D_k := D_(r_k)(A_k); <1> past the length."""
     if k > C.length:
         return AIdeal(C.algebra, [C.algebra.ring.one()])
-    return determinantal_ideal(C.matrix(k), C.ranks[k] - shift)
+    return determinantal_ideal(C.matrix(k), C.ranks[k])
 
 
 def characteristic_ideals(C: FreeComplex) -> list[AIdeal]:
@@ -374,16 +368,11 @@ def pfaffian(entries: Sequence[Sequence[Poly]], ring) -> Poly:
         if not idx:
             return ring.one()
         i0 = idx[0]
-        acc = ring.zero()
-        for pos in range(1, len(idx)):
-            j = idx[pos]
-            a = entries[i0][j]
-            if a.is_zero:
-                continue
-            rest = tuple(t for t in idx if t != i0 and t != j)
-            term = a * rec(rest)
-            acc = acc - term if pos % 2 == 0 else acc + term
-        return acc
+        live = [(pos, entries[i0][j]) for pos, j in enumerate(idx[1:], 1)
+                if not entries[i0][j].is_zero]
+        return ring.dot(
+            [e if pos % 2 else -e for pos, e in live],
+            [rec(idx[1:pos] + idx[pos + 1:]) for pos, _ in live])
 
     return rec(tuple(range(m)))
 

@@ -102,17 +102,12 @@ def kronecker_sequence(a: AIdeal, k: int) -> KroneckerSequence:
     R = ext.ring
     gens = [embed_append(g, R) for g in a.gens]
     weights = _block_monomials(b, s)
-    base_n = A.ring.n
     one = R.field.one()
     polys = []
     for i in range(k):
-        f = R.zero()
-        for g, mu in zip(gens, weights):
-            expt = [0] * R.n
-            for t, e in enumerate(mu):
-                expt[base_n + i * b + t] = e
-            f = f + g.mul_term(one, tuple(expt))
-        polys.append(f)
+        before, after = (0,) * (A.ring.n + i * b), (0,) * ((k - 1 - i) * b)
+        polys.append(R.dot(gens, [Poly(R, {before + mu + after: one})
+                                  for mu in weights]))
     blocks = tuple(tuple(names[i * b:(i + 1) * b]) for i in range(k))
     return KroneckerSequence(a, k, ext, blocks, tuple(polys))
 
@@ -259,12 +254,7 @@ def triangular_regularization(a: AIdeal, level: int,
         else:
             row[i] = R.one()
         U.append(row)
-    b = []
-    for i in range(k):
-        acc = R.zero()
-        for j in range(k):
-            acc = acc + U[i][j] * gens[j]
-        b.append(acc)
+    b = [R.dot(row, gens) for row in U]
     new_gens = b[:level] + gens[level:]
     lifted_a = AIdeal(ext, gens).lifted()
     lifted_b = AIdeal(ext, new_gens).lifted()
@@ -332,10 +322,7 @@ def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
 
     inclusion = True
     for i in range(n):
-        acc = R.zero()
-        for j in range(n):
-            acc = acc + U[i][j] * a_seq[j]
-        if not A.nf(acc - c_seq[i]).is_zero:
+        if not A.nf(R.dot(U[i], a_seq) - c_seq[i]).is_zero:
             inclusion = False
             counterexamples["inclusion"] = [c_seq[i]]
             break

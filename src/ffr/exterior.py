@@ -71,15 +71,12 @@ def minors(rows: Sequence[Sequence[Poly]], ring: PolyRing, k: int) -> dict:
         if got is not None:
             return got
         column = J[0] - 1
-        acc = ring.zero()
-        for pos, r in enumerate(I):
-            entry = rows[r - 1][column]
-            if entry.is_zero:
-                continue
-            term = entry * rec(I[:pos] + I[pos + 1:], J[1:])
-            acc = acc - term if pos % 2 else acc + term
-        memo[I, J] = acc
-        return acc
+        live = [(pos, rows[r - 1][column]) for pos, r in enumerate(I)
+                if not rows[r - 1][column].is_zero]
+        got = memo[I, J] = ring.dot(
+            [-e if pos % 2 else e for pos, e in live],
+            [rec(I[:pos] + I[pos + 1:], J[1:]) for pos, _ in live])
+        return got
 
     cols = subsets_colex(ncols, k)
     return {(I, J): rec(I, J) for I in subsets_colex(len(rows), k)
@@ -244,12 +241,10 @@ def pairing(u: MultiVector, v: MultiVector) -> Poly:
     u._check(v)
     if u.grade != v.grade:
         raise ValueError("grades differ")
-    acc = u.algebra.ring.zero()
-    for s, c in u.coords.items():
-        w = v.coords.get(s)
-        if w is not None:
-            acc = acc + c * w
-    return u.algebra.nf(acc)
+    ring = u.algebra.ring
+    zero = ring.zero()
+    return u.algebra.nf(ring.dot(u.coords.values(),
+                                 [v.coords.get(s, zero) for s in u.coords]))
 
 
 def _hodge(x: MultiVector, left: bool) -> MultiVector:

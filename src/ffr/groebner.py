@@ -537,9 +537,6 @@ def module_membership(v: Sequence[Poly],
         return None
     lift = [-p for p in r[rank:]]
     for j in range(rank):
-        acc = zero
-        for c, g in zip(lift, gens):
-            acc = acc + c * g[j]
-        if acc != v[j]:
+        if ring.dot(lift, [g[j] for g in gens]) != v[j]:
             raise VerificationError("membership lift failed re-substitution")
     return lift

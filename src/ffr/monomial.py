@@ -96,14 +96,11 @@ class TaylorComplex:
         if k == 0:
             return MultiVector.zero(A, r, 0)
         col_of = subset_index(r, k)
-        rows = self.complex.matrix(k).entries
-        zero = A.ring.zero()
-        out: dict = {}
-        for J, c in elem.coords.items():
-            j = col_of[J]
-            for K, row in zip(subsets_colex(r, k - 1), rows):
-                if not row[j].is_zero:
-                    out[K] = out.get(K, zero) + row[j] * c
+        cols = [col_of[J] for J in elem.coords]
+        out = {K: A.ring.dot([row[j] for j in cols], elem.coords.values())
+               for K, row in zip(subsets_colex(r, k - 1),
+                                 self.complex.matrix(k).entries)
+               if any(row[j].terms for j in cols)}
         return MultiVector.from_dict(A, r, k - 1, out)
 
 

@@ -3,7 +3,8 @@
 Monomials are exponent tuples, polynomials are dicts mapping monomials to
 nonzero coefficients.  Everything is immutable after construction and all
 arithmetic is exact: Fraction coefficients over Q, canonical residues over
-a prime field.
+a prime field.  `PolyRing.dot` is the one sum of products: `*`, minors,
+pairings and matrix products all accumulate through it.
 """
 
 from __future__ import annotations
@@ -233,6 +234,31 @@ class PolyRing:
         return PolyRing(self.field, names + self.vars, self.order,
                         self.elim + len(names), _allow_reserved=True)
 
+    def dot(self, xs: Iterable["Poly"], ys: Iterable["Poly"]) -> "Poly":
+        """sum x_i * y_i: the one sum of products over this ring.
+
+        Every product is summed into one term dict and a term is dropped
+        as soon as it cancels, so a zero factor costs only its ring check.
+        """
+        mul, add = self.field.mul, self.field.add
+        res: dict = {}
+        for x, y in zip(xs, ys):
+            for f in (x, y):
+                if f.ring is not self and f.ring != self:
+                    raise RingMismatchError(f"{self} vs {f.ring}")
+            a, b = x.terms, y.terms
+            if len(a) < len(b):
+                a, b = b, a
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
+                    m = mono_mul(m1, m2)
+                    s = add(res.get(m, 0), mul(c1, c2))
+                    if s:
+                        res[m] = s
+                    elif m in res:
+                        del res[m]
+        return Poly(self, res, _trusted=True)
+
     def unique_up_to_sign(self, polys: Iterable["Poly"]) -> list["Poly"]:
         """The nonzero polys of this ring, first occurrences only, where p
         and -p count as one.
@@ -371,22 +397,7 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(self.ring.field.from_int(other)
                               if isinstance(other, int) else other)
-        self._check(other)
-        mul = self.ring.field.mul
-        add = self.ring.field.add
-        res: dict = {}
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                s = add(res.get(m, 0), mul(c1, c2))
-                if s:
-                    res[m] = s
-                elif m in res:
-                    del res[m]
-        return Poly(self.ring, res, _trusted=True)
+        return self.ring.dot((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -395,15 +406,6 @@ class Poly:
             return Poly(self.ring, {}, _trusted=True)
         mul = self.ring.field.mul
         return Poly(self.ring, {m: mul(v, c) for m, v in self.terms.items()},
-                    _trusted=True)
-
-    def mul_term(self, c, m: tuple) -> "Poly":
-        """Multiply by the single term c * X^m."""
-        if not c:
-            return Poly(self.ring, {}, _trusted=True)
-        mul = self.ring.field.mul
-        return Poly(self.ring,
-                    {mono_mul(m0, m): mul(c0, c) for m0, c0 in self.terms.items()},
                     _trusted=True)
 
     def __pow__(self, e: int) -> "Poly":
@@ -670,9 +672,5 @@ def kronecker_poly(gens: Sequence[Poly], fresh_var: str,
         raise ValueError(f"variable {fresh_var!r} collides with the ring")
     ext = ring.extend_append([fresh_var])
     t = ext.var(ext.n - 1)
-    result = ext.zero()
-    tpow = ext.one()
-    for g in gens:
-        result = result + embed_append(g, ext) * tpow
-        tpow = tpow * t
-    return result
+    return ext.dot([embed_append(g, ext) for g in gens],
+                   [t ** i for i in range(len(gens))])

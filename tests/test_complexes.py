@@ -391,6 +391,42 @@ def test_pfaffian_data_n3():
     assert certify_exact(data.complex).exact
 
 
+def _entrywise_product(M, N):
+    zero = M.algebra.ring.zero()
+    out = []
+    for i in range(M.rows):
+        row = []
+        for j in range(N.cols):
+            acc = zero
+            for k in range(M.cols):
+                acc = acc + M.entries[i][k] * N.entries[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def test_mul_matches_entrywise_product():
+    A = algebra(["x", "y"], "x^2 - y")
+    M = matrix(A, [["x", "y", "1"], ["0", "0", "0"], ["x*y", "0", "x"]])
+    N = matrix(A, [["x", "0"], ["y - 1", "0"], ["2", "0"]])
+    P = M.mul(N)
+    assert (P.rows, P.cols) == (3, 2)
+    expected = RingMatrix(A, _entrywise_product(M, N))
+    assert P.entries == expected.entries
+    assert all(p.is_zero for p in P.entries[1])   # zero row of M
+    assert all(row[1].is_zero for row in P.entries)   # zero column of N
+    assert not P.entries[0][0].is_zero
+
+
+def test_mul_inner_dimension_zero():
+    A = algebra(["x"])
+    M, N = RingMatrix.zero(A, 2, 0), RingMatrix.zero(A, 0, 3)
+    P = M.mul(N)
+    assert (P.rows, P.cols) == (2, 3)
+    assert P.entries == tuple(tuple(r) for r in _entrywise_product(M, N))
+    assert P.is_zero()
+
+
 def test_adjugate_identity():
     A = algebra(["x", "y"])
     M = matrix(A, [["x", "y"], ["1", "x"]])

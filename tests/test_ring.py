@@ -1,4 +1,5 @@
 import random
+import re
 
 from fractions import Fraction
 
@@ -97,6 +98,50 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
         assert a * b == b * a
+
+
+def test_dot_empty_is_zero():
+    R = ring_qq("x", "y")
+    assert R.dot([], []) == R.zero()
+
+
+def test_dot_full_cancellation_leaves_no_terms():
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    assert R.dot([x, y], [y, -x]).terms == {}
+
+
+def test_dot_rejects_other_ring():
+    R, S = ring_qq("x", "y"), ring_qq("x", "z")
+    p, q = R.var("x"), S.var("z")
+    with pytest.raises(RingMismatchError):
+        R.dot([p, R.one()], [p, q])
+    with pytest.raises(RingMismatchError):
+        R.dot([q], [p])
+    with pytest.raises(RingMismatchError, match=f"^{re.escape(f'{R} vs {S}')}$"):
+        p * q
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", "grlex"])
+@pytest.mark.parametrize("p", [0, 32003])
+def test_dot_is_sum_of_products(order, p):
+    rng = random.Random(f"{order}{p}")
+    R = PolyRing(CoefField(p), ["x", "y", "z"], order)
+
+    def rand_poly():
+        return Poly(R, {tuple(rng.randint(0, 2) for _ in range(3)):
+                        R.field.from_int(rng.randint(-3, 3))
+                        for _ in range(rng.randint(0, 5))})
+
+    for _ in range(30):
+        xs = [rand_poly() for _ in range(rng.randint(1, 4))]
+        ys = [rand_poly() for _ in xs]
+        expected = R.zero()
+        for a, b in zip(xs, ys):
+            expected = expected + a * b
+        got = R.dot(xs, ys)
+        assert got == expected
+        assert all(got.terms.values())
 
 
 def _mono_poly(R, m):

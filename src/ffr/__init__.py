@@ -12,8 +12,8 @@ from .ring import (CoefField, FFRError, ParseError, Poly, PolyRing, QQ,
                    RingMismatchError, VerificationError, content_ideal,
                    kronecker_poly, parse_poly)
 from .groebner import (GroebnerBasis, IdealGens, ideal_colon,
-                       ideal_intersection, krull_dimension, module_membership,
-                       radical_membership, saturation, syzygy_module)
+                       krull_dimension, module_membership, radical_membership,
+                       saturation, syzygy_module)
 from .algebra import (AIdeal, AModule, FPAlgebra, annihilator,
                       ideal_times_module_is_module, is_faithful_ideal,
                       is_regular_element, is_trivial, module_colon_element)

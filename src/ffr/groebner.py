@@ -14,8 +14,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .ring import (Poly, PolyRing, RingMismatchError, VerificationError,
-                   embed_shift, mono_div, mono_divides, mono_lcm, mono_mul,
-                   project_drop_front)
+                   mono_div, mono_divides, mono_lcm, mono_mul)
 
 Vec = dict  # {(pos, mono): coeff}
 
@@ -306,27 +305,6 @@ def ideal_product(I: IdealGens, J: IdealGens) -> IdealGens:
     return IdealGens(I.ring, [a * b for a in I.gens for b in J.gens])
 
 
-def _eliminate_front(gens: list[Poly], ext: PolyRing, base: PolyRing,
-                     k: int) -> list[Poly]:
-    """Generators of <gens> intersected with the ring without the front block."""
-    basis = IdealGens(ext, gens).groebner().basis
-    kept = [g for g in basis if not any(any(m[:k]) for m in g.terms)]
-    return [project_drop_front(g, base, k) for g in kept]
-
-
-def ideal_intersection(I: IdealGens, J: IdealGens) -> IdealGens:
-    """I  cap  J via the one-fresh-variable elimination trick."""
-    R = I.ring
-    if J.ring != R:
-        raise RingMismatchError("ideals over different rings")
-    ext = R.extend_front_elim(R.fresh_names(1, "t"))
-    t = ext.var(0)
-    one = ext.one()
-    gens = [t * embed_shift(g, ext, 1) for g in I.gens]
-    gens += [(one - t) * embed_shift(g, ext, 1) for g in J.gens]
-    return IdealGens(R, _eliminate_front(gens, ext, R, 1))
-
-
 def ideal_colon(I: IdealGens, J: IdealGens) -> IdealGens:
     """(I : J), by one syzygy run over all generators of J."""
     R = I.ring
@@ -338,35 +316,36 @@ def ideal_colon(I: IdealGens, J: IdealGens) -> IdealGens:
     return IdealGens(R, [x[0] for x in colon])
 
 
-def _rabinowitsch(I: IdealGens, f: Poly) -> tuple[PolyRing, list[Poly]]:
-    """The ring with a fresh front variable t in the elimination block, and
-    there the generators of I and 1 - t f."""
-    R = I.ring
-    ext = R.extend_front_elim(R.fresh_names(1, "t"))
-    t = ext.var(0)
-    gens = [embed_shift(g, ext, 1) for g in I.gens]
-    gens.append(ext.one() - t * embed_shift(f, ext, 1))
-    return ext, gens
-
-
 def saturation(I: IdealGens, f: Poly) -> IdealGens:
-    """(I : f^inf) by single-shot Rabinowitsch elimination."""
+    """(I : f^inf) by the chain I, (I : f), (I : f^2), ... of colon runs
+    by <f>, each on the reduced basis of the previous ideal.
+
+    The chain stops when two successive reduced bases agree, and that
+    basis is returned.  The fixed point S has (S : f) = S and I in S;
+    with k the number of steps that changed the ideal, f^k S in I is
+    re-checked, which makes S = (I : f^k) = (I : f^inf).
+    """
     R = I.ring
     if f.ring != R:
         raise RingMismatchError("polynomial in a different ring")
     if f.is_zero:
         return IdealGens(R, [R.one()])
-    ext, gens = _rabinowitsch(I, f)
-    return IdealGens(R, _eliminate_front(gens, ext, R, 1))
+    gbI, by = I.groebner(), IdealGens(R, [f])
+    basis, steps = gbI.basis, 0
+    while True:
+        nxt = ideal_colon(IdealGens(R, basis), by).groebner().basis
+        if nxt == basis:
+            break
+        basis, steps = nxt, steps + 1
+    fk = f ** steps
+    if not all(gbI.contains(fk * g) for g in basis):
+        raise VerificationError("saturation generator not in (I : f^k)")
+    return IdealGens(R, basis)
 
 
 def radical_membership(f: Poly, I: IdealGens) -> bool:
-    """f in sqrt(I), via 1 in I + <1 - t f> in an extended ring."""
-    if f.ring != I.ring:
-        raise RingMismatchError("polynomial in a different ring")
-    if f.is_zero:
-        return True
-    return IdealGens(*_rabinowitsch(I, f)).groebner().is_unit_ideal()
+    """f in sqrt(I) iff (I : f^inf) is the unit ideal."""
+    return saturation(I, f).groebner().is_unit_ideal()
 
 
 def krull_dimension(I: IdealGens) -> int:

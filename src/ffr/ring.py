@@ -75,8 +75,14 @@ class CoefField:
     def one(self):
         return 1 if self.p else Fraction(1)
 
-    def from_int(self, n: int):
-        return n % self.p if self.p else Fraction(n)
+    def coerce(self, c):
+        """An int or a Fraction as a raw coefficient: over F_p the residue
+        of numerator * denominator^-1."""
+        if not self.p:
+            return Fraction(c)
+        if isinstance(c, int):
+            return c % self.p
+        return c.numerator * pow(c.denominator, -1, self.p) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
@@ -154,20 +160,17 @@ _KEYS = {"grevlex": _key_grevlex, "lex": _key_lex, "grlex": _key_grlex}
 
 
 class PolyRing:
-    """k[x_1..x_n] with a fixed monomial order.
+    """k[x_1..x_n] with one of the monomial orders grevlex, lex or grlex.
 
-    `elim` marks the first `elim` variables as an elimination block: the
-    block is compared first (grevlex within the block), so any monomial
-    touching a block variable is larger than every block-free monomial.
-    User-facing rings always have elim == 0; extensions used for colon,
-    saturation and radical-membership computations set it internally.
+    Names with the reserved prefix are refused unless `_allow_reserved`:
+    they are the fresh variables of internal extensions (`extend_append`
+    with `fresh_names`).
     """
 
-    __slots__ = ("field", "vars", "order", "elim", "_key", "_vindex")
+    __slots__ = ("field", "vars", "order", "_key", "_vindex")
 
     def __init__(self, field: CoefField, vars: Sequence[str],
-                 order: str = "grevlex", elim: int = 0,
-                 _allow_reserved: bool = False):
+                 order: str = "grevlex", _allow_reserved: bool = False):
         vars = tuple(vars)
         if len(set(vars)) != len(vars):
             raise ValueError("variable names must be distinct")
@@ -178,19 +181,11 @@ class PolyRing:
                 if v.startswith(RESERVED_PREFIX):
                     raise ValueError(
                         f"variable name {v!r} uses the reserved prefix {RESERVED_PREFIX!r}")
-        if not 0 <= elim <= len(vars):
-            raise ValueError("bad elimination block size")
         self.field = field
         self.vars = vars
         self.order = order
-        self.elim = elim
         self._vindex = {v: i for i, v in enumerate(vars)}
-        base = _KEYS[order]
-        if elim:
-            k = elim
-            self._key = lambda m: (_key_grevlex(m[:k]), base(m[k:]))
-        else:
-            self._key = base
+        self._key = _KEYS[order]
 
     @property
     def n(self) -> int:
@@ -206,9 +201,7 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c) -> "Poly":
-        c = self.field.from_int(c) if isinstance(c, int) else c
-        if self.field.p:
-            c = c % self.field.p
+        c = self.field.coerce(c)
         if not c:
             return Poly(self, {})
         return Poly(self, {(0,) * self.n: c})
@@ -226,13 +219,7 @@ class PolyRing:
     def extend_append(self, names: Iterable[str]) -> "PolyRing":
         """Same order, new variables appended at the end."""
         return PolyRing(self.field, self.vars + tuple(names), self.order,
-                        self.elim, _allow_reserved=True)
-
-    def extend_front_elim(self, names: Iterable[str]) -> "PolyRing":
-        """New variables prepended and merged into the elimination block."""
-        names = tuple(names)
-        return PolyRing(self.field, names + self.vars, self.order,
-                        self.elim + len(names), _allow_reserved=True)
+                        _allow_reserved=True)
 
     def dot(self, xs: Iterable["Poly"], ys: Iterable["Poly"]) -> "Poly":
         """sum x_i * y_i: the one sum of products over this ring.
@@ -295,16 +282,13 @@ class PolyRing:
         if self is other:
             return True
         return (isinstance(other, PolyRing) and self.field == other.field
-                and self.vars == other.vars and self.order == other.order
-                and self.elim == other.elim)
+                and self.vars == other.vars and self.order == other.order)
 
     def __hash__(self):
-        return hash((self.field, self.vars, self.order, self.elim))
+        return hash((self.field, self.vars, self.order))
 
     def __repr__(self):
-        base = f"{self.field}[{','.join(self.vars)}]"
-        return base + (f"<{self.order},elim={self.elim}>" if self.elim
-                       else f"<{self.order}>")
+        return f"{self.field}[{','.join(self.vars)}]<{self.order}>"
 
 
 class Poly:
@@ -395,8 +379,7 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return self.scale(self.ring.field.from_int(other)
-                              if isinstance(other, int) else other)
+            return self.scale(self.ring.field.coerce(other))
         return self.ring.dot((self,), (other,))
 
     __rmul__ = __mul__
@@ -437,38 +420,11 @@ class Poly:
 # ---------------------------------------------------------------------------
 # transport between rings
 
-def map_vars(p: Poly, target: PolyRing, index_map: Sequence[int]) -> Poly:
-    """Reinterpret p in `target`, sending variable i to index_map[i]."""
-    res: dict = {}
-    for m, c in p.terms.items():
-        mm = [0] * target.n
-        for i, e in enumerate(m):
-            if e:
-                mm[index_map[i]] = e
-        if target.field.p:
-            c = c % target.field.p
-        res[tuple(mm)] = c
-    return Poly(target, res)
-
-
 def embed_append(p: Poly, target: PolyRing) -> Poly:
     """Embed into a ring obtained by appending variables."""
-    return map_vars(p, target, list(range(p.ring.n)))
-
-
-def embed_shift(p: Poly, target: PolyRing, k: int) -> Poly:
-    """Embed into a ring obtained by prepending k variables."""
-    return map_vars(p, target, [i + k for i in range(p.ring.n)])
-
-
-def project_drop_front(p: Poly, target: PolyRing, k: int) -> Poly:
-    """Drop the first k variables; requires p not to involve them."""
-    res: dict = {}
-    for m, c in p.terms.items():
-        if any(m[:k]):
-            raise ValueError("polynomial involves an eliminated variable")
-        res[m[k:]] = c
-    return Poly(target, res)
+    pad = (0,) * (target.n - p.ring.n)
+    return Poly(target, {m + pad: c for m, c in p.terms.items()},
+                _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +528,10 @@ class _Parser:
                 if not (isinstance(d, tuple) and d[0] == "num"):
                     raise ParseError("malformed rational literal")
                 den = d[1]
-                field = self.ring.field
-                if field.p:
-                    if den % field.p == 0:
-                        raise ParseError(
-                            f"denominator {den} is zero in characteristic {field.p}")
-                    return self.ring.const(field.div(field.from_int(num),
-                                                     field.from_int(den)))
+                p = self.ring.field.p
+                if p and den % p == 0:
+                    raise ParseError(
+                        f"denominator {den} is zero in characteristic {p}")
                 return self.ring.const(Fraction(num, den))
             return self.ring.const(num)
         if isinstance(t, tuple) and t[0] == "name":

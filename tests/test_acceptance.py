@@ -234,7 +234,7 @@ def test_criterion_07_exterior_identity_suites(capsys):
         n = rng.choice([2, 3, 4])
         p = rng.randint(1, n)
         rand = lambda: Poly(R, {(rng.randint(0, 1), rng.randint(0, 1)):  # noqa: E731
-                                QQ.from_int(rng.randint(-2, 2))})
+                                QQ.coerce(rng.randint(-2, 2))})
         xs = [[rand() for _ in range(n)] for _ in range(n)]
         zs = [[rand() for _ in range(n)] for _ in range(p)]
         _, _, equal = sylvester_plucker(B, xs, zs)

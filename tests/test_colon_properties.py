@@ -1,8 +1,10 @@
-"""Property tests for the syzygy colon `groebner.module_colon`.
+"""Property tests for the syzygy colon `groebner.module_colon` and the
+colon chains built on it.
 
 Rank 1 is checked against the elimination colon of `colon_oracle`; rank 2
-against the defining property of (W : a).  Skipped when `hypothesis` is not
-installed.
+against the defining property of (W : a); `saturation` and
+`radical_membership` against the oracle's chain of elimination colons.
+Skipped when `hypothesis` is not installed.
 
 Polynomials have degree at most 2 in each of x, y, z, with at most three
 terms for rank 1 and two for rank 2.  The rank-2 limit is the lex module
@@ -10,6 +12,11 @@ basis over Q, not the colon: `module_gb` of W + a R^2 for
 W = [[xy + 3yz^2 + 2z^2, -y^2z], [-2xz^2 + 2y^2 - 2, -3x^2yz^2 + 3xz + 2]]
 and a = -2x^2z^2 - 2xy^2z^2 + 3y^2z^2 does not finish within five minutes in
 Q[x,y,z] lex and takes a fraction of a second in grevlex.
+
+The saturation cases take binomial I and f: 0.3-0.4 s for 60 examples on a
+2-vCPU host.  With trinomial I the property took 2.2 s there, of which the
+lex-elimination oracle was 1.1 s and the library (saturation and radical
+membership) 0.8 s, so the oracle's cost is the larger share of that limit.
 """
 
 import pytest
@@ -19,9 +26,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from colon_oracle import ideal_colon_poly  # noqa: E402
+from colon_oracle import (ideal_colon_poly, ideal_intersection,  # noqa: E402
+                          saturation_by_iteration)
 from ffr.groebner import (IdealGens, ideal_colon, ideal_equal,  # noqa: E402
-                          ideal_intersection, module_colon, module_gb)
+                          module_colon, module_gb, radical_membership,
+                          saturation)
 from ffr.ring import CoefField, PolyRing, QQ, parse_poly  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -100,3 +109,22 @@ def test_rank2_colon_is_the_colon_module(case):
     basis_colon = module_gb(colon, rank=2, ring=R)
     for w in W:
         assert basis_colon.contains(w)
+
+
+@st.composite
+def saturation_cases(draw):
+    """A ring, 1-3 binomial generators of I, and a binomial f."""
+    R = draw(rings)
+    I = [parse_poly(s, R) for s in draw(st.lists(binomials, min_size=1,
+                                                 max_size=3))]
+    return R, I, parse_poly(draw(binomials), R)
+
+
+@SETTINGS
+@given(saturation_cases())
+def test_saturation_matches_elimination_chain(case):
+    R, I, f = case
+    ideal = IdealGens(R, I)
+    expected = saturation_by_iteration(ideal, f)
+    assert ideal_equal(saturation(ideal, f), expected)
+    assert radical_membership(f, ideal) == expected.groebner().is_unit_ideal()

@@ -76,7 +76,7 @@ def test_pairing_is_det_of_gram():
 
     def rand_poly():
         return Poly(R, {(rng.randint(0, 1), rng.randint(0, 1)):
-                        QQ.from_int(rng.randint(-2, 2)) for _ in range(2)})
+                        QQ.coerce(rng.randint(-2, 2)) for _ in range(2)})
 
     for _ in range(10):
         U = [[rand_poly() for _ in range(4)] for _ in range(2)]  # 2 columns
@@ -144,7 +144,7 @@ def test_hodge_duality_random_polys():
         coords = {}
         for I in subsets_colex(n, p):
             coords[I] = Poly(R, {(rng.randint(0, 1), rng.randint(0, 1)):
-                                 QQ.from_int(rng.randint(-2, 2))})
+                                 QQ.coerce(rng.randint(-2, 2))})
         return MultiVector.from_dict(A, n, p, coords)
 
     for p in range(n + 1):
@@ -176,7 +176,7 @@ def test_hodge_block_formula():
     for (p, q) in [(1, 2), (2, 1), (2, 2), (1, 3)]:
         n = p + q
         Amat = [[Poly(R, {(rng.randint(0, 1), rng.randint(0, 1)):
-                          QQ.from_int(rng.randint(-2, 2))})
+                          QQ.coerce(rng.randint(-2, 2))})
                  for _ in range(p)] for _ in range(q)]
         one, zero = R.one(), R.zero()
         cols_left = []
@@ -272,7 +272,7 @@ def test_sylvester_plucker_random():
 
     def rand_vec(n):
         return [Poly(R, {(rng.randint(0, 1), rng.randint(0, 1)):
-                         QQ.from_int(rng.randint(-2, 2))}) for _ in range(n)]
+                         QQ.coerce(rng.randint(-2, 2))}) for _ in range(n)]
 
     for _ in range(50):
         n = rng.choice([2, 3, 4])
@@ -301,7 +301,7 @@ def test_proportionality_theorem_via_syzygies():
     n, p = 3, 1
     for _ in range(8):
         U = [[Poly(R, {(rng.randint(0, 1), rng.randint(0, 1)):
-                       QQ.from_int(rng.randint(-2, 2))}) for _ in range(n)]]
+                       QQ.coerce(rng.randint(-2, 2))}) for _ in range(n)]]
         cols_tU = [[U[0][j]] for j in range(n)]
         syz = syzygy_module(cols_tU)
         if len(syz) < 2:
@@ -321,7 +321,7 @@ def test_proportionality_theorem_two_columns():
     found = 0
     while found < 5:
         cols_U = [[Poly(R, {(rng.randint(0, 1), rng.randint(0, 1)):
-                            QQ.from_int(rng.randint(-1, 1))})
+                            QQ.coerce(rng.randint(-1, 1))})
                    for _ in range(n)] for _ in range(p)]
         # v must satisfy tU v = 0: v is a syzygy of the columns of tU
         cols_tU = [[cols_U[0][j], cols_U[1][j]] for j in range(n)]
@@ -373,7 +373,7 @@ def random_rows(rng, R, nrows, ncols, zero_row=None):
         if rng.random() < 0.3:
             return R.zero()
         return Poly(R, {(rng.randint(0, 2), rng.randint(0, 1)):
-                        R.field.from_int(rng.randint(-4, 4))
+                        R.field.coerce(rng.randint(-4, 4))
                         for _ in range(rng.randint(1, 2))})
     return [[R.zero() if i == zero_row else entry() for _ in range(ncols)]
             for i in range(nrows)]

@@ -4,13 +4,14 @@ from itertools import combinations, permutations
 
 import pytest
 
-from colon_oracle import exact_div, ideal_colon_poly
+from colon_oracle import (exact_div, ideal_intersection,
+                          saturation_by_iteration)
 from ffr.groebner import (IdealGens, _tagged_basis, ideal_colon, ideal_equal,
-                          ideal_intersection, ideal_product, krull_dimension,
-                          module_gb, module_membership, radical_membership,
-                          saturation, syzygy_module)
-from ffr.ring import (CoefField, Poly, PolyRing, QQ, mono_div, mono_divides,
-                      mono_lcm, parse_poly)
+                          ideal_product, krull_dimension, module_gb,
+                          module_membership, radical_membership, saturation,
+                          syzygy_module)
+from ffr.ring import (CoefField, Poly, PolyRing, QQ, VerificationError,
+                      mono_div, mono_divides, mono_lcm, parse_poly)
 
 
 def R2(order="grevlex"):
@@ -82,7 +83,7 @@ def test_nf_idempotent_and_membership_lift():
         for _ in range(rng.randint(1, 4)):
             terms[(rng.randint(0, 2), rng.randint(0, 2))] = rng.randint(-3, 3)
         from ffr.ring import Poly
-        return Poly(R, {m: QQ.from_int(c) for m, c in terms.items()})
+        return Poly(R, {m: QQ.coerce(c) for m, c in terms.items()})
 
     for _ in range(100):
         I = IdealGens(R, [rand_poly(), rand_poly()])
@@ -162,22 +163,25 @@ def test_saturation_examples():
     assert got.groebner().is_unit_ideal()
 
 
-def saturation_by_iteration(I, f):
-    """Oracle: the chain (I : f) subseteq (I : f^2) ... until it stabilizes."""
-    current = I
-    while True:
-        nxt = ideal_colon_poly(current, f)
-        if ideal_equal(nxt, current):
-            return current
-        current = nxt
-
-
 def test_saturation_matches_iteration():
     R = R3()
     cases = [ideal(R, "x^2*y", "y^2*z"), ideal(R, "x^3"), ideal(R, "x*y - z^2")]
     fs = [P(R, "x"), P(R, "x*y"), P(R, "z")]
     for I, f in zip(cases, fs):
         assert ideal_equal(saturation(I, f), saturation_by_iteration(I, f))
+
+
+def test_saturation_rechecks_its_result(monkeypatch):
+    import ffr.groebner as gb
+    R = R2()
+    colon = gb.ideal_colon
+
+    def stray(I, J):  # a colon step that also adds y
+        return IdealGens(R, list(colon(I, J).gens) + [P(R, "y")])
+
+    monkeypatch.setattr(gb, "ideal_colon", stray)
+    with pytest.raises(VerificationError):
+        saturation(ideal(R, "x^2*y^2"), P(R, "x"))
 
 
 def test_intersection_principal():
@@ -317,7 +321,7 @@ def test_syzygy_soundness_random():
         vs = []
         for _ in range(3):
             p = Poly(R, {(rng.randint(0, 2), rng.randint(0, 2)):
-                         QQ.from_int(rng.randint(-2, 2)) for _ in range(2)})
+                         QQ.coerce(rng.randint(-2, 2)) for _ in range(2)})
             vs.append([p])
         syz = syzygy_module(vs)
         for s in syz:
@@ -410,7 +414,7 @@ def test_gb_matches_independent_oracle():
                     terms = {}
                     for _ in range(rng.randint(1, 3)):
                         m = tuple(rng.randint(0, 2) for _ in range(3))
-                        terms[m] = field.from_int(rng.randint(-3, 3))
+                        terms[m] = field.coerce(rng.randint(-3, 3))
                     gens.append(Poly(R, terms))
                 gens = [g for g in gens if not g.is_zero]
                 if not gens:
@@ -442,7 +446,7 @@ def _random_poly(rng, R, terms=3, degree=2):
     out = {}
     for _ in range(rng.randint(1, terms)):
         m = tuple(rng.randint(0, degree) for _ in range(R.n))
-        out[m] = field.from_int(rng.randint(-3, 3))
+        out[m] = field.coerce(rng.randint(-3, 3))
     return Poly(R, out)
 
 
@@ -495,7 +499,7 @@ def _certificate_rings():
         for order in ("grevlex", "lex", "grlex"):
             R = PolyRing(field, ["x", "y", "z"], order)
             yield R
-            yield R.extend_front_elim(R.fresh_names(1, "t"))
+            yield R.extend_append(R.fresh_names(1, "t"))
 
 
 def test_reduced_basis_certificate_ideals():

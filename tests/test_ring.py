@@ -64,6 +64,18 @@ def test_print_parse_round_trip():
         assert parse_poly(format_poly(p), R) == p
 
 
+def test_fraction_coefficients_mod_p_are_residues():
+    R = PolyRing(CoefField(7), ["x"])
+    x = R.var("x")
+    half = x * Fraction(1, 2)
+    cases = [half, R.const(Fraction(1, 2)), half + half]
+    for p in cases:
+        assert all(type(c) is int and c in range(7) for c in p.terms.values())
+    assert half == parse_poly("1/2*x", R) == Poly(R, {(1,): 4})
+    assert cases[1] == R.const(4)
+    assert cases[2] == x
+
+
 def test_round_trip_mod_p():
     rng = random.Random(8)
     R = PolyRing(CoefField(7), ["x", "y"])
@@ -130,7 +142,7 @@ def test_dot_is_sum_of_products(order, p):
 
     def rand_poly():
         return Poly(R, {tuple(rng.randint(0, 2) for _ in range(3)):
-                        R.field.from_int(rng.randint(-3, 3))
+                        R.field.coerce(rng.randint(-3, 3))
                         for _ in range(rng.randint(0, 5))})
 
     for _ in range(30):
@@ -271,7 +283,7 @@ def test_unique_up_to_sign_matches_quadratic_rule(p):
     monos = [(0, 0), (1, 0), (0, 1), (2, 1)]
     for _ in range(40):
         # few supports and coefficients, so buckets collide often
-        base = [Poly(R, {m: R.field.from_int(rng.randint(-2, 2))
+        base = [Poly(R, {m: R.field.coerce(rng.randint(-2, 2))
                          for m in rng.sample(monos, rng.randint(1, 2))})
                 for _ in range(rng.randint(0, 6))]
         polys = base + [-g for g in base] + rng.sample(base, len(base) // 2)

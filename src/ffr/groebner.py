@@ -5,12 +5,22 @@ is a pair (position, monomial) and ideals are the rank-1 case.  The module
 order is position-over-term (POT) with the ring's monomial order, so a
 trailing block of "tag" positions is automatically eliminated; syzygies and
 membership lifts both come from that extended-basis bookkeeping.
+
+Inside a run every coefficient is a plain int: a residue in [0, p) over
+F_p, and over Q an integer, reduced fraction-free by primitive integer
+reducers after each input's denominators are cleared once.  Exact
+coefficients (`Fraction`s over Q) appear only at the boundary: a full
+normal form divides out its scale once, and the final table of a run is
+made monic, because a monic reduced basis is the canonical one that bases,
+reports and certificates compare.
 """
 
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .ring import (Poly, PolyRing, RingMismatchError, VerificationError,
@@ -49,21 +59,32 @@ def _vec_to_polys(v: Vec, ring: PolyRing, rank: int) -> list[Poly]:
     return [Poly(ring, t, _trusted=True) for t in coords]
 
 
-def _vec_monic(v: Vec, c, field) -> Vec:
-    if c == field.one():
-        return v
-    inv = field.inv(c)
-    mul = field.mul
-    return {t: mul(x, inv) for t, x in v.items()}
+def _cleared(v: Vec) -> tuple[Vec, int]:
+    """(w, d) with w = d * v an int vector, for v over Q and d the lcm of
+    its denominators."""
+    ratios = {t: c.as_integer_ratio() for t, c in v.items()}
+    d = lcm(*(b for _, b in ratios.values()))
+    return {t: a * (d // b) for t, (a, b) in ratios.items()}, d
 
 
 class _Reducers:
-    """Monic reducers indexed by leading position, with a key memo."""
+    """Reducers indexed by leading position, with a key memo.
+
+    An entry is (vec, pos, mono, ivec, a), (pos, mono) being its leading
+    term.  Reduction reads only ivec, whose coefficients are ints with lead
+    coefficient a: over F_p the monic vector of residues (a = 1), over Q
+    the primitive integer vector with a > 0.  vec is the element monic over
+    the field, as bases and certificates see it.  Over F_p it is ivec
+    itself; over Q only the final table of a run builds it (`_final_entry`)
+    and the run's own entries hold None, since a `Fraction` copy of every
+    intermediate element costs more than its integer arithmetic.
+    """
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
+        self.p = ring.field.p
         self.by_pos: dict[int, list] = {}
-        self.entries: list = []  # (vec, ltpos, ltmono)
+        self.entries: list = []
         self._keys: dict = {}
 
     def term_key(self, t):
@@ -73,17 +94,28 @@ class _Reducers:
             self._keys[t] = k
         return k
 
-    def put(self, v: Vec, pos: int, mono: tuple):
-        """Append a monic v whose leading term (pos, mono) is known."""
-        entry = (v, pos, mono)
+    def put(self, entry: tuple) -> tuple:
         self.entries.append(entry)
-        self.by_pos.setdefault(pos, []).append(entry)
+        self.by_pos.setdefault(entry[1], []).append(entry)
         return entry
 
-    def add(self, v: Vec):
+    def add(self, v: Vec) -> tuple:
+        """Append the monic (F_p) or primitive (Q) multiple of a nonzero
+        int vector v."""
         pos, mono = max(v, key=self.term_key)
-        return self.put(_vec_monic(v, v[(pos, mono)], self.ring.field),
-                        pos, mono)
+        c = v[(pos, mono)]
+        p = self.p
+        if p:
+            if c != 1:
+                inv = pow(c, -1, p)
+                v = {t: x * inv % p for t, x in v.items()}
+            return self.put((v, pos, mono, v, 1))
+        g = gcd(*v.values())
+        if c < 0:
+            g = -g
+        if g != 1:
+            v = {t: x // g for t, x in v.items()}
+        return self.put((None, pos, mono, v, c // g))
 
     def find(self, pos: int, mono: tuple):
         for entry in self.by_pos.get(pos, ()):
@@ -92,20 +124,28 @@ class _Reducers:
         return None
 
 
-def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False) -> Vec:
-    """Normal form via a lazy max-heap over the working terms.
+def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False):
+    """Fraction-free normal form of an int vector v via a lazy max-heap
+    over the working terms: (r, scale) with r = scale * NF(v), r an int
+    vector and scale a positive int (1 over F_p).
+
+    To cancel the coefficient c of a term by a reducer with lead
+    coefficient a, with g = gcd(a, c), the working vector and the output
+    are multiplied by a/g and c/g times the shifted reducer is subtracted;
+    scale is the product of the factors a/g.  Over F_p every reducer is
+    monic, so a = 1 and nothing is rescaled; residues are taken with % p.
 
     With top_only the reduction stops at the first irreducible leading
-    term (enough inside the Buchberger loop); the default reduces every
-    term.
+    term (enough inside the Buchberger loop, which needs r only up to a
+    unit); the default reduces every term.
     """
-    field = red.ring.field
-    sub, mul = field.sub, field.mul
+    p = red.p
     term_key = red.term_key
     work = dict(v)
     heap = [(_MaxKey(term_key(t)), t) for t in work]
     heapq.heapify(heap)
     out: Vec = {}
+    scale = 1
     while heap:
         _, t = heapq.heappop(heap)
         c = work.get(t)
@@ -114,41 +154,82 @@ def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False) -> Vec:
         entry = red.find(t[0], t[1])
         if entry is None:
             if top_only:
-                return work
+                return work, scale
             del work[t]
             out[t] = c
             continue
-        g, _, ltmono = entry
+        _, _, ltmono, g, a = entry
+        if a != 1:
+            d = gcd(a, c)
+            if d != a:
+                m = a // d
+                work = {tt: x * m for tt, x in work.items()}
+                out = {tt: x * m for tt, x in out.items()}
+                scale *= m
+            c //= d
         shift = mono_div(t[1], ltmono)
         trivial_shift = not any(shift)
         for (p2, m2), c2 in g.items():
             tt = (p2, m2) if trivial_shift else (p2, mono_mul(m2, shift))
             prev = work.get(tt)
             if prev is None:
-                s = sub(0, mul(c, c2))
-                if s:
-                    work[tt] = s
-                    heapq.heappush(heap, (_MaxKey(term_key(tt)), tt))
+                work[tt] = -c * c2 % p if p else -c * c2
+                heapq.heappush(heap, (_MaxKey(term_key(tt)), tt))
             else:
-                s = sub(prev, mul(c, c2))
+                s = prev - c * c2
+                if p:
+                    s %= p
                 if s:
                     work[tt] = s
                 else:
                     del work[tt]
-    return work if top_only else out
+    return (work if top_only else out), scale
 
 
-def _spair(e1, e2, lcm: tuple, field) -> Vec:
-    """lcm/m1 * v1 - lcm/m2 * v2 for monic entries with leads m1, m2."""
-    v1, _, m1 = e1
-    v2, _, m2 = e2
-    s1 = mono_div(lcm, m1)
-    res = {(p, mono_mul(m, s1)): c for (p, m), c in v1.items()}
-    s2 = mono_div(lcm, m2)
-    sub = field.sub
-    for (p, m), c in v2.items():
-        t = (p, mono_mul(m, s2))
-        d = sub(res.get(t, 0), c)
+def _nf_exact(v: Vec, red: _Reducers) -> Vec:
+    """The normal form of a vector with exact coefficients, as one: the
+    fraction-free normal form with its scale divided out once; v itself
+    when it is already reduced."""
+    if red.p:
+        return _vec_nf(v, red)[0]
+    w, d = _cleared(v)
+    r, scale = _vec_nf(w, red)
+    if scale == 1 and r == w:
+        return v
+    s = d * scale
+    return {t: Fraction(x, s) for t, x in r.items()}
+
+
+def _final_entry(lead: tuple, a: int, tail: Vec, p: int) -> tuple:
+    """The table entry of the element a * lead + tail, with the tail
+    reduced: monic over the field for the caller, primitive for reduction.
+    """
+    if p:
+        v = {lead: 1, **tail}
+        return (v, lead[0], lead[1], v, 1)
+    g = gcd(a, *tail.values())
+    monic = {t: Fraction(x, a) for t, x in tail.items()}
+    prim = {t: x // g for t, x in tail.items()}
+    return ({lead: Fraction(1), **monic}, lead[0], lead[1],
+            {lead: a // g, **prim}, a // g)
+
+
+def _spair(e1, e2, L: tuple, p: int) -> Vec:
+    """(a2/g) L/m1 * v1 - (a1/g) L/m2 * v2 for entries with int vectors
+    v1, v2 of leads a1 m1, a2 m2, L = lcm(m1, m2) and g = gcd(a1, a2);
+    mod p over F_p."""
+    _, _, m1, v1, a1 = e1
+    _, _, m2, v2, a2 = e2
+    g = gcd(a1, a2)
+    k1, k2 = a2 // g, a1 // g
+    s1 = mono_div(L, m1)
+    res = {(q, mono_mul(m, s1)): k1 * c for (q, m), c in v1.items()}
+    s2 = mono_div(L, m2)
+    for (q, m), c in v2.items():
+        t = (q, mono_mul(m, s2))
+        d = res.get(t, 0) - k2 * c
+        if p:
+            d %= p
         if d:
             res[t] = d
         elif t in res:
@@ -160,8 +241,8 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
     """The reduced Groebner basis of the submodule generated by `vecs`, as
     a reducer table whose entries are in descending lead order.
 
-    The run's elements are the entries (vec, pos, mono) of `red`, in the
-    order they were added.  Each open pair of elements i < j is one record
+    The run's elements are the entries of `red`, in the order they were
+    added.  Each open pair of elements i < j is one record
     (ring._key(lcm), i, j, lcm), built once when j is added: `min(pairs)`
     picks the pair of smallest lcm, ties broken by (i, j), and the pruning
     and the S-polynomial read the stored lcm.
@@ -169,14 +250,14 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
     Pair pruning: Gebauer-Moeller chain criteria always; the coprimality
     (product) criterion only for rank 1, where it is valid.
     """
-    field = ring.field
+    p = ring.field.p
     red = _Reducers(ring)
     entries = red.entries
     pairs: set[tuple] = set()
 
     def update(v: Vec):
         # Gebauer-Moeller: prune old pairs, minimalize new ones.
-        _, posn, monon = red.add(v)
+        _, posn, monon, _, _ = red.add(v)
         t = len(entries) - 1
         stale = set()
         for pair in pairs:
@@ -205,34 +286,34 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
     for v in vecs:
         if not v:
             continue
-        r = _vec_nf(v, red, top_only=True)
+        r, _ = _vec_nf(v if p else _cleared(v)[0], red, top_only=True)
         if r:
             update(r)
 
     while pairs:
         pair = min(pairs)
         pairs.discard(pair)
-        _, i, j, lcm = pair
-        r = _vec_nf(_spair(entries[i], entries[j], lcm, field), red,
-                    top_only=True)
+        _, i, j, L = pair
+        r, _ = _vec_nf(_spair(entries[i], entries[j], L, p), red,
+                       top_only=True)
         if r:
             update(r)
 
     # minimalize: keep the leads no smaller kept lead divides
     minimal = _Reducers(ring)
     minimal._keys = red._keys  # one term-key memo for the whole run
-    for v, pos, mono in sorted(red.entries,
-                               key=lambda e: red.term_key(e[1:])):
-        if minimal.find(pos, mono) is None:
-            minimal.put(v, pos, mono)
+    for entry in sorted(entries, key=lambda e: red.term_key(e[1:3])):
+        if minimal.find(entry[1], entry[2]) is None:
+            minimal.put(entry)
     # interreduce: a lead divides no smaller term, so reducing each tail
     # against the whole minimal table is reducing it against the others
     table = _Reducers(ring)
     table._keys = red._keys
-    for v, pos, mono in reversed(minimal.entries):
+    for _, pos, mono, v, a in reversed(minimal.entries):
         tail = dict(v)
-        one = tail.pop((pos, mono))
-        table.put({(pos, mono): one, **_vec_nf(tail, minimal)}, pos, mono)
+        del tail[(pos, mono)]
+        r, scale = _vec_nf(tail, minimal)
+        table.put(_final_entry((pos, mono), a * scale, r, p))
     return table
 
 
@@ -271,8 +352,8 @@ class GroebnerBasis:
         self.source = source
         self.ring = source.ring
         self._red = table
-        self.basis = tuple(_vec_to_polys(v, self.ring, 1)[0]
-                           for v, _, _ in table.entries)
+        self.basis = tuple(_vec_to_polys(e[0], self.ring, 1)[0]
+                           for e in table.entries)
 
     @property
     def order(self) -> str:
@@ -283,7 +364,7 @@ class GroebnerBasis:
             raise RingMismatchError("polynomial in a different ring")
         if not self.basis:
             return f
-        return _vec_to_polys(_vec_nf(_vec_from_polys([f]), self._red),
+        return _vec_to_polys(_nf_exact(_vec_from_polys([f]), self._red),
                              self.ring, 1)[0]
 
     def contains(self, f: Poly) -> bool:
@@ -321,9 +402,10 @@ def saturation(I: IdealGens, f: Poly) -> IdealGens:
     by <f>, each on the reduced basis of the previous ideal.
 
     The chain stops when two successive reduced bases agree, and that
-    basis is returned.  The fixed point S has (S : f) = S and I in S;
-    with k the number of steps that changed the ideal, f^k S in I is
-    re-checked, which makes S = (I : f^k) = (I : f^inf).
+    basis is returned, with the chain's last run as its Groebner basis, so
+    asking for it runs no Buchberger again.  The fixed point S has
+    (S : f) = S and I in S; with k the number of steps that changed the
+    ideal, f^k S in I is re-checked, which makes S = (I : f^k) = (I : f^inf).
     """
     R = I.ring
     if f.ring != R:
@@ -333,14 +415,16 @@ def saturation(I: IdealGens, f: Poly) -> IdealGens:
     gbI, by = I.groebner(), IdealGens(R, [f])
     basis, steps = gbI.basis, 0
     while True:
-        nxt = ideal_colon(IdealGens(R, basis), by).groebner().basis
-        if nxt == basis:
+        last = ideal_colon(IdealGens(R, basis), by).groebner()
+        if last.basis == basis:
             break
-        basis, steps = nxt, steps + 1
+        basis, steps = last.basis, steps + 1
     fk = f ** steps
     if not all(gbI.contains(fk * g) for g in basis):
         raise VerificationError("saturation generator not in (I : f^k)")
-    return IdealGens(R, basis)
+    S = IdealGens(R, basis)
+    S._gb = GroebnerBasis(S, last._red)
+    return S
 
 
 def radical_membership(f: Poly, I: IdealGens) -> bool:
@@ -399,11 +483,11 @@ class ModuleBasis:
         self.rank = rank
         vecs = [_vec_from_polys(v) for v in generators]
         self._red = _buchberger_vecs(vecs, ring, rank)
-        self.vectors = tuple(tuple(_vec_to_polys(v, ring, rank))
-                             for v, _, _ in self._red.entries)
+        self.vectors = tuple(tuple(_vec_to_polys(e[0], ring, rank))
+                             for e in self._red.entries)
 
     def normal_form(self, coords: Sequence[Poly]) -> list[Poly]:
-        return _vec_to_polys(_vec_nf(_vec_from_polys(coords), self._red),
+        return _vec_to_polys(_nf_exact(_vec_from_polys(coords), self._red),
                              self.ring, self.rank)
 
     def contains(self, coords: Sequence[Poly]) -> bool:

@@ -74,6 +74,18 @@ def test_normal_form_examples():
     assert gb2.normal_form(P(R, "x^2 - y^2")).is_zero
 
 
+def test_normal_form_exact_over_q():
+    # the fraction-free reduction divides its scale out once: x^2/5 is
+    # (1/5)(2y/3)^2 modulo 3x - 2y
+    R = R2()
+    gb = ideal(R, "3*x - 2*y").groebner()
+    assert [str(g) for g in gb.basis] == ["x - 2/3*y"]
+    nf = gb.normal_form(P(R, "1/5*x^2"))
+    assert nf.terms == {(0, 2): Fraction(4, 45)}
+    assert all(type(c) is Fraction for c in nf.terms.values())
+    assert gb.normal_form(P(R, "1/5*y^2")) == P(R, "1/5*y^2")
+
+
 def test_nf_idempotent_and_membership_lift():
     rng = random.Random(3)
     R = R2()
@@ -182,6 +194,23 @@ def test_saturation_rechecks_its_result(monkeypatch):
     monkeypatch.setattr(gb, "ideal_colon", stray)
     with pytest.raises(VerificationError):
         saturation(ideal(R, "x^2*y^2"), P(R, "x"))
+
+
+def test_saturation_carries_its_basis(monkeypatch):
+    # the chain's last run is the result's basis: asking for it runs no
+    # further Buchberger
+    import ffr.groebner as gb
+    R = R3()
+    S = saturation(ideal(R, "x^2*y^2", "x*y*z - y*z^2"), P(R, "y"))
+
+    def no_run(*args):
+        raise AssertionError("Buchberger ran again")
+
+    monkeypatch.setattr(gb, "_buchberger_vecs", no_run)
+    G = S.groebner()
+    assert G.source is S
+    assert G.basis == S.gens
+    assert [str(g) for g in G.basis] == ["z^3", "x^2", "x*z - z^2"]
 
 
 def test_intersection_principal():
@@ -392,7 +421,8 @@ def test_gb_matches_independent_oracle():
     # cross-validate the reduced bases against sympy's groebner, over Q and
     # F_32003 in grevlex, lex and grlex; sympy prints F_p coefficients as
     # symmetric residues, so both sides are compared monic with residues
-    # taken mod p
+    # taken mod p.  Integer inputs first, then rational ones and inputs
+    # with a common integer content, which the engine clears and strips.
     sympy = pytest.importorskip("sympy")
     rng = random.Random(23)
     syms = sympy.symbols("x y z")
@@ -404,32 +434,44 @@ def test_gb_matches_independent_oracle():
         return sorted((m, Fraction(str(c)) / Fraction(str(lc)))
                       for m, c in terms)
 
-    for field in (QQ, CoefField(32003)):
-        p = field.p
-        for order in ("grevlex", "lex", "grlex"):
-            R = PolyRing(field, ["x", "y", "z"], order)
-            for _ in range(12):
-                gens = []
-                for _ in range(rng.randint(1, 3)):
-                    terms = {}
-                    for _ in range(rng.randint(1, 3)):
-                        m = tuple(rng.randint(0, 2) for _ in range(3))
-                        terms[m] = field.coerce(rng.randint(-3, 3))
-                    gens.append(Poly(R, terms))
-                gens = [g for g in gens if not g.is_zero]
-                if not gens:
-                    continue
-                mine = IdealGens(R, gens).groebner().basis
-                sym_in = [sympy.sympify(str(g).replace("^", "**"))
-                          for g in gens]
-                opts = {"modulus": p} if p else {}
-                oracle = sympy.groebner(sym_in, *syms, order=order, **opts)
-                oracle_basis = sorted(
-                    monic(q.terms(), q.LC(order=order), p)
-                    for q in oracle.polys)
-                mine_basis = sorted(monic(g.terms.items(), g.lt()[1], p)
-                                    for g in mine)
-                assert mine_basis == oracle_basis, (field, order, gens)
+    def draw(R, coeff, content=1):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                m = tuple(rng.randint(0, 2) for _ in range(3))
+                terms[m] = R.field.coerce(coeff() * content)
+            gens.append(Poly(R, terms))
+        return [g for g in gens if not g.is_zero]
+
+    def check(R, gens):
+        p = R.field.p
+        mine = IdealGens(R, gens).groebner().basis
+        sym_in = [sympy.sympify(str(g).replace("^", "**")) for g in gens]
+        opts = {"modulus": p} if p else {}
+        oracle = sympy.groebner(sym_in, *syms, order=R.order, **opts)
+        oracle_basis = sorted(monic(q.terms(), q.LC(order=R.order), p)
+                              for q in oracle.polys)
+        mine_basis = sorted(monic(g.terms.items(), g.lt()[1], p)
+                            for g in mine)
+        assert mine_basis == oracle_basis, (R, gens)
+
+    rings = [PolyRing(field, ["x", "y", "z"], order)
+             for field in (QQ, CoefField(32003))
+             for order in ("grevlex", "lex", "grlex")]
+    for R in rings:
+        for _ in range(12):
+            gens = draw(R, lambda: rng.randint(-3, 3))
+            if gens:
+                check(R, gens)
+    for R in rings:
+        for _ in range(12):
+            gens = draw(R, lambda: Fraction(rng.randint(-3, 3),
+                                            rng.randint(1, 4)))
+            gens += draw(R, lambda: rng.randint(-3, 3),
+                         rng.choice([6, 12, 35]))
+            if gens:
+                check(R, gens)
 
 
 def test_product_of_ideals():

@@ -92,9 +92,10 @@ def _parse_list(text: Optional[str]) -> list[str]:
 
 
 def _array(value, name: str, item=str, items: str = "strings") -> list:
-    """A document field that must be a JSON array of `item`s."""
-    if not isinstance(value, list) or not all(isinstance(x, item)
-                                              for x in value):
+    """A document field that must be a JSON array of `item`s; a JSON
+    boolean is none of them, though Python's bool is an int."""
+    if not isinstance(value, list) or not all(
+            isinstance(x, item) and not isinstance(x, bool) for x in value):
         raise SchemaError(f"{name} must be an array of {items}")
     return value
 
@@ -163,7 +164,7 @@ def _module(args, A: FPAlgebra) -> tuple[AModule, Optional[dict]]:
         raise SchemaError('module object needs "rank" and "presentation"')
     rank = doc["rank"]
     rows = doc.get("presentation", [])
-    if not isinstance(rank, int) or rank < 0 or not isinstance(rows, list):
+    if type(rank) is not int or rank < 0 or not isinstance(rows, list):
         raise SchemaError("bad module document")
     return AModule(A, rank, _rows(rows, A.ring, "module presentation")), doc
 

@@ -6,13 +6,13 @@ order is position-over-term (POT) with the ring's monomial order, so a
 trailing block of "tag" positions is automatically eliminated; syzygies and
 membership lifts both come from that extended-basis bookkeeping.
 
-Inside a run every coefficient is a plain int: a residue in [0, p) over
-F_p, and over Q an integer, reduced fraction-free by primitive integer
-reducers after each input's denominators are cleared once.  Exact
-coefficients (`Fraction`s over Q) appear only at the boundary: a full
-normal form divides out its scale once, and the final table of a run is
-made monic, because a monic reduced basis is the canonical one that bases,
-reports and certificates compare.
+Inside a run every element is one int vector with its lead coefficient
+a: over F_p the monic vector of residues in [0, p) (a = 1), over Q the
+primitive integer vector with a > 0, reduced fraction-free after each
+input's denominators are cleared once.  Exact coefficients (`Fraction`s
+over Q) appear only at the boundary, in `_exact`: an element of a basis is
+its vector over a, which is monic, the canonical form that bases, reports
+and certificates compare; a full normal form divides out its scale once.
 """
 
 from __future__ import annotations
@@ -27,18 +27,6 @@ from .ring import (Poly, PolyRing, RingMismatchError, VerificationError,
                    mono_div, mono_divides, mono_lcm, mono_mul)
 
 Vec = dict  # {(pos, mono): coeff}
-
-
-class _MaxKey:
-    """Reverses comparison so heapq pops the largest term first."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        self.k = k
-
-    def __lt__(self, other):
-        return self.k > other.k
 
 
 # ---------------------------------------------------------------------------
@@ -60,24 +48,28 @@ def _vec_to_polys(v: Vec, ring: PolyRing, rank: int) -> list[Poly]:
 
 
 def _cleared(v: Vec) -> tuple[Vec, int]:
-    """(w, d) with w = d * v an int vector, for v over Q and d the lcm of
-    its denominators."""
+    """(w, d) with w = d * v an int vector and d the lcm of the
+    denominators of v (1 over F_p)."""
     ratios = {t: c.as_integer_ratio() for t, c in v.items()}
     d = lcm(*(b for _, b in ratios.values()))
     return {t: a * (d // b) for t, (a, b) in ratios.items()}, d
 
 
+def _exact(v: Vec, d: int, p: int) -> Vec:
+    """The int vector v over d with exact coefficients: v itself over F_p,
+    where d is 1."""
+    return v if p else {t: Fraction(x, d) for t, x in v.items()}
+
+
 class _Reducers:
     """Reducers indexed by leading position, with a key memo.
 
-    An entry is (vec, pos, mono, ivec, a), (pos, mono) being its leading
-    term.  Reduction reads only ivec, whose coefficients are ints with lead
-    coefficient a: over F_p the monic vector of residues (a = 1), over Q
-    the primitive integer vector with a > 0.  vec is the element monic over
-    the field, as bases and certificates see it.  Over F_p it is ivec
-    itself; over Q only the final table of a run builds it (`_final_entry`)
-    and the run's own entries hold None, since a `Fraction` copy of every
-    intermediate element costs more than its integer arithmetic.
+    An entry is (pos, mono, ivec, a), (pos, mono) being the leading term of
+    the int vector ivec and a its coefficient; `exact` gives the monic
+    element ivec / a.  A term's key ascends as the term descends in the POT
+    order, so a min-heap of keys pops the largest term first: positions
+    ascend, and the ring's key of the negated exponents reverses the
+    monomial order (for grevlex, lex and grlex alike).
     """
 
     def __init__(self, ring: PolyRing):
@@ -90,44 +82,48 @@ class _Reducers:
     def term_key(self, t):
         k = self._keys.get(t)
         if k is None:
-            k = (-t[0], self.ring._key(t[1]))
+            k = (t[0], self.ring._key(tuple(-e for e in t[1])))
             self._keys[t] = k
         return k
-
-    def put(self, entry: tuple) -> tuple:
-        self.entries.append(entry)
-        self.by_pos.setdefault(entry[1], []).append(entry)
-        return entry
 
     def add(self, v: Vec) -> tuple:
         """Append the monic (F_p) or primitive (Q) multiple of a nonzero
         int vector v."""
-        pos, mono = max(v, key=self.term_key)
+        pos, mono = min(v, key=self.term_key)
         c = v[(pos, mono)]
         p = self.p
         if p:
+            a = 1
             if c != 1:
                 inv = pow(c, -1, p)
                 v = {t: x * inv % p for t, x in v.items()}
-            return self.put((v, pos, mono, v, 1))
-        g = gcd(*v.values())
-        if c < 0:
-            g = -g
-        if g != 1:
-            v = {t: x // g for t, x in v.items()}
-        return self.put((None, pos, mono, v, c // g))
+        else:
+            g = gcd(*v.values())
+            if c < 0:
+                g = -g
+            if g != 1:
+                v = {t: x // g for t, x in v.items()}
+            a = c // g
+        entry = (pos, mono, v, a)
+        self.entries.append(entry)
+        self.by_pos.setdefault(pos, []).append(entry)
+        return entry
 
     def find(self, pos: int, mono: tuple):
         for entry in self.by_pos.get(pos, ()):
-            if mono_divides(entry[2], mono):
+            if mono_divides(entry[1], mono):
                 return entry
         return None
 
+    def exact(self, entry: tuple) -> Vec:
+        return _exact(entry[2], entry[3], self.p)
+
 
 def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False):
-    """Fraction-free normal form of an int vector v via a lazy max-heap
-    over the working terms: (r, scale) with r = scale * NF(v), r an int
-    vector and scale a positive int (1 over F_p).
+    """Fraction-free normal form of an int vector v via a lazy heap of the
+    working terms' keys, largest term first: (r, scale) with
+    r = scale * NF(v), r an int vector and scale a positive int (1 over
+    F_p).
 
     To cancel the coefficient c of a term by a reducer with lead
     coefficient a, with g = gcd(a, c), the working vector and the output
@@ -142,7 +138,7 @@ def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False):
     p = red.p
     term_key = red.term_key
     work = dict(v)
-    heap = [(_MaxKey(term_key(t)), t) for t in work]
+    heap = [(term_key(t), t) for t in work]
     heapq.heapify(heap)
     out: Vec = {}
     scale = 1
@@ -158,7 +154,7 @@ def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False):
             del work[t]
             out[t] = c
             continue
-        _, _, ltmono, g, a = entry
+        _, ltmono, g, a = entry
         if a != 1:
             d = gcd(a, c)
             if d != a:
@@ -174,7 +170,7 @@ def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False):
             prev = work.get(tt)
             if prev is None:
                 work[tt] = -c * c2 % p if p else -c * c2
-                heapq.heappush(heap, (_MaxKey(term_key(tt)), tt))
+                heapq.heappush(heap, (term_key(tt), tt))
             else:
                 s = prev - c * c2
                 if p:
@@ -190,36 +186,19 @@ def _nf_exact(v: Vec, red: _Reducers) -> Vec:
     """The normal form of a vector with exact coefficients, as one: the
     fraction-free normal form with its scale divided out once; v itself
     when it is already reduced."""
-    if red.p:
-        return _vec_nf(v, red)[0]
     w, d = _cleared(v)
     r, scale = _vec_nf(w, red)
     if scale == 1 and r == w:
         return v
-    s = d * scale
-    return {t: Fraction(x, s) for t, x in r.items()}
-
-
-def _final_entry(lead: tuple, a: int, tail: Vec, p: int) -> tuple:
-    """The table entry of the element a * lead + tail, with the tail
-    reduced: monic over the field for the caller, primitive for reduction.
-    """
-    if p:
-        v = {lead: 1, **tail}
-        return (v, lead[0], lead[1], v, 1)
-    g = gcd(a, *tail.values())
-    monic = {t: Fraction(x, a) for t, x in tail.items()}
-    prim = {t: x // g for t, x in tail.items()}
-    return ({lead: Fraction(1), **monic}, lead[0], lead[1],
-            {lead: a // g, **prim}, a // g)
+    return _exact(r, d * scale, red.p)
 
 
 def _spair(e1, e2, L: tuple, p: int) -> Vec:
     """(a2/g) L/m1 * v1 - (a1/g) L/m2 * v2 for entries with int vectors
     v1, v2 of leads a1 m1, a2 m2, L = lcm(m1, m2) and g = gcd(a1, a2);
     mod p over F_p."""
-    _, _, m1, v1, a1 = e1
-    _, _, m2, v2, a2 = e2
+    _, m1, v1, a1 = e1
+    _, m2, v2, a2 = e2
     g = gcd(a1, a2)
     k1, k2 = a2 // g, a1 // g
     s1 = mono_div(L, m1)
@@ -250,35 +229,34 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
     Pair pruning: Gebauer-Moeller chain criteria always; the coprimality
     (product) criterion only for rank 1, where it is valid.
     """
-    p = ring.field.p
     red = _Reducers(ring)
     entries = red.entries
     pairs: set[tuple] = set()
 
     def update(v: Vec):
         # Gebauer-Moeller: prune old pairs, minimalize new ones.
-        _, posn, monon, _, _ = red.add(v)
+        posn, monon, _, _ = red.add(v)
         t = len(entries) - 1
         stale = set()
         for pair in pairs:
             _, i, j, lij = pair
-            if entries[i][1] != posn:
+            if entries[i][0] != posn:
                 continue
             if (mono_divides(monon, lij)
-                    and mono_lcm(entries[i][2], monon) != lij
-                    and mono_lcm(entries[j][2], monon) != lij):
+                    and mono_lcm(entries[i][1], monon) != lij
+                    and mono_lcm(entries[j][1], monon) != lij):
                 stale.add(pair)
         pairs.difference_update(stale)
         lcms: dict[tuple, list[int]] = {}
         for i in range(t):
-            if entries[i][1] == posn:
-                lcms.setdefault(mono_lcm(entries[i][2], monon), []).append(i)
+            if entries[i][0] == posn:
+                lcms.setdefault(mono_lcm(entries[i][1], monon), []).append(i)
         kept: list[tuple] = []
         for key, L in sorted((ring._key(L), L) for L in lcms):
             if any(mono_divides(K, L) for K in kept):
                 continue
             kept.append(L)
-            if rank == 1 and any(L == mono_mul(entries[i][2], monon)
+            if rank == 1 and any(L == mono_mul(entries[i][1], monon)
                                  for i in lcms[L]):
                 continue  # product criterion
             pairs.add((key, min(lcms[L]), t, L))
@@ -286,7 +264,7 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
     for v in vecs:
         if not v:
             continue
-        r, _ = _vec_nf(v if p else _cleared(v)[0], red, top_only=True)
+        r, _ = _vec_nf(_cleared(v)[0], red, top_only=True)
         if r:
             update(r)
 
@@ -294,7 +272,7 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
         pair = min(pairs)
         pairs.discard(pair)
         _, i, j, L = pair
-        r, _ = _vec_nf(_spair(entries[i], entries[j], L, p), red,
+        r, _ = _vec_nf(_spair(entries[i], entries[j], L, red.p), red,
                        top_only=True)
         if r:
             update(r)
@@ -302,18 +280,20 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
     # minimalize: keep the leads no smaller kept lead divides
     minimal = _Reducers(ring)
     minimal._keys = red._keys  # one term-key memo for the whole run
-    for entry in sorted(entries, key=lambda e: red.term_key(e[1:3])):
-        if minimal.find(entry[1], entry[2]) is None:
-            minimal.put(entry)
+    for entry in sorted(entries, key=lambda e: red.term_key(e[:2]),
+                        reverse=True):
+        if minimal.find(entry[0], entry[1]) is None:
+            minimal.entries.append(entry)
+            minimal.by_pos.setdefault(entry[0], []).append(entry)
     # interreduce: a lead divides no smaller term, so reducing each tail
     # against the whole minimal table is reducing it against the others
     table = _Reducers(ring)
     table._keys = red._keys
-    for _, pos, mono, v, a in reversed(minimal.entries):
+    for pos, mono, v, a in reversed(minimal.entries):
         tail = dict(v)
         del tail[(pos, mono)]
         r, scale = _vec_nf(tail, minimal)
-        table.put(_final_entry((pos, mono), a * scale, r, p))
+        table.add({(pos, mono): a * scale, **r})
     return table
 
 
@@ -352,12 +332,8 @@ class GroebnerBasis:
         self.source = source
         self.ring = source.ring
         self._red = table
-        self.basis = tuple(_vec_to_polys(e[0], self.ring, 1)[0]
+        self.basis = tuple(_vec_to_polys(table.exact(e), self.ring, 1)[0]
                            for e in table.entries)
-
-    @property
-    def order(self) -> str:
-        return self.ring.order
 
     def normal_form(self, f: Poly) -> Poly:
         if f.ring != self.ring:
@@ -482,9 +458,9 @@ class ModuleBasis:
         self.ring = ring
         self.rank = rank
         vecs = [_vec_from_polys(v) for v in generators]
-        self._red = _buchberger_vecs(vecs, ring, rank)
-        self.vectors = tuple(tuple(_vec_to_polys(e[0], ring, rank))
-                             for e in self._red.entries)
+        red = self._red = _buchberger_vecs(vecs, ring, rank)
+        self.vectors = tuple(tuple(_vec_to_polys(red.exact(e), ring, rank))
+                             for e in red.entries)
 
     def normal_form(self, coords: Sequence[Poly]) -> list[Poly]:
         return _vec_to_polys(_nf_exact(_vec_from_polys(coords), self._red),

@@ -104,9 +104,6 @@ class CoefField:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def coeff_str(self, a) -> str:
-        return str(a)
-
     def __eq__(self, other):
         return isinstance(other, CoefField) and self.p == other.p
 
@@ -575,11 +572,11 @@ def format_poly(p: Poly) -> str:
         negative = (not field.p) and c < 0
         mag = -c if negative else c
         if not mono:
-            body = field.coeff_str(mag)
+            body = str(mag)
         elif mag == field.one():
             body = mono
         else:
-            body = f"{field.coeff_str(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if not chunks:
             chunks.append(f"-{body}" if negative else body)
         else:

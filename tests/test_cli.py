@@ -307,6 +307,14 @@ BAD_DOCUMENTS = {
     "expected-ranks-not-array": ({"expected_ranks": 5},
                                  '"expected_ranks" must be an array of '
                                  'integers'),
+    # a JSON boolean is not an integer, though Python's bool is an int
+    "expected-ranks-booleans": ({"expected_ranks": [False, True]},
+                                '"expected_ranks" must be an array of '
+                                'integers'),
+    "module-rank-boolean": (["depth", "--vars", "x", "--ideal", "x",
+                             "--atleast", "1", "--module",
+                             '{"rank": true, "presentation": []}'],
+                            "bad module document"),
 }
 
 

@@ -6,10 +6,10 @@ import pytest
 
 from colon_oracle import (exact_div, ideal_intersection,
                           saturation_by_iteration)
-from ffr.groebner import (IdealGens, _tagged_basis, ideal_colon, ideal_equal,
-                          ideal_product, krull_dimension, module_gb,
-                          module_membership, radical_membership, saturation,
-                          syzygy_module)
+from ffr.groebner import (IdealGens, _Reducers, _tagged_basis, ideal_colon,
+                          ideal_equal, ideal_product, krull_dimension,
+                          module_gb, module_membership, radical_membership,
+                          saturation, syzygy_module)
 from ffr.ring import (CoefField, Poly, PolyRing, QQ, VerificationError,
                       mono_div, mono_divides, mono_lcm, parse_poly)
 
@@ -498,8 +498,7 @@ def _lead(vector):
     return pos, vector[pos].lm()
 
 
-def _entry_polys(entry, R, rank):
-    v = entry[0]
+def _entry_polys(v, R, rank):
     return tuple(Poly(R, {m: c for (p, m), c in v.items() if p == i})
                  for i in range(rank))
 
@@ -508,9 +507,10 @@ def _check_reduced(R, rank, vectors, table, generators, normal_form):
     """The reduced-basis certificate of `vectors` (the basis kept by a
     GroebnerBasis or ModuleBasis) and of its reducer table."""
     one = R.field.one()
-    assert vectors == tuple(_entry_polys(e, R, rank) for e in table.entries)
+    assert vectors == tuple(_entry_polys(table.exact(e), R, rank)
+                            for e in table.entries)
     leads = [_lead(v) for v in vectors]
-    assert leads == [(e[1], e[2]) for e in table.entries]
+    assert leads == [(e[0], e[1]) for e in table.entries]
     # monic, and no term divisible by another element's lead
     for k, v in enumerate(vectors):
         pos, mono = leads[k]
@@ -569,3 +569,23 @@ def test_reduced_basis_certificate_modules():
                       for i, v in enumerate(vectors)]
             _check_reduced(R, T.rank, T.vectors, T._red, tagged,
                            T.normal_form)
+
+
+def test_term_key_ascends_as_pot_descends():
+    # the Buchberger heap is a min-heap of term keys, so it pops the
+    # largest term first only if negating the exponents reverses each
+    # order's key and term_key ascends exactly as the POT order descends
+    rng = random.Random(47)
+    for R in _certificate_rings():
+        monos = [tuple(rng.randint(0, 3) for _ in range(R.n))
+                 for _ in range(40)]
+        for a in monos:
+            neg_a = tuple(-e for e in a)
+            for b in monos:
+                neg_b = tuple(-e for e in b)
+                assert ((R.mono_key(neg_a) < R.mono_key(neg_b))
+                        == (R.mono_key(a) > R.mono_key(b)))
+        terms = list({(rng.randrange(3), m) for m in monos})
+        descending = sorted(terms, key=lambda t: (-t[0], R.mono_key(t[1])),
+                            reverse=True)
+        assert sorted(terms, key=_Reducers(R).term_key) == descending

@@ -6,10 +6,23 @@ order is position-over-term (POT) with the ring's monomial order, so a
 trailing block of "tag" positions is automatically eliminated; syzygies and
 membership lifts both come from that extended-basis bookkeeping.
 
-Inside a run every element is one int vector with its lead coefficient
-a: over F_p the monic vector of residues in [0, p) (a = 1), over Q the
-primitive integer vector with a > 0, reduced fraction-free after each
-input's denominators are cleared once.  Exact coefficients (`Fraction`s
+Inside a run every term is one int (`_Pack`), whose int order is the POT
+order.  The position, stored as rank-1-pos, sits in the top bits; below
+it are fields of w bits whose top bits are guard bits, clear in a term:
+first the partial sums s_n..s_2 (s_k = e_1+...+e_k) for grevlex, the
+total degree for grlex and nothing for lex; then e_1..e_n.  A product of
+terms is the sum of their ints, a quotient the difference, and m divides
+t (same position) iff ((t | G) - m) & G == G, G being the guard bits.
+The fields are sized from a run's inputs (6, 12, 24, ... bits).  A term
+that does not fit raises `_Overflow`, and so does every product that
+sets a guard bit: the run restarts with fields twice as wide, and a
+normal form that overflows a finished table widens that table in place,
+once for all later calls.  Nothing wraps.
+
+Every element is one int vector with its lead coefficient a: over F_p the
+monic vector of residues in [0, p) (a = 1), over Q the primitive integer
+vector with a > 0, reduced fraction-free after each input's denominators
+are cleared once.  Tuple-keyed terms and exact coefficients (`Fraction`s
 over Q) appear only at the boundary, in `_exact`: an element of a basis is
 its vector over a, which is monic, the canonical form that bases, reports
 and certificates compare; a full normal form divides out its scale once.
@@ -19,14 +32,16 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .ring import (Poly, PolyRing, RingMismatchError, VerificationError,
-                   mono_div, mono_divides, mono_lcm, mono_mul)
+                   mono_lcm)
 
-Vec = dict  # {(pos, mono): coeff}
+Vec = dict  # {(pos, mono): coeff}; inside a run {packed term: coeff}
 
 
 # ---------------------------------------------------------------------------
@@ -55,42 +70,77 @@ def _cleared(v: Vec) -> tuple[Vec, int]:
     return {t: a * (d // b) for t, (a, b) in ratios.items()}, d
 
 
-def _exact(v: Vec, d: int, p: int) -> Vec:
-    """The int vector v over d with exact coefficients: v itself over F_p,
-    where d is 1."""
-    return v if p else {t: Fraction(x, d) for t, x in v.items()}
+class _Overflow(Exception):
+    """A field of a packed term outgrew its width."""
+
+
+class _Pack:
+    """Terms (pos, mono) of a ring and rank as ints of w-bit fields."""
+
+    def __init__(self, ring: PolyRing, rank: int, w: int):
+        n = ring.n
+        forms = {"grevlex": [range(k) for k in range(n, 1, -1)],
+                 "grlex": [range(n)], "lex": []}[ring.order]
+        forms += [(i,) for i in range(n)]
+        k = len(forms)
+        self.ring, self.rank, self.w, self.shift = ring, rank, w, w * k
+        self.weights = [sum(1 << w * (k - 1 - f)
+                            for f, form in enumerate(forms) if i in form)
+                        for i in range(n)]
+        self.G = sum(1 << w * f + w - 1 for f in range(k))
+        self.top = max if ring.order == "lex" else sum  # the largest field
+
+    @classmethod
+    @lru_cache(maxsize=64)
+    def of(cls, ring: PolyRing, rank: int, w: int) -> "_Pack":
+        """The packing of (ring, rank, w), made once."""
+        return cls(ring, rank, w)
+
+    def enc(self, pos: int, mono: tuple) -> int:
+        """The int of (pos, mono); `_Overflow` if a field does not fit."""
+        if mono and self.top(mono) >> self.w - 1:
+            raise _Overflow
+        return ((self.rank - 1 - pos << self.shift)
+                + sum(map(mul, mono, self.weights)))
+
+    def dec(self, t: int) -> tuple:
+        w, n, mask = self.w, self.ring.n, (1 << self.w) - 1
+        return (self.rank - 1 - (t >> self.shift),
+                tuple(t >> w * (n - 1 - i) & mask for i in range(n)))
+
+
+def _exact(v: Vec, d: int, red: "_Reducers") -> Vec:
+    """The packed int vector v over d, keyed by (pos, mono), with exact
+    coefficients: over F_p, where d is 1, the residues themselves."""
+    dec = red.pack.dec
+    return {dec(t): x if red.p else Fraction(x, d) for t, x in v.items()}
 
 
 class _Reducers:
-    """Reducers indexed by leading position, with a key memo.
+    """Reducers indexed by leading position, in one packing.
 
-    An entry is (pos, mono, ivec, a), (pos, mono) being the leading term of
-    the int vector ivec and a its coefficient; `exact` gives the monic
-    element ivec / a.  A term's key ascends as the term descends in the POT
-    order, so a min-heap of keys pops the largest term first: positions
-    ascend, and the ring's key of the negated exponents reverses the
-    monomial order (for grevlex, lex and grlex alike).
+    An entry is (lead, ivec, a), lead being the packed leading term of the
+    int vector ivec and a its coefficient; `exact` gives the monic element
+    ivec / a.  Below the position the fields are s_n..s_2, e_1..e_n for
+    grevlex, the total degree and e_1..e_n for grlex, e_1..e_n for lex.
+    A larger int is a larger term, so a heap of negated terms pops the
+    largest first; a lead divides a term of its position iff subtracting
+    it from the term with every guard bit set clears none of them.  A run
+    whose terms outgrow the fields restarts wider (`_buchberger_vecs`); a
+    normal form that overflows a finished table `widen`s it first.
     """
 
-    def __init__(self, ring: PolyRing):
-        self.ring = ring
-        self.p = ring.field.p
+    def __init__(self, pack: _Pack):
+        self.pack = pack
+        self.p = pack.ring.field.p
         self.by_pos: dict[int, list] = {}
         self.entries: list = []
-        self._keys: dict = {}
-
-    def term_key(self, t):
-        k = self._keys.get(t)
-        if k is None:
-            k = (t[0], self.ring._key(tuple(-e for e in t[1])))
-            self._keys[t] = k
-        return k
 
     def add(self, v: Vec) -> tuple:
         """Append the monic (F_p) or primitive (Q) multiple of a nonzero
         int vector v."""
-        pos, mono = min(v, key=self.term_key)
-        c = v[(pos, mono)]
+        lead = max(v)
+        c = v[lead]
         p = self.p
         if p:
             a = 1
@@ -104,24 +154,35 @@ class _Reducers:
             if g != 1:
                 v = {t: x // g for t, x in v.items()}
             a = c // g
-        entry = (pos, mono, v, a)
+        entry = (lead, v, a)
         self.entries.append(entry)
-        self.by_pos.setdefault(pos, []).append(entry)
+        self.by_pos.setdefault(lead >> self.pack.shift, []).append(entry)
         return entry
 
-    def find(self, pos: int, mono: tuple):
-        for entry in self.by_pos.get(pos, ()):
-            if mono_divides(entry[1], mono):
+    def find(self, t: int):
+        G = self.pack.G
+        tg = t | G
+        for entry in self.by_pos.get(t >> self.pack.shift, ()):
+            if (tg - entry[0]) & G == G:
                 return entry
         return None
 
     def exact(self, entry: tuple) -> Vec:
-        return _exact(entry[2], entry[3], self.p)
+        return _exact(entry[1], entry[2], self)
+
+    def widen(self):
+        """Re-pack every entry in fields twice as wide, in place."""
+        old = self.pack
+        wider = _Reducers(_Pack.of(old.ring, old.rank, 2 * old.w))
+        for _, v, _ in self.entries:
+            wider.add({wider.pack.enc(*old.dec(t)): x for t, x in v.items()})
+        self.pack, self.by_pos, self.entries = (wider.pack, wider.by_pos,
+                                                wider.entries)
 
 
 def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False):
     """Fraction-free normal form of an int vector v via a lazy heap of the
-    working terms' keys, largest term first: (r, scale) with
+    working terms, negated so that the largest pops first: (r, scale) with
     r = scale * NF(v), r an int vector and scale a positive int (1 over
     F_p).
 
@@ -136,25 +197,25 @@ def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False):
     unit); the default reduces every term.
     """
     p = red.p
-    term_key = red.term_key
+    G = red.pack.G
     work = dict(v)
-    heap = [(term_key(t), t) for t in work]
+    heap = [-t for t in work]
     heapq.heapify(heap)
     out: Vec = {}
     scale = 1
     while heap:
-        _, t = heapq.heappop(heap)
+        t = -heapq.heappop(heap)
         c = work.get(t)
         if not c:
             continue
-        entry = red.find(t[0], t[1])
+        entry = red.find(t)
         if entry is None:
             if top_only:
                 return work, scale
             del work[t]
             out[t] = c
             continue
-        _, ltmono, g, a = entry
+        lead, g, a = entry
         if a != 1:
             d = gcd(a, c)
             if d != a:
@@ -163,14 +224,15 @@ def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False):
                 out = {tt: x * m for tt, x in out.items()}
                 scale *= m
             c //= d
-        shift = mono_div(t[1], ltmono)
-        trivial_shift = not any(shift)
-        for (p2, m2), c2 in g.items():
-            tt = (p2, m2) if trivial_shift else (p2, mono_mul(m2, shift))
+        shift = t - lead
+        for tt, c2 in g.items():
+            tt += shift
+            if tt & G:
+                raise _Overflow
             prev = work.get(tt)
             if prev is None:
                 work[tt] = -c * c2 % p if p else -c * c2
-                heapq.heappush(heap, (term_key(tt), tt))
+                heapq.heappush(heap, -tt)
             else:
                 s = prev - c * c2
                 if p:
@@ -185,34 +247,40 @@ def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False):
 def _nf_exact(v: Vec, red: _Reducers) -> Vec:
     """The normal form of a vector with exact coefficients, as one: the
     fraction-free normal form with its scale divided out once; v itself
-    when it is already reduced."""
+    when it is already reduced.  An overflow widens the table for good."""
     w, d = _cleared(v)
-    r, scale = _vec_nf(w, red)
-    if scale == 1 and r == w:
+    while True:
+        try:
+            iv = {red.pack.enc(*t): c for t, c in w.items()}
+            r, scale = _vec_nf(iv, red)
+            break
+        except _Overflow:
+            red.widen()
+    if scale == 1 and r == iv:
         return v
-    return _exact(r, d * scale, red.p)
+    return _exact(r, d * scale, red)
 
 
-def _spair(e1, e2, L: tuple, p: int) -> Vec:
+def _spair(e1, e2, L: int, p: int, G: int) -> Vec:
     """(a2/g) L/m1 * v1 - (a1/g) L/m2 * v2 for entries with int vectors
     v1, v2 of leads a1 m1, a2 m2, L = lcm(m1, m2) and g = gcd(a1, a2);
     mod p over F_p."""
-    _, m1, v1, a1 = e1
-    _, m2, v2, a2 = e2
+    m1, v1, a1 = e1
+    m2, v2, a2 = e2
     g = gcd(a1, a2)
-    k1, k2 = a2 // g, a1 // g
-    s1 = mono_div(L, m1)
-    res = {(q, mono_mul(m, s1)): k1 * c for (q, m), c in v1.items()}
-    s2 = mono_div(L, m2)
-    for (q, m), c in v2.items():
-        t = (q, mono_mul(m, s2))
-        d = res.get(t, 0) - k2 * c
-        if p:
-            d %= p
-        if d:
-            res[t] = d
-        elif t in res:
-            del res[t]
+    res: Vec = {}
+    for v, s, k in ((v1, L - m1, a2 // g), (v2, L - m2, -(a1 // g))):
+        for t, c in v.items():
+            t += s
+            if t & G:
+                raise _Overflow
+            d = res.get(t, 0) + k * c
+            if p:
+                d %= p
+            if d:
+                res[t] = d
+            elif t in res:
+                del res[t]
     return res
 
 
@@ -220,51 +288,66 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
     """The reduced Groebner basis of the submodule generated by `vecs`, as
     a reducer table whose entries are in descending lead order.
 
+    The fields are sized from the inputs: the run takes the narrowest of
+    6, 12, 24, ... bits that fits them, and restarts with fields twice as
+    wide whenever a later term does not fit (`_Overflow`).
+    """
+    vecs = [_cleared(v)[0] for v in vecs if v]
+    w = 6
+    while True:
+        try:
+            return _buchberger_run(vecs, _Pack.of(ring, rank, w))
+        except _Overflow:
+            w *= 2
+
+
+def _buchberger_run(vecs: list[Vec], pack: _Pack) -> _Reducers:
+    """One Buchberger run over int vectors in one packing.
+
     The run's elements are the entries of `red`, in the order they were
-    added.  Each open pair of elements i < j is one record
-    (ring._key(lcm), i, j, lcm), built once when j is added: `min(pairs)`
-    picks the pair of smallest lcm, ties broken by (i, j), and the pruning
-    and the S-polynomial read the stored lcm.
+    added.  Each open pair of elements i < j is one record (key, i, j, L),
+    L being the packed lcm of their leads and key its monomial fields
+    (the position masked off), built once when j is added: `min(pairs)`
+    picks the pair of smallest lcm in the ring's order, ties broken by
+    (i, j), and the pruning and the S-polynomial read the stored lcm.
 
     Pair pruning: Gebauer-Moeller chain criteria always; the coprimality
     (product) criterion only for rank 1, where it is valid.
     """
-    red = _Reducers(ring)
+    red = _Reducers(pack)
     entries = red.entries
+    heads: list[tuple] = []  # each element's leading term, unpacked
     pairs: set[tuple] = set()
+    G, shift, p = pack.G, pack.shift, red.p
 
     def update(v: Vec):
         # Gebauer-Moeller: prune old pairs, minimalize new ones.
-        posn, monon, _, _ = red.add(v)
+        lead = red.add(v)[0]
         t = len(entries) - 1
-        stale = set()
-        for pair in pairs:
-            _, i, j, lij = pair
-            if entries[i][0] != posn:
-                continue
-            if (mono_divides(monon, lij)
-                    and mono_lcm(entries[i][1], monon) != lij
-                    and mono_lcm(entries[j][1], monon) != lij):
-                stale.add(pair)
+        posn, monon = pack.dec(lead)
+        lcm_with = {i: pack.enc(posn, mono_lcm(m, monon))
+                    for i, (q, m) in enumerate(heads) if q == posn}
+        heads.append((posn, monon))
+        stale = {pair for pair in pairs if pair[1] in lcm_with
+                 and ((pair[3] | G) - lead) & G == G
+                 and lcm_with[pair[1]] != pair[3]
+                 and lcm_with[pair[2]] != pair[3]}
         pairs.difference_update(stale)
-        lcms: dict[tuple, list[int]] = {}
-        for i in range(t):
-            if entries[i][0] == posn:
-                lcms.setdefault(mono_lcm(entries[i][1], monon), []).append(i)
-        kept: list[tuple] = []
-        for key, L in sorted((ring._key(L), L) for L in lcms):
-            if any(mono_divides(K, L) for K in kept):
+        lcms: dict[int, list[int]] = {}
+        for i, L in lcm_with.items():
+            lcms.setdefault(L, []).append(i)
+        kept: list[int] = []
+        for L in sorted(lcms):
+            if any(((L | G) - K) & G == G for K in kept):
                 continue
             kept.append(L)
-            if rank == 1 and any(L == mono_mul(entries[i][1], monon)
-                                 for i in lcms[L]):
+            if pack.rank == 1 and any(L == entries[i][0] + lead
+                                      for i in lcms[L]):
                 continue  # product criterion
-            pairs.add((key, min(lcms[L]), t, L))
+            pairs.add((L & (1 << shift) - 1, min(lcms[L]), t, L))
 
-    for v in vecs:
-        if not v:
-            continue
-        r, _ = _vec_nf(_cleared(v)[0], red, top_only=True)
+    for v in [{pack.enc(*t): c for t, c in v.items()} for v in vecs]:
+        r, _ = _vec_nf(v, red, top_only=True)
         if r:
             update(r)
 
@@ -272,28 +355,25 @@ def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
         pair = min(pairs)
         pairs.discard(pair)
         _, i, j, L = pair
-        r, _ = _vec_nf(_spair(entries[i], entries[j], L, red.p), red,
+        r, _ = _vec_nf(_spair(entries[i], entries[j], L, p, G), red,
                        top_only=True)
         if r:
             update(r)
 
     # minimalize: keep the leads no smaller kept lead divides
-    minimal = _Reducers(ring)
-    minimal._keys = red._keys  # one term-key memo for the whole run
-    for entry in sorted(entries, key=lambda e: red.term_key(e[:2]),
-                        reverse=True):
-        if minimal.find(entry[0], entry[1]) is None:
+    minimal = _Reducers(pack)
+    for entry in sorted(entries, key=itemgetter(0)):
+        if minimal.find(entry[0]) is None:
             minimal.entries.append(entry)
-            minimal.by_pos.setdefault(entry[0], []).append(entry)
+            minimal.by_pos.setdefault(entry[0] >> shift, []).append(entry)
     # interreduce: a lead divides no smaller term, so reducing each tail
     # against the whole minimal table is reducing it against the others
-    table = _Reducers(ring)
-    table._keys = red._keys
-    for pos, mono, v, a in reversed(minimal.entries):
+    table = _Reducers(pack)
+    for lead, v, a in reversed(minimal.entries):
         tail = dict(v)
-        del tail[(pos, mono)]
+        del tail[lead]
         r, scale = _vec_nf(tail, minimal)
-        table.add({(pos, mono): a * scale, **r})
+        table.add({lead: a * scale, **r})
     return table
 
 

@@ -6,12 +6,14 @@ import pytest
 
 from colon_oracle import (exact_div, ideal_intersection,
                           saturation_by_iteration)
-from ffr.groebner import (IdealGens, _Reducers, _tagged_basis, ideal_colon,
-                          ideal_equal, ideal_product, krull_dimension,
-                          module_gb, module_membership, radical_membership,
-                          saturation, syzygy_module)
+from ffr.groebner import (IdealGens, _Overflow, _Pack, _Reducers, _spair,
+                          _tagged_basis, ideal_colon, ideal_equal,
+                          ideal_product, krull_dimension, module_gb,
+                          module_membership, radical_membership, saturation,
+                          syzygy_module)
 from ffr.ring import (CoefField, Poly, PolyRing, QQ, VerificationError,
-                      mono_div, mono_divides, mono_lcm, parse_poly)
+                      mono_div, mono_divides, mono_lcm, mono_mul,
+                      parse_poly)
 
 
 def R2(order="grevlex"):
@@ -510,7 +512,7 @@ def _check_reduced(R, rank, vectors, table, generators, normal_form):
     assert vectors == tuple(_entry_polys(table.exact(e), R, rank)
                             for e in table.entries)
     leads = [_lead(v) for v in vectors]
-    assert leads == [(e[0], e[1]) for e in table.entries]
+    assert leads == [table.pack.dec(e[0]) for e in table.entries]
     # monic, and no term divisible by another element's lead
     for k, v in enumerate(vectors):
         pos, mono = leads[k]
@@ -571,21 +573,62 @@ def test_reduced_basis_certificate_modules():
                            T.normal_form)
 
 
-def test_term_key_ascends_as_pot_descends():
-    # the Buchberger heap is a min-heap of term keys, so it pops the
-    # largest term first only if negating the exponents reverses each
-    # order's key and term_key ascends exactly as the POT order descends
+def test_packed_terms_are_the_pot_order():
+    # the packed int of a term sorts exactly as the term in the POT order,
+    # a product is a sum, the guard-bit test is divisibility, and decoding
+    # inverts encoding; for every order, ranks 1-3 and no variables at all
     rng = random.Random(47)
-    for R in _certificate_rings():
-        monos = [tuple(rng.randint(0, 3) for _ in range(R.n))
-                 for _ in range(40)]
-        for a in monos:
-            neg_a = tuple(-e for e in a)
-            for b in monos:
-                neg_b = tuple(-e for e in b)
-                assert ((R.mono_key(neg_a) < R.mono_key(neg_b))
-                        == (R.mono_key(a) > R.mono_key(b)))
-        terms = list({(rng.randrange(3), m) for m in monos})
-        descending = sorted(terms, key=lambda t: (-t[0], R.mono_key(t[1])),
-                            reverse=True)
-        assert sorted(terms, key=_Reducers(R).term_key) == descending
+    rings = list(_certificate_rings()) + [PolyRing(QQ, [])]
+    for R in rings:
+        for rank in (1, 2, 3):
+            pack = _Pack(R, rank, 6)
+            monos = [tuple(rng.randint(0, 3) for _ in range(R.n))
+                     for _ in range(20)]
+            terms = list({(rng.randrange(rank), m) for m in monos})
+            descending = sorted(terms, key=lambda t: (-t[0], R.mono_key(t[1])),
+                                reverse=True)
+            assert sorted(terms, key=lambda t: pack.enc(*t),
+                          reverse=True) == descending
+            for pos, a in terms:
+                t = pack.enc(pos, a)
+                assert pack.dec(t) == (pos, a)
+                red = _Reducers(pack)
+                red.add({t: 1})
+                for b in monos:
+                    got = red.find(pack.enc(pos, b)) is not None
+                    assert got == mono_divides(a, b)
+                    # the last position's field is 0: b bare
+                    assert (t + pack.enc(rank - 1, b)
+                            == pack.enc(pos, mono_mul(a, b)))
+
+
+def test_overflow_restarts_and_widens(monkeypatch):
+    # every input fits 6-bit fields, but each basis below needs wider ones
+    # from a term that overflows them
+    widths = []
+    of = _Pack.of  # every packing is made through it
+    monkeypatch.setattr(_Pack, "of", lambda ring, rank, w: (
+        widths.append(w), of(ring, rank, w))[1])
+    R = PolyRing(QQ, ["x", "y", "z", "w"], "lex")
+    # here in an S-polynomial: z^12 (x*y - z^20) - y (x*z^12 - 1)
+    pack = _Pack(R, 1, 6)
+    red = _Reducers(pack)
+    e1, e2 = (red.add({pack.enc(0, m): int(c)
+                       for m, c in P(R, s).terms.items()})
+              for s in ("x*y - z^20", "x*z^12 - 1"))
+    with pytest.raises(_Overflow):
+        _spair(e1, e2, pack.enc(0, (1, 1, 12, 0)), 0, pack.G)
+    G = ideal(R, "x*y - z^20", "x*z^12 - 1").groebner()
+    assert [str(g) for g in G.basis] == ["x*z^12 - 1", "y - z^32"]
+    assert len(set(widths)) > 1  # a run overflowed and restarted wider
+    # here in a normal form, reducing y^4 to w^64
+    widths.clear()
+    G = ideal(R, "x - y^4", "y - z^4", "z - w^4").groebner()
+    assert [str(g) for g in G.basis] == ["x - w^64", "y - w^16", "z - w^4"]
+    assert len(set(widths)) > 1
+    # w^2048 does not fit the finished table: the first normal form widens
+    # it, the second finds it wide enough
+    tried, w = len(widths), G._red.pack.w
+    for _ in range(2):
+        assert str(G.normal_form(P(R, "x^32"))) == "w^2048"
+        assert G._red.pack.w == 2 * w and len(widths) == tried + 1

@@ -22,10 +22,14 @@ once for all later calls.  Nothing wraps.
 Every element is one int vector with its lead coefficient a: over F_p the
 monic vector of residues in [0, p) (a = 1), over Q the primitive integer
 vector with a > 0, reduced fraction-free after each input's denominators
-are cleared once.  Tuple-keyed terms and exact coefficients (`Fraction`s
-over Q) appear only at the boundary, in `_exact`: an element of a basis is
-its vector over a, which is monic, the canonical form that bases, reports
-and certificates compare; a full normal form divides out its scale once.
+are cleared once.  `Poly`s cross the boundary through one codec:
+`_Pack.vec` packs a list of coordinates into an int vector d * v, d
+clearing its denominators, and `_Pack.polys` unpacks an int vector over a
+scale into coordinates with exact coefficients (`Fraction`s over Q).  An
+element of a basis is its vector over a, which is monic, the canonical
+form that bases, reports and certificates compare; a full normal form
+divides out its scale once, and returns the caller's polys when nothing
+reduces them.
 """
 
 from __future__ import annotations
@@ -41,33 +45,7 @@ from typing import Optional, Sequence
 from .ring import (Poly, PolyRing, RingMismatchError, VerificationError,
                    mono_lcm)
 
-Vec = dict  # {(pos, mono): coeff}; inside a run {packed term: coeff}
-
-
-# ---------------------------------------------------------------------------
-# raw vector arithmetic
-
-def _vec_from_polys(coords: Sequence[Poly]) -> Vec:
-    v: Vec = {}
-    for i, p in enumerate(coords):
-        for m, c in p.terms.items():
-            v[(i, m)] = c
-    return v
-
-
-def _vec_to_polys(v: Vec, ring: PolyRing, rank: int) -> list[Poly]:
-    coords: list[dict] = [{} for _ in range(rank)]
-    for (i, m), c in v.items():
-        coords[i][m] = c
-    return [Poly(ring, t, _trusted=True) for t in coords]
-
-
-def _cleared(v: Vec) -> tuple[Vec, int]:
-    """(w, d) with w = d * v an int vector and d the lcm of the
-    denominators of v (1 over F_p)."""
-    ratios = {t: c.as_integer_ratio() for t, c in v.items()}
-    d = lcm(*(b for _, b in ratios.values()))
-    return {t: a * (d // b) for t, (a, b) in ratios.items()}, d
+Vec = dict  # {packed term: coeff}
 
 
 class _Overflow(Exception):
@@ -75,7 +53,8 @@ class _Overflow(Exception):
 
 
 class _Pack:
-    """Terms (pos, mono) of a ring and rank as ints of w-bit fields."""
+    """Terms (pos, mono) of a ring and rank as ints of w-bit fields, and the
+    codec between coordinate lists of `Poly`s and packed int vectors."""
 
     def __init__(self, ring: PolyRing, rank: int, w: int):
         n = ring.n
@@ -108,21 +87,33 @@ class _Pack:
         return (self.rank - 1 - (t >> self.shift),
                 tuple(t >> w * (n - 1 - i) & mask for i in range(n)))
 
+    def vec(self, coords: Sequence[Poly]) -> tuple[Vec, int]:
+        """(d * v, d) for the polys `coords` as one packed vector v, d
+        being the lcm of their denominators (1 over F_p)."""
+        ratios = {self.enc(i, m): c.as_integer_ratio()
+                  for i, f in enumerate(coords) for m, c in f.terms.items()}
+        d = lcm(*(b for _, b in ratios.values()))
+        return {t: a * (d // b) for t, (a, b) in ratios.items()}, d
 
-def _exact(v: Vec, d: int, red: "_Reducers") -> Vec:
-    """The packed int vector v over d, keyed by (pos, mono), with exact
-    coefficients: over F_p, where d is 1, the residues themselves."""
-    dec = red.pack.dec
-    return {dec(t): x if red.p else Fraction(x, d) for t, x in v.items()}
+    def polys(self, v: Vec, d: int) -> list[Poly]:
+        """The `rank` coordinates of the packed int vector v over d, with
+        exact coefficients: over F_p, where d is 1, the residues."""
+        coords: list[dict] = [{} for _ in range(self.rank)]
+        p = self.ring.field.p
+        for t, x in v.items():
+            pos, mono = self.dec(t)
+            coords[pos][mono] = x if p else Fraction(x, d)
+        return [Poly(self.ring, c, _trusted=True) for c in coords]
 
 
 class _Reducers:
     """Reducers indexed by leading position, in one packing.
 
     An entry is (lead, ivec, a), lead being the packed leading term of the
-    int vector ivec and a its coefficient; `exact` gives the monic element
-    ivec / a.  Below the position the fields are s_n..s_2, e_1..e_n for
-    grevlex, the total degree and e_1..e_n for grlex, e_1..e_n for lex.
+    int vector ivec and a its coefficient; `pack.polys(ivec, a)` gives the
+    monic element ivec / a.  Below the position the fields are s_n..s_2,
+    e_1..e_n for grevlex, the total degree and e_1..e_n for grlex, e_1..e_n
+    for lex.
     A larger int is a larger term, so a heap of negated terms pops the
     largest first; a lead divides a term of its position iff subtracting
     it from the term with every guard bit set clears none of them.  A run
@@ -166,9 +157,6 @@ class _Reducers:
             if (tg - entry[0]) & G == G:
                 return entry
         return None
-
-    def exact(self, entry: tuple) -> Vec:
-        return _exact(entry[1], entry[2], self)
 
     def widen(self):
         """Re-pack every entry in fields twice as wide, in place."""
@@ -244,21 +232,20 @@ def _vec_nf(v: Vec, red: _Reducers, top_only: bool = False):
     return (work if top_only else out), scale
 
 
-def _nf_exact(v: Vec, red: _Reducers) -> Vec:
-    """The normal form of a vector with exact coefficients, as one: the
-    fraction-free normal form with its scale divided out once; v itself
-    when it is already reduced.  An overflow widens the table for good."""
-    w, d = _cleared(v)
+def _nf_polys(coords: Sequence[Poly], red: _Reducers) -> list[Poly]:
+    """The normal form of a vector of polys, as polys: the fraction-free
+    normal form with its scale divided out once; the caller's own polys
+    when nothing reduces them.  An overflow widens the table for good."""
     while True:
         try:
-            iv = {red.pack.enc(*t): c for t, c in w.items()}
-            r, scale = _vec_nf(iv, red)
+            v, d = red.pack.vec(coords)
+            r, scale = _vec_nf(v, red)
             break
         except _Overflow:
             red.widen()
-    if scale == 1 and r == iv:
-        return v
-    return _exact(r, d * scale, red)
+    if scale == 1 and r == v:
+        return list(coords)
+    return red.pack.polys(r, d * scale)
 
 
 def _spair(e1, e2, L: int, p: int, G: int) -> Vec:
@@ -284,19 +271,22 @@ def _spair(e1, e2, L: int, p: int, G: int) -> Vec:
     return res
 
 
-def _buchberger_vecs(vecs: list[Vec], ring: PolyRing, rank: int) -> _Reducers:
-    """The reduced Groebner basis of the submodule generated by `vecs`, as
-    a reducer table whose entries are in descending lead order.
+def _buchberger_vecs(generators: Sequence[Sequence[Poly]], ring: PolyRing,
+                     rank: int) -> _Reducers:
+    """The reduced Groebner basis of the submodule of A^rank generated by
+    the coordinate lists `generators`, as a reducer table whose entries
+    are in descending lead order.
 
-    The fields are sized from the inputs: the run takes the narrowest of
-    6, 12, 24, ... bits that fits them, and restarts with fields twice as
-    wide whenever a later term does not fit (`_Overflow`).
+    The fields are sized from the inputs: the run packs them into the
+    narrowest of 6, 12, 24, ... bits that fits them, and restarts with
+    fields twice as wide whenever a later term does not fit (`_Overflow`).
     """
-    vecs = [_cleared(v)[0] for v in vecs if v]
     w = 6
     while True:
+        pack = _Pack.of(ring, rank, w)
         try:
-            return _buchberger_run(vecs, _Pack.of(ring, rank, w))
+            vecs = [v for v, _ in map(pack.vec, generators) if v]
+            return _buchberger_run(vecs, pack)
         except _Overflow:
             w *= 2
 
@@ -346,7 +336,7 @@ def _buchberger_run(vecs: list[Vec], pack: _Pack) -> _Reducers:
                 continue  # product criterion
             pairs.add((L & (1 << shift) - 1, min(lcms[L]), t, L))
 
-    for v in [{pack.enc(*t): c for t, c in v.items()} for v in vecs]:
+    for v in vecs:
         r, _ = _vec_nf(v, red, top_only=True)
         if r:
             update(r)
@@ -395,8 +385,8 @@ class IdealGens:
 
     def groebner(self) -> "GroebnerBasis":
         if self._gb is None:
-            vecs = [_vec_from_polys([g]) for g in self.gens]
-            self._gb = GroebnerBasis(self, _buchberger_vecs(vecs, self.ring, 1))
+            self._gb = GroebnerBasis(self, _buchberger_vecs(
+                [[g] for g in self.gens], self.ring, 1))
         return self._gb
 
     def __repr__(self):
@@ -412,16 +402,15 @@ class GroebnerBasis:
         self.source = source
         self.ring = source.ring
         self._red = table
-        self.basis = tuple(_vec_to_polys(table.exact(e), self.ring, 1)[0]
-                           for e in table.entries)
+        self.basis = tuple(table.pack.polys(v, a)[0]
+                           for _, v, a in table.entries)
 
     def normal_form(self, f: Poly) -> Poly:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial in a different ring")
         if not self.basis:
             return f
-        return _vec_to_polys(_nf_exact(_vec_from_polys([f]), self._red),
-                             self.ring, 1)[0]
+        return _nf_polys([f], self._red)[0]
 
     def contains(self, f: Poly) -> bool:
         return self.normal_form(f).is_zero
@@ -537,14 +526,16 @@ class ModuleBasis:
                  generators: Sequence[Sequence[Poly]]):
         self.ring = ring
         self.rank = rank
-        vecs = [_vec_from_polys(v) for v in generators]
-        red = self._red = _buchberger_vecs(vecs, ring, rank)
-        self.vectors = tuple(tuple(_vec_to_polys(red.exact(e), ring, rank))
-                             for e in red.entries)
+        red = self._red = _buchberger_vecs(generators, ring, rank)
+        self.vectors = tuple(tuple(red.pack.polys(v, a))
+                             for _, v, a in red.entries)
 
     def normal_form(self, coords: Sequence[Poly]) -> list[Poly]:
-        return _vec_to_polys(_nf_exact(_vec_from_polys(coords), self._red),
-                             self.ring, self.rank)
+        if len(coords) != self.rank:
+            raise RingMismatchError("vector rank mismatch")
+        if any(p.ring != self.ring for p in coords):
+            raise RingMismatchError("vector entry in a different ring")
+        return _nf_polys(coords, self._red)
 
     def contains(self, coords: Sequence[Poly]) -> bool:
         return all(p.is_zero for p in self.normal_form(coords))
@@ -554,7 +545,10 @@ def module_gb(vectors: Sequence[Sequence[Poly]],
               rank: Optional[int] = None,
               ring: Optional[PolyRing] = None) -> ModuleBasis:
     if vectors:
-        rank, ring = _module_rank_ring(vectors)
+        r, R = _module_rank_ring(vectors)
+        if rank not in (None, r) or ring not in (None, R):
+            raise RingMismatchError("rank or ring disagrees with the vectors")
+        rank, ring = r, R
     elif rank is None or ring is None:
         raise ValueError("empty generator list needs rank and ring")
     return ModuleBasis(ring, rank, vectors)

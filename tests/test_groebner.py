@@ -11,9 +11,9 @@ from ffr.groebner import (IdealGens, _Overflow, _Pack, _Reducers, _spair,
                           ideal_product, krull_dimension, module_gb,
                           module_membership, radical_membership, saturation,
                           syzygy_module)
-from ffr.ring import (CoefField, Poly, PolyRing, QQ, VerificationError,
-                      mono_div, mono_divides, mono_lcm, mono_mul,
-                      parse_poly)
+from ffr.ring import (CoefField, Poly, PolyRing, QQ, RingMismatchError,
+                      VerificationError, mono_div, mono_divides, mono_lcm,
+                      mono_mul, parse_poly)
 
 
 def R2(order="grevlex"):
@@ -86,6 +86,22 @@ def test_normal_form_exact_over_q():
     assert nf.terms == {(0, 2): Fraction(4, 45)}
     assert all(type(c) is Fraction for c in nf.terms.values())
     assert gb.normal_form(P(R, "1/5*y^2")) == P(R, "1/5*y^2")
+
+
+def test_irreducible_normal_forms_are_the_callers_polys():
+    # a vector that no lead divides comes back as the caller's own polys,
+    # not rebuilt from its packed form
+    for field in (QQ, CoefField(32003)):
+        R = PolyRing(field, ["x", "y"])
+        G = ideal(R, "x^2 - y", "y^3").groebner()
+        f = P(R, "1/3*x*y^2 + 1/2*x + 5")
+        assert G.normal_form(f) is f
+        M = module_gb([[P(R, "x^2"), P(R, "y")]])
+        v = [P(R, "2/7*x*y + 1"), P(R, "y^2 - 1/3")]
+        nf = M.normal_form(v)
+        assert len(nf) == 2 and all(a is b for a, b in zip(nf, v))
+        reduced = M.normal_form([P(R, "x^3"), R.zero()])
+        assert reduced == [R.zero(), P(R, "-x*y")]
 
 
 def test_nf_idempotent_and_membership_lift():
@@ -344,6 +360,30 @@ def test_module_membership_examples():
     assert module_membership([R.zero(), R.zero()], gens) == [R.zero(), R.zero()]
 
 
+def test_module_normal_form_checks_rank_and_ring():
+    R, S = R2(), R3()
+    M = module_gb([[P(R, "x"), P(R, "y")]])
+    for v in ([P(S, "x*z"), P(S, "y*z")],  # z would be dropped unread
+              [P(R, "x^2")],  # would be read as (x^2, 0)
+              [P(R, "x"), P(R, "y"), P(R, "1")]):
+        with pytest.raises(RingMismatchError):
+            M.normal_form(v)
+        with pytest.raises(RingMismatchError):
+            M.contains(v)
+    assert M.contains([P(R, "x^2"), P(R, "x*y")])
+
+
+def test_module_gb_rank_and_ring_must_agree():
+    R, S = R2(), R3()
+    vectors = [[P(R, "x"), P(R, "y")]]
+    for rank, ring in ((3, S), (3, None), (None, S), (2, S), (3, R)):
+        with pytest.raises(RingMismatchError):
+            module_gb(vectors, rank=rank, ring=ring)
+    M = module_gb(vectors, rank=2, ring=R)
+    assert (M.rank, M.ring) == (2, R)
+    assert module_gb([], rank=3, ring=S).rank == 3
+
+
 def test_syzygy_soundness_random():
     rng = random.Random(12)
     R = R2()
@@ -500,17 +540,12 @@ def _lead(vector):
     return pos, vector[pos].lm()
 
 
-def _entry_polys(v, R, rank):
-    return tuple(Poly(R, {m: c for (p, m), c in v.items() if p == i})
-                 for i in range(rank))
-
-
 def _check_reduced(R, rank, vectors, table, generators, normal_form):
     """The reduced-basis certificate of `vectors` (the basis kept by a
     GroebnerBasis or ModuleBasis) and of its reducer table."""
     one = R.field.one()
-    assert vectors == tuple(_entry_polys(table.exact(e), R, rank)
-                            for e in table.entries)
+    assert vectors == tuple(tuple(table.pack.polys(v, a))
+                            for _, v, a in table.entries)
     leads = [_lead(v) for v in vectors]
     assert leads == [table.pack.dec(e[0]) for e in table.entries]
     # monic, and no term divisible by another element's lead

@@ -1,6 +1,7 @@
-"""Depth calculus: Kronecker sequences and the decision procedure for
-Gr(a, E) >= k, completely secant and singular sequences, the Wiebe checker
-and the depth-dimension identity over polynomial rings.
+"""Depth calculus: Kronecker sequences (a_1 + a_2 T + ... + a_s T^(s-1) on
+one fresh variable T each) and the decision procedure for Gr(a, E) >= k,
+completely secant and singular sequences, the Wiebe checker and the
+depth-dimension identity over polynomial rings.
 
 Depth is exposed only through the decidable predicate "at least k" plus a
 value search bounded by the generator count: with k generators, depth >= k+1
@@ -17,19 +18,20 @@ from . import groebner as gb
 from .algebra import (AIdeal, AModule, FPAlgebra, ideal_times_module_is_module,
                       quotient_dimension)
 from .exterior import poly_det
-from .ring import Poly, VerificationError, embed_append, mono_divides
+from .ring import (Poly, VerificationError, embed_append, kronecker_poly,
+                   mono_divides)
 
 INFINITY = math.inf
 
 
 @dataclass(frozen=True)
 class KroneckerSequence:
-    """k polynomials on disjoint fresh blocks, each with content ideal a."""
+    """k polynomials, each in its own fresh variable with content ideal a."""
 
     base: AIdeal
     length: int
     extended_algebra: FPAlgebra
-    block_vars: tuple[tuple[str, ...], ...]
+    fresh_vars: tuple[str, ...]
     polys: tuple[Poly, ...]
 
 
@@ -50,66 +52,19 @@ class DepthCertificate:
     algebra: Optional[FPAlgebra] = None
 
 
-def _block_shape(count: int) -> int:
-    """Fewest block variables fitting `count` monomials within degree 7."""
-    b = 1
-    while math.comb(b + 7, b) < count:
-        b += 1
-    return b
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def _block_monomials(b: int, count: int) -> list[tuple[int, ...]]:
-    """First `count` exponent vectors over b variables, graded then lex.
-
-    For b = 1 this is 1, T, T^2, ...: the canonical Kronecker weights.
-    """
-    out: list[tuple[int, ...]] = []
-    d = 0
-    while len(out) < count:
-        for m in sorted(_compositions(d, b)):
-            out.append(m)
-            if len(out) == count:
-                return out
-        d += 1
-    return out
-
-
 def kronecker_sequence(a: AIdeal, k: int) -> KroneckerSequence:
-    """k Kronecker polynomials for a, on disjoint fresh variable blocks.
-
-    Each generator is weighted by one monomial of its block.  Small
-    generator lists get a single-variable block, giving the canonical
-    shape a_1 + a_2 T + ... + a_n T^(n-1); larger lists get wider blocks
-    so the degree in the fresh variables stays low.  Any such choice is a
-    Kronecker sequence for a, and the depth verdict is independent of it.
+    """k Kronecker polynomials a_1 + a_2 T_i + ... + a_s T_i^(s-1) for a,
+    each on its own fresh variable T_i.
     """
     if k < 0:
         raise ValueError("negative length")
     A = a.algebra
-    s = len(a.gens)
-    b = _block_shape(max(s, 1))
-    names = A.ring.fresh_names(b * k)
+    names = A.ring.fresh_names(k)
     ext = A.extend_append(names)
     R = ext.ring
     gens = [embed_append(g, R) for g in a.gens]
-    weights = _block_monomials(b, s)
-    one = R.field.one()
-    polys = []
-    for i in range(k):
-        before, after = (0,) * (A.ring.n + i * b), (0,) * ((k - 1 - i) * b)
-        polys.append(R.dot(gens, [Poly(R, {before + mu + after: one})
-                                  for mu in weights]))
-    blocks = tuple(tuple(names[i * b:(i + 1) * b]) for i in range(k))
-    return KroneckerSequence(a, k, ext, blocks, tuple(polys))
+    polys = tuple(kronecker_poly(gens, R.var(name)) for name in names)
+    return KroneckerSequence(a, k, ext, tuple(names), polys)
 
 
 def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:

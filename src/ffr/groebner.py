@@ -490,7 +490,7 @@ def krull_dimension(I: IdealGens) -> int:
     lms = [g.lm() for g in gb.basis]
     n = I.ring.n
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
-    for k in range(n, -1, -1):
+    for k in range(n, 0, -1):
         for S in combinations(range(n), k):
             Sset = set(S)
             if not any(sup <= Sset for sup in supports):
@@ -524,6 +524,8 @@ class ModuleBasis:
 
     def __init__(self, ring: PolyRing, rank: int,
                  generators: Sequence[Sequence[Poly]]):
+        if generators and _module_rank_ring(generators) != (rank, ring):
+            raise RingMismatchError("rank or ring disagrees with the vectors")
         self.ring = ring
         self.rank = rank
         red = self._red = _buchberger_vecs(generators, ring, rank)
@@ -544,13 +546,12 @@ class ModuleBasis:
 def module_gb(vectors: Sequence[Sequence[Poly]],
               rank: Optional[int] = None,
               ring: Optional[PolyRing] = None) -> ModuleBasis:
-    if vectors:
+    if rank is None or ring is None:
+        if not vectors:
+            raise ValueError("empty generator list needs rank and ring")
         r, R = _module_rank_ring(vectors)
-        if rank not in (None, r) or ring not in (None, R):
-            raise RingMismatchError("rank or ring disagrees with the vectors")
-        rank, ring = r, R
-    elif rank is None or ring is None:
-        raise ValueError("empty generator list needs rank and ring")
+        rank = r if rank is None else rank
+        ring = R if ring is None else ring
     return ModuleBasis(ring, rank, vectors)
 
 

@@ -69,9 +69,6 @@ class CoefField:
 
     # -- arithmetic on raw coefficients (Fraction over Q, int residue over F_p)
 
-    def zero(self):
-        return 0 if self.p else Fraction(0)
-
     def one(self):
         return 1 if self.p else Fraction(1)
 
@@ -427,9 +424,6 @@ def embed_append(p: Poly, target: PolyRing) -> Poly:
 # ---------------------------------------------------------------------------
 # parsing / printing
 
-_TOKEN_CHARS = set("+-*^/() \t\n")
-
-
 def _tokenize(src: str):
     tokens = []
     i, n = 0, len(src)
@@ -605,22 +599,16 @@ def coefficients_in(f: Poly, var_index: int) -> dict[int, Poly]:
     return {e: Poly(f.ring, t, _trusted=True) for e, t in out.items()}
 
 
-def kronecker_poly(gens: Sequence[Poly], fresh_var: str,
-                   ring: PolyRing | None = None) -> Poly:
-    """a_1 + a_2 T + ... + a_n T^(n-1) in the ring extended by T.
+def kronecker_poly(gens: Sequence[Poly], t: Poly) -> Poly:
+    """a_1 + a_2 t + ... + a_n t^(n-1), for a variable t of the gens' ring
+    that they do not involve.
 
-    The content ideal of the result equals <gens>.
+    The content ideal of the result in t equals <gens>.
     """
-    if gens:
-        ring = gens[0].ring
-        for g in gens[1:]:
-            if g.ring != ring:
-                raise RingMismatchError("generators in different rings")
-    elif ring is None:
-        raise ValueError("empty generator list needs an explicit ring")
-    if fresh_var in ring.vars:
-        raise ValueError(f"variable {fresh_var!r} collides with the ring")
-    ext = ring.extend_append([fresh_var])
-    t = ext.var(ext.n - 1)
-    return ext.dot([embed_append(g, ext) for g in gens],
-                   [t ** i for i in range(len(gens))])
+    R = t.ring
+    (m, _), = t.terms.items()
+    j = m.index(1)
+    before, after = (0,) * j, (0,) * (R.n - 1 - j)
+    one = R.field.one()
+    return R.dot(gens, [Poly(R, {before + (i,) + after: one}, _trusted=True)
+                        for i in range(len(gens))])

@@ -9,7 +9,7 @@ from ffr.algebra import (AIdeal, AModule, FPAlgebra, annihilator,
 from ffr.complexes import RingMatrix, kernel_generators
 from ffr.groebner import module_colon, module_gb, module_membership
 from ffr.ring import (CoefField, PolyRing, QQ, RingMismatchError,
-                      kronecker_poly, parse_poly)
+                      embed_append, kronecker_poly, parse_poly)
 
 
 def algebra(vars, *relations, order="grevlex"):
@@ -147,7 +147,9 @@ def _kronecker_regular_on_module(A, gens, E):
     """Is the Kronecker polynomial of `gens` regular on E[T]?"""
     names = A.ring.fresh_names(1)
     ext = A.extend_append(names)
-    f = ext.nf(kronecker_poly(gens, names[0], ring=A.ring)) if gens else ext.ring.zero()
+    R = ext.ring
+    f = ext.nf(kronecker_poly([embed_append(g, R) for g in gens],
+                              R.var(names[0])))
     Eext = E.transport(ext)
     W = Eext.base_vectors()
     basis = module_gb(W, rank=Eext.rank, ring=ext.ring)

@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import ffr
+from ffr.algebra import FPAlgebra
 from ffr.cli import run
+from ffr.complexes import koszul_complex
 from ffr.ring import PolyRing, QQ, parse_poly
 
 
@@ -112,6 +114,27 @@ def test_certify_rejects_with_witness(tmp_path, capsys):
     assert failing and failing[0]["witness"]
 
 
+def test_certify_reports_skipped_levels(tmp_path, capsys):
+    # the Koszul complex of (xy, xz, x) fails at level 2, so level 3 is
+    # skipped and carries no certificate fields
+    R = PolyRing(QQ, ["x", "y", "z"])
+    C = koszul_complex(FPAlgebra(R, []),
+                       [parse_poly(s, R) for s in ("x*y", "x*z", "x")])
+    doc = {"field": "Q", "vars": list(R.vars),
+           "matrices": [[[str(p) for p in row]
+                         for row in C.matrix(i).entries]
+                        for i in range(1, C.length + 1)]}
+    path = tmp_path / "koszul_xy_xz_x.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, ["certify", "--complex", str(path)])
+    assert code == 0 and rep["verdict"] == "not-exact"
+    assert [c["verdict"] for c in rep["conditions"]] == [
+        "holds", "fails", "skipped"]
+    last = rep["conditions"][2]
+    assert last["level"] == 3
+    assert not {"holds", "k", "fail_stage", "witness"} & last.keys()
+
+
 def test_cayley_command(tmp_path, capsys):
     doc = {"field": "Q", "vars": ["x", "y"],
            "matrices": [[["x", "0"], ["0", "y"]]]}
@@ -188,8 +211,10 @@ def test_exit_2_on_unknown_variable(capsys):
 
 
 def test_exit_2_on_bad_field(capsys):
-    code = run(["gb", "--field", "Fp:6", "--vars", "x", "--ideal", '["x"]'])
-    assert code == 2
+    # 2501 = 41*61 passes trial division and is caught by Miller-Rabin
+    for field in ("Fp:6", "Fp:2501"):
+        code = run(["gb", "--field", field, "--vars", "x", "--ideal", '["x"]'])
+        assert code == 2
 
 
 def test_determinism_and_round_trip(capsys):

@@ -202,6 +202,17 @@ def test_certify_rejects_zeroed_column():
     assert cert is not None and cert.witness is not None
 
 
+def test_certify_skips_levels_after_the_first_failure():
+    # (xy, xz, x) is not a regular sequence: level 2 fails, level 3 is
+    # reported as skipped, not decided
+    A = algebra(["x", "y", "z"])
+    report = certify_exact(koszul(A, "x*y", "x*z", "x"))
+    assert [c.holds for c in report.conditions] == [True, False, None]
+    assert report.conditions[2].certificate is None
+    assert report.failing_level == 2
+    assert not report.exact
+
+
 def test_certify_not_exact_over_quotient():
     A = algebra(["x", "y"], "x")
     C = koszul(A, "x", "y")

@@ -3,13 +3,15 @@ import random
 import pytest
 
 from ffr.algebra import AIdeal, AModule, FPAlgebra
+from ffr.complexes import RingMatrix, determinantal_ideal
 from ffr.depth import (depth_at_least, depth_dim_identity,
                        depth_value, is_completely_secant,
                        is_E_regular_sequence, is_singular_sequence,
-                       kronecker_sequence, triangular_regularization,
-                       wiebe_check, INFINITY)
-from ffr.groebner import IdealGens, ideal_colon, ideal_equal
-from ffr.ring import PolyRing, QQ, parse_poly
+                       kronecker_sequence, same_depth_generators,
+                       triangular_regularization, wiebe_check, INFINITY)
+from ffr.groebner import (IdealGens, ideal_colon, ideal_equal,
+                          module_membership)
+from ffr.ring import CoefField, PolyRing, QQ, parse_poly
 
 
 def algebra(vars, *relations, order="grevlex"):
@@ -28,7 +30,7 @@ def test_kronecker_sequence_shape():
     A = algebra(["x", "y"])
     ks = kronecker_sequence(ideal(A, "x", "y"), 2)
     ext = ks.extended_algebra.ring
-    (t1,), (t2,) = ks.block_vars
+    t1, t2 = ks.fresh_vars
     assert [str(p) for p in ks.polys] == [
         str(parse_poly(f"x + y*{t1}", ext)), str(parse_poly(f"x + y*{t2}", ext))]
 
@@ -43,6 +45,38 @@ def test_kronecker_empty():
     A = algebra(["x"])
     ks = kronecker_sequence(ideal(A, "x"), 0)
     assert ks.polys == ()
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_wide_ideal_generic_2x5_minors(p):
+    # D_2 of the generic 2x5 matrix keeps 10 reduced generators, more than
+    # any other test ideal: one fresh variable per polynomial, degree 9 in it
+    names = [f"a{i}{j}" for i in range(2) for j in range(5)]
+    R = PolyRing(CoefField(p), names)
+    A = FPAlgebra(R, [])
+    X = RingMatrix(A, [[R.var(f"a{i}{j}") for j in range(5)]
+                       for i in range(2)], 2, 5)
+    a = determinantal_ideal(X, 2)
+    free = AModule.free(A, 1)
+    reduced = same_depth_generators(a)
+    assert len(reduced.gens) == 10
+    ks = kronecker_sequence(reduced, 2)
+    assert len(ks.fresh_vars) == 2
+    ext = ks.extended_algebra.ring
+    assert ext.vars == R.vars + ks.fresh_vars
+    for i, f in enumerate(ks.polys):
+        assert max(m[R.n + i] for m in f.terms) == 9
+        assert all(m[R.n + 1 - i] == 0 for m in f.terms)
+    assert depth_at_least(a, free, 3).holds
+
+    b = AIdeal(A, [R.var("a00") * g for g in a.gens])
+    cert = depth_at_least(b, free, 2)
+    assert not cert.holds and cert.fail_stage == 2
+    f1, f2 = cert.sequence
+    (w,) = cert.witness
+    assert module_membership([w], [[f1]]) is None
+    assert module_membership([f2 * w], [[f1]]) is not None
+    assert depth_value(b, free) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 
 from colon_oracle import (exact_div, ideal_intersection,
                           saturation_by_iteration)
-from ffr.groebner import (IdealGens, _Overflow, _Pack, _Reducers, _spair,
-                          _tagged_basis, ideal_colon, ideal_equal,
-                          ideal_product, krull_dimension, module_gb,
-                          module_membership, radical_membership, saturation,
-                          syzygy_module)
+from ffr.groebner import (IdealGens, ModuleBasis, _Overflow, _Pack,
+                          _Reducers, _spair, _tagged_basis, ideal_colon,
+                          ideal_equal, ideal_product, krull_dimension,
+                          module_gb, module_membership, radical_membership,
+                          saturation, syzygy_module)
 from ffr.ring import (CoefField, Poly, PolyRing, QQ, RingMismatchError,
                       VerificationError, mono_div, mono_divides, mono_lcm,
                       mono_mul, parse_poly)
@@ -382,6 +382,16 @@ def test_module_gb_rank_and_ring_must_agree():
     M = module_gb(vectors, rank=2, ring=R)
     assert (M.rank, M.ring) == (2, R)
     assert module_gb([], rank=3, ring=S).rank == 3
+
+
+def test_module_basis_checks_its_generators():
+    R, S = R2(), R3()
+    for rank, vectors in ((2, [[P(S, "x*z"), P(S, "y")]]),  # z would be dropped
+                          (1, [[P(R, "x"), P(R, "y")]])):  # y would be dropped
+        with pytest.raises(RingMismatchError):
+            ModuleBasis(R, rank, vectors)
+    assert ModuleBasis(R, 2, [[P(R, "x"), P(R, "y")]]).vectors == (
+        (P(R, "x"), P(R, "y")),)
 
 
 def test_syzygy_soundness_random():

@@ -30,6 +30,15 @@ def test_parse_mod_p_collapse():
     assert parse_poly("3*x", R).is_zero
 
 
+def test_composite_modulus_rejected_by_miller_rabin():
+    # 2501 = 41*61 has no factor up to 37, and 3215031751 is a strong
+    # pseudoprime to the bases 2, 3, 5 and 7
+    for n in (2501, 3215031751):
+        with pytest.raises(ValueError):
+            CoefField(n)
+    assert CoefField(2147483647).p == 2147483647
+
+
 def test_parse_parens_and_unary_minus():
     R = ring_qq("x", "y")
     assert parse_poly("x*(y-1)", R) == parse_poly("x*y - x", R)
@@ -248,22 +257,22 @@ def test_dedekind_mertens_and_content_containment():
 
 
 def test_kronecker_poly():
-    R = ring_qq("x", "y")
-    x, y = R.gens()
-    f = kronecker_poly([x, y], "t")
-    ext = f.ring
-    assert ext.vars == ("x", "y", "t")
-    assert f == parse_poly("x + y*t", ext)
+    R = ring_qq("x", "y", "t")
+    x, y, t = R.gens()
+    f = kronecker_poly([x, y], t)
+    assert f.ring == R
+    assert f == parse_poly("x + y*t", R)
     assert sorted(map(str, content_ideal(f))) == ["1", "1"]
 
-    g = kronecker_poly([x], "t")
+    g = kronecker_poly([x], t)
     assert format_poly(g) == "x"
 
-    z = kronecker_poly([], "t", ring=R)
+    z = kronecker_poly([], t)
     assert z.is_zero
 
-    with pytest.raises(ValueError):
-        kronecker_poly([x], "y")
+    # t need not be the last variable
+    h = kronecker_poly([x, t, x + t], y)
+    assert h == parse_poly("x + t*y + (x + t)*y^2", R)
 
 
 def unique_up_to_sign_quadratic(polys):

@@ -19,12 +19,15 @@ def test_no_bare_assert_in_library():
 
 
 def test_every_definition_is_used():
-    # a function, class or method nobody names is dead code
+    # a function, class, method or module-level name nobody reads is dead
+    # code
     defined, used = [], set()
     for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                if not isinstance(node.ctx, ast.Store):
+                    used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
@@ -34,5 +37,14 @@ def test_every_definition_is_used():
                            ast.ClassDef))
                   and not node.name.startswith("__")):
                 defined.append((f"{path.name}:{node.lineno}", node.name))
+        if path.parent == SRC:
+            defined += [(f"{path.name}:{node.lineno}", target.id)
+                        for node in tree.body
+                        if isinstance(node, (ast.Assign, ast.AnnAssign))
+                        for target in (node.targets
+                                       if isinstance(node, ast.Assign)
+                                       else [node.target])
+                        if isinstance(target, ast.Name)
+                        and not target.id.startswith("__")]
     assert [f"{where} {name}" for where, name in defined
             if name not in used] == []

@@ -439,10 +439,7 @@ def _taylor(args):
     if args.minimal:
         payload["minimal"] = is_taylor_minimal(m)
     if args.check_homotopy:
-        mults = [(0,) * R.n, tuple([1] + [0] * (R.n - 1))]
-        samples = [(p, J) for k in range(0, m.r + 1)
-                   for J in subsets_colex(m.r, k) for p in mults]
-        payload["homotopy_identity"] = homotopy_identity_check(m, samples)
+        payload["homotopy_identity"] = homotopy_identity_check(T)
         if not payload["homotopy_identity"]:
             raise VerificationError("contracting homotopy identity failed")
     return ({**_ring_inputs(R),

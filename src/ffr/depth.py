@@ -28,8 +28,6 @@ INFINITY = math.inf
 class KroneckerSequence:
     """k polynomials, each in its own fresh variable with content ideal a."""
 
-    base: AIdeal
-    length: int
     extended_algebra: FPAlgebra
     fresh_vars: tuple[str, ...]
     polys: tuple[Poly, ...]
@@ -43,7 +41,6 @@ class DepthCertificate:
     of the stage quotient with f_j w = 0 there, re-verified on construction.
     """
 
-    kind: str
     k: int
     holds: bool
     fail_stage: Optional[int] = None
@@ -64,7 +61,7 @@ def kronecker_sequence(a: AIdeal, k: int) -> KroneckerSequence:
     R = ext.ring
     gens = [embed_append(g, R) for g in a.gens]
     polys = tuple(kronecker_poly(gens, R.var(name)) for name in names)
-    return KroneckerSequence(a, k, ext, tuple(names), polys)
+    return KroneckerSequence(ext, tuple(names), polys)
 
 
 def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:
@@ -79,8 +76,7 @@ def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:
     q = E.rank
     seq = tuple(A.nf(p) for p in seq)
     if q == 0:
-        return DepthCertificate("regular-sequence", len(seq), True,
-                                sequence=seq, algebra=A)
+        return DepthCertificate(len(seq), True, sequence=seq, algebra=A)
     W = E.base_vectors()
     for j, a_j in enumerate(seq, start=1):
         basis = gb.module_gb(W, rank=q, ring=R)
@@ -95,12 +91,11 @@ def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:
             scaled = [a_j * p for p in witness]
             if gb.module_membership(scaled, W) is None:
                 raise VerificationError("witness does not re-verify")
-            return DepthCertificate("regular-sequence", len(seq), False,
-                                    fail_stage=j, witness=tuple(witness),
+            return DepthCertificate(len(seq), False, fail_stage=j,
+                                    witness=tuple(witness),
                                     sequence=seq, algebra=A)
         W += gb.scalar_columns([a_j], q, R)
-    return DepthCertificate("regular-sequence", len(seq), True,
-                            sequence=seq, algebra=A)
+    return DepthCertificate(len(seq), True, sequence=seq, algebra=A)
 
 
 def same_depth_generators(a: AIdeal) -> AIdeal:
@@ -136,12 +131,11 @@ def depth_at_least(a: AIdeal, E: AModule, k: int) -> DepthCertificate:
     if k < 0:
         raise ValueError("negative depth bound")
     if k == 0:
-        return DepthCertificate("depth", 0, True, algebra=a.algebra)
+        return DepthCertificate(0, True, algebra=a.algebra)
     ks = kronecker_sequence(same_depth_generators(a), k)
     cert = is_E_regular_sequence(ks.polys, E.transport(ks.extended_algebra))
-    return DepthCertificate("depth", k, cert.holds, cert.fail_stage,
-                            cert.witness, cert.sequence,
-                            ks.extended_algebra)
+    return DepthCertificate(k, cert.holds, cert.fail_stage, cert.witness,
+                            cert.sequence, ks.extended_algebra)
 
 
 def depth_value(a: AIdeal, E: AModule):

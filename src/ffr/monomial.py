@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 from .algebra import FPAlgebra
 from .complexes import FreeComplex, RingMatrix
 from .exterior import (MultiVector, boundary_matrix, subset_index,
                        subsets_colex)
-from .ring import Poly, PolyRing, mono_div, mono_divides, mono_gcd, mono_lcm
+from .ring import (Poly, PolyRing, mono_div, mono_divides, mono_gcd, mono_lcm,
+                   parse_poly)
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,6 @@ class MonomialList:
 
     @classmethod
     def parse(cls, ring: PolyRing, sources: Sequence[str]) -> "MonomialList":
-        from .ring import parse_poly
         monos = []
         for s in sources:
             p = parse_poly(s, ring)
@@ -153,32 +154,34 @@ def _homotopy_elem(m: MonomialList, elem: MultiVector) -> MultiVector:
     return out
 
 
-def homotopy_identity_check(m: MonomialList,
-                            samples: Sequence[tuple[tuple[int, ...],
-                                                    Sequence[int]]]) -> bool:
-    """(d h + h d)(p e_J) = p e_J on each (p, J) sample.
+def homotopy_identity_check(T: TaylorComplex) -> bool:
+    """(d h + h d)(p e_J) = p e_J for every point t = lcm(m_K), K nonempty,
+    of the lcm lattice, every subset J of S(t) = {i : m_i | t} and
+    p = t / lcm(m_J).
 
-    At grade 0 the identity is asserted on the image of the ideal only:
-    samples (p, ()) with p outside <m_1..m_r> are vacuous (the complex
-    augments to the quotient there) and are skipped.
+    h and d keep t = lcm(m_J) p on every term, so the identity at (p, J)
+    depends only on J and S(t); lcm(m_S(t)) is a lattice point dividing t
+    with the same S.  These samples thus stand for every p e_J in the
+    image of the ideal, and True proves the augmented complex exact.
     """
-    T = taylor_complex(m)
+    m = T.monomials
     R = m.ring
-    one = R.field.one()
-    for p, J in samples:
-        J = tuple(J)
-        if not J and not any(mono_divides(mi, p) for mi in m.monomials):
-            continue
-        elem = MultiVector.from_dict(m.algebra, m.r, len(J),
-                                     {J: Poly(R, {p: one})})
-        total = MultiVector.zero(m.algebra, m.r, len(J))
-        h_elem = _homotopy_elem(m, elem)
-        if not h_elem.is_zero:
-            total = total + T.differential(h_elem)
-        if J:
-            total = total + _homotopy_elem(m, T.differential(elem))
-        if total != elem:
-            return False
+    points: set[tuple[int, ...]] = set()
+    for mi in m.monomials:
+        points |= {mono_lcm(t, mi) for t in points} | {mi}
+    for t in points:
+        S = [i for i, mi in enumerate(m.monomials, 1) if mono_divides(mi, t)]
+        for J in (J for k in range(len(S) + 1) for J in combinations(S, k)):
+            p = Poly(R, {mono_div(t, m.lcm_of(J)): R.field.one()})
+            elem = MultiVector.from_dict(m.algebra, m.r, len(J), {J: p})
+            total = MultiVector.zero(m.algebra, m.r, len(J))
+            h_elem = _homotopy_elem(m, elem)
+            if not h_elem.is_zero:
+                total = total + T.differential(h_elem)
+            if J:
+                total = total + _homotopy_elem(m, T.differential(elem))
+            if total != elem:
+                return False
     return True
 
 

@@ -1,7 +1,11 @@
+import json
 import random
+import time
 
 import pytest
 
+from ffr import monomial
+from ffr.cli import run
 from ffr.complexes import certify_exact
 from ffr.exterior import MultiVector, subsets_colex
 from ffr.groebner import module_membership, syzygy_module
@@ -221,20 +225,17 @@ def test_homotopy_examples():
 
 def test_homotopy_identity_exhaustive_worked_example():
     m = mlist(["x", "y", "z"], "x^2*y", "x*y^3", "x", "y*z")
-    samples = []
-    multipliers = [(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 1)]
-    for k in range(0, 5):
-        for J in subsets_colex(4, k):
-            for p in multipliers:
-                samples.append((p, J))
-    assert homotopy_identity_check(m, samples)
+    assert homotopy_identity_check(taylor_complex(m))
 
 
 def test_homotopy_identity_single_monomial():
     m = mlist(["x"], "x")
-    assert homotopy_identity_check(m, [((3,), ())])
-    # outside the ideal at grade 0: skipped by the augmentation convention
-    assert homotopy_identity_check(m, [((0,), ())])
+    assert homotopy_identity_check(taylor_complex(m))
+
+
+def test_homotopy_identity_empty_list():
+    m = mlist(["x", "y"])
+    assert homotopy_identity_check(taylor_complex(m))
 
 
 def test_homotopy_vs_certification_cross_validation():
@@ -243,15 +244,39 @@ def test_homotopy_vs_certification_cross_validation():
     for _ in range(6):
         r = rng.randint(2, 4)
         monos = tuple((rng.randint(0, 2), rng.randint(0, 2)) for _ in range(r))
-        m = MonomialList(R, monos)
-        T = taylor_complex(m)
-        samples = []
-        for k in range(0, r + 1):
-            for J in subsets_colex(r, k):
-                samples.append(((1, 1), J))
-                samples.append(((0, 0), J))
-        assert homotopy_identity_check(m, samples)
+        T = taylor_complex(MonomialList(R, monos))
+        assert homotopy_identity_check(T)
         assert certify_exact(T.complex).exact
+
+
+def test_homotopy_check_catches_a_multiplier_mutant(monkeypatch, capsys):
+    # h wrong only where the multiplier p contains z and J is nonempty:
+    # multipliers 1 and x never reach it, the lcm lattice point x^2 y^2 z^2
+    # does (h(x^2 z^2 e_2) must be z^2 e_12)
+    right = monomial.taylor_homotopy
+
+    def mutant(m, p, J):
+        if p[2] and J:
+            return MultiVector.zero(m.algebra, m.r, len(J) + 1)
+        return right(m, p, J)
+
+    monkeypatch.setattr(monomial, "taylor_homotopy", mutant)
+    m = mlist(["x", "y", "z"], "x^2", "y^2", "z^2")
+    assert homotopy_identity_check(taylor_complex(m)) is False
+    assert run(["taylor", "--vars", "x,y,z", "--monomials", "x^2,y^2,z^2",
+                "--check-homotopy"]) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_homotopy_check_proves_the_r6_list(capsys):
+    # the north-star list, out of reach of certify_exact
+    t0 = time.perf_counter()
+    code = run(["taylor", "--vars", "x,y,z,w", "--monomials",
+                "x^2*y,y^2*z,z^2*w,w^2*x,x*z,y*w", "--check-homotopy"])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["homotopy_identity"] is True
+    assert elapsed < 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Random lists of r <= 5 monomials in x, y, z with exponents at most 3, over
 Q and F_32003.  Checked: d.d = 0 on random elements of L_k, the contracting
 homotopy identity (dh + hd)(p e_J) = p e_J on every basis element, the
 `MultiVector` invariants of every value the complex returns, and the grade
-and rank checks.  Skipped when `hypothesis` is not installed.
+and rank checks.  The lcm-lattice homotopy check is also run on lists of
+r <= 4 over Q, where it must agree with `certify_exact`.  Skipped when `hypothesis` is not installed.
 """
 
 import pytest
@@ -14,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from ffr.complexes import certify_exact  # noqa: E402
 from ffr.exterior import MultiVector, subset_index, subsets_colex  # noqa: E402
 from ffr.monomial import (MonomialList, homotopy_identity_check,  # noqa: E402
                           taylor_complex, taylor_homotopy)
@@ -83,11 +85,9 @@ def test_d_squared_is_zero(case):
 def test_homotopy_contracts_every_basis_element(m, multipliers):
     T = taylor_complex(m)
     one = m.ring.field.one()
-    samples = []
     for k in range(m.r + 1):
         for J in subsets_colex(m.r, k):
             for p in multipliers:
-                samples.append((p, J))
                 if not J and not any(mono_divides(mi, p)
                                      for mi in m.monomials):
                     continue  # outside the ideal: the augmentation's part
@@ -102,7 +102,15 @@ def test_homotopy_contracts_every_basis_element(m, multipliers):
                 if k:
                     total = total + homotopy(m, T.differential(e))
                 assert total == e
-    assert homotopy_identity_check(m, samples)
+    assert homotopy_identity_check(T)
+
+
+@SETTINGS
+@given(st.lists(exponents, max_size=4))
+def test_lattice_check_agrees_with_certify_exact(monos):
+    T = taylor_complex(MonomialList(PolyRing(QQ, VARS), tuple(monos)))
+    assert homotopy_identity_check(T) is True
+    assert certify_exact(T.complex).exact is True
 
 
 @SETTINGS

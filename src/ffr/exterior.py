@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import lcm, prod
 from typing import Sequence
 
 from .algebra import FPAlgebra
-from .ring import Poly, PolyRing, RingMismatchError
+from .ring import Poly, PolyRing, RingMismatchError, _Pack
 
 
 @lru_cache(maxsize=None)
@@ -56,31 +57,58 @@ def minors(rows: Sequence[Sequence[Poly]], ring: PolyRing, k: int) -> dict:
 
     Each minor is expanded along its first column; one memo serves the
     whole table, so a sub-minor shared by several minors is computed once.
+    The expansion adds packed terms (`ring._Pack`) and multiplies ints:
+    row r is cleared of its denominators d_r once, the minor on rows I is
+    its int vector over the product of their d_r, and the fields are wide
+    enough for k times the largest entry degree, so nothing overflows.
     """
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
+    if any(f.ring is not ring and f.ring != ring for r in rows for f in r):
+        raise RingMismatchError(f"matrix entry not in {ring}")
     if k == 0:
         return {((), ()): ring.one()}
+    top = max((f.degree() for r in rows for f in r), default=0)
+    pack = _Pack.of(ring, 1, (k * max(top, 0)).bit_length() + 1)
+    p = ring.field.p
+    ents, dens = [], []
+    for row in rows:
+        packed = [pack.vec([f]) for f in row]
+        d = lcm(*(b for _, b in packed))
+        ents.append([{t: x * (d // b) for t, x in v.items()} if b != d else v
+                     for v, b in packed])
+        dens.append(d)
     memo: dict = {}
 
-    def rec(I: tuple[int, ...], J: tuple[int, ...]) -> Poly:
+    def rec(I: tuple[int, ...], J: tuple[int, ...]) -> dict:
         if len(I) == 1:
-            return rows[I[0] - 1][J[0] - 1]
+            return ents[I[0] - 1][J[0] - 1]
         got = memo.get((I, J))
         if got is not None:
             return got
-        column = J[0] - 1
-        live = [(pos, rows[r - 1][column]) for pos, r in enumerate(I)
-                if not rows[r - 1][column].is_zero]
-        got = memo[I, J] = ring.dot(
-            [-e if pos % 2 else e for pos, e in live],
-            [rec(I[:pos] + I[pos + 1:], J[1:]) for pos, _ in live])
+        column, rest = J[0] - 1, J[1:]
+        acc: dict = {}
+        get = acc.get
+        for pos, r in enumerate(I):
+            e = ents[r - 1][column]
+            if not e:
+                continue
+            sub = rec(I[:pos] + I[pos + 1:], rest)
+            for t1, c1 in e.items():
+                if pos % 2:
+                    c1 = -c1
+                for t2, c2 in sub.items():
+                    t = t1 + t2
+                    acc[t] = get(t, 0) + c1 * c2
+        got = memo[I, J] = {t: c for t, x in acc.items()
+                            if (c := x % p if p else x)}
         return got
 
     cols = subsets_colex(ncols, k)
-    return {(I, J): rec(I, J) for I in subsets_colex(len(rows), k)
-            for J in cols}
+    return {(I, J): pack.polys(rec(I, J), d)[0]
+            for I in subsets_colex(len(rows), k)
+            for d in [prod(dens[r - 1] for r in I)] for J in cols}
 
 
 def poly_det(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> Poly:

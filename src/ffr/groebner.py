@@ -6,104 +6,35 @@ order is position-over-term (POT) with the ring's monomial order, so a
 trailing block of "tag" positions is automatically eliminated; syzygies and
 membership lifts both come from that extended-basis bookkeeping.
 
-Inside a run every term is one int (`_Pack`), whose int order is the POT
-order.  The position, stored as rank-1-pos, sits in the top bits; below
-it are fields of w bits whose top bits are guard bits, clear in a term:
-first the partial sums s_n..s_2 (s_k = e_1+...+e_k) for grevlex, the
-total degree for grlex and nothing for lex; then e_1..e_n.  A product of
-terms is the sum of their ints, a quotient the difference, and m divides
-t (same position) iff ((t | G) - m) & G == G, G being the guard bits.
-The fields are sized from a run's inputs (6, 12, 24, ... bits).  A term
-that does not fit raises `_Overflow`, and so does every product that
-sets a guard bit: the run restarts with fields twice as wide, and a
-normal form that overflows a finished table widens that table in place,
-once for all later calls.  Nothing wraps.
+Inside a run every term is one int of `ring._Pack`, the packed-term codec
+shared with the minors table.  A run sizes its fields from its inputs
+(6, 12, 24, ... bits); a term that does not fit, or a product that sets
+a guard bit, raises `_Overflow`: the run restarts with fields twice as
+wide, and a normal form that overflows a finished table widens that
+table in place, once for all later calls.  Nothing wraps.
 
 Every element is one int vector with its lead coefficient a: over F_p the
 monic vector of residues in [0, p) (a = 1), over Q the primitive integer
 vector with a > 0, reduced fraction-free after each input's denominators
-are cleared once.  `Poly`s cross the boundary through one codec:
-`_Pack.vec` packs a list of coordinates into an int vector d * v, d
-clearing its denominators, and `_Pack.polys` unpacks an int vector over a
-scale into coordinates with exact coefficients (`Fraction`s over Q).  An
-element of a basis is its vector over a, which is monic, the canonical
-form that bases, reports and certificates compare; a full normal form
-divides out its scale once, and returns the caller's polys when nothing
-reduces them.
+are cleared once.  `Poly`s cross the boundary through the codec's
+`_Pack.vec` and `_Pack.polys`.  An element of a basis is its vector over
+a, which is monic, the canonical form that bases, reports and
+certificates compare; a full normal form divides out its scale once, and
+returns the caller's polys when nothing reduces them.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
-from operator import itemgetter, mul
+from math import gcd
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .ring import (Poly, PolyRing, RingMismatchError, VerificationError,
-                   mono_lcm)
+                   _Overflow, _Pack, mono_lcm)
 
 Vec = dict  # {packed term: coeff}
-
-
-class _Overflow(Exception):
-    """A field of a packed term outgrew its width."""
-
-
-class _Pack:
-    """Terms (pos, mono) of a ring and rank as ints of w-bit fields, and the
-    codec between coordinate lists of `Poly`s and packed int vectors."""
-
-    def __init__(self, ring: PolyRing, rank: int, w: int):
-        n = ring.n
-        forms = {"grevlex": [range(k) for k in range(n, 1, -1)],
-                 "grlex": [range(n)], "lex": []}[ring.order]
-        forms += [(i,) for i in range(n)]
-        k = len(forms)
-        self.ring, self.rank, self.w, self.shift = ring, rank, w, w * k
-        self.weights = [sum(1 << w * (k - 1 - f)
-                            for f, form in enumerate(forms) if i in form)
-                        for i in range(n)]
-        self.G = sum(1 << w * f + w - 1 for f in range(k))
-        self.top = max if ring.order == "lex" else sum  # the largest field
-
-    @classmethod
-    @lru_cache(maxsize=64)
-    def of(cls, ring: PolyRing, rank: int, w: int) -> "_Pack":
-        """The packing of (ring, rank, w), made once."""
-        return cls(ring, rank, w)
-
-    def enc(self, pos: int, mono: tuple) -> int:
-        """The int of (pos, mono); `_Overflow` if a field does not fit."""
-        if mono and self.top(mono) >> self.w - 1:
-            raise _Overflow
-        return ((self.rank - 1 - pos << self.shift)
-                + sum(map(mul, mono, self.weights)))
-
-    def dec(self, t: int) -> tuple:
-        w, n, mask = self.w, self.ring.n, (1 << self.w) - 1
-        return (self.rank - 1 - (t >> self.shift),
-                tuple(t >> w * (n - 1 - i) & mask for i in range(n)))
-
-    def vec(self, coords: Sequence[Poly]) -> tuple[Vec, int]:
-        """(d * v, d) for the polys `coords` as one packed vector v, d
-        being the lcm of their denominators (1 over F_p)."""
-        ratios = {self.enc(i, m): c.as_integer_ratio()
-                  for i, f in enumerate(coords) for m, c in f.terms.items()}
-        d = lcm(*(b for _, b in ratios.values()))
-        return {t: a * (d // b) for t, (a, b) in ratios.items()}, d
-
-    def polys(self, v: Vec, d: int) -> list[Poly]:
-        """The `rank` coordinates of the packed int vector v over d, with
-        exact coefficients: over F_p, where d is 1, the residues."""
-        coords: list[dict] = [{} for _ in range(self.rank)]
-        p = self.ring.field.p
-        for t, x in v.items():
-            pos, mono = self.dec(t)
-            coords[pos][mono] = x if p else Fraction(x, d)
-        return [Poly(self.ring, c, _trusted=True) for c in coords]
 
 
 class _Reducers:

@@ -3,13 +3,30 @@
 Monomials are exponent tuples, polynomials are dicts mapping monomials to
 nonzero coefficients.  Everything is immutable after construction and all
 arithmetic is exact: Fraction coefficients over Q, canonical residues over
-a prime field.  `PolyRing.dot` is the one sum of products: `*`, minors,
+a prime field.  `PolyRing.dot` is the one sum of products of `Poly`s: `*`,
 pairings and matrix products all accumulate through it.
+
+`_Pack` is the one packed-term codec, shared by the Groebner engine and
+the minors table.  A term (pos, monomial) of A^rank is one int whose int
+order is the POT order: rank-1-pos in the top bits, then w-bit fields
+whose top bits are guard bits, clear in a term, holding the partial sums
+s_n..s_2 (s_k = e_1+...+e_k) for grevlex, the total degree for grlex and
+nothing for lex, then e_1..e_n.  A product of terms is the sum of their
+ints, a quotient the difference, and m divides t (same position) iff
+((t | G) - m) & G == G, G being the guard bits.  A term that does not fit
+raises `_Overflow`; a product that sets a guard bit has overflowed, which
+the caller rules out by its choice of w or checks for.  `_Pack.vec` packs
+coordinate `Poly`s into an int vector d * v, d clearing their
+denominators, and `_Pack.polys` unpacks an int vector over a scale into
+coordinates with exact coefficients (`Fraction`s over Q).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 RESERVED_PREFIX = "#k"
@@ -419,6 +436,71 @@ def embed_append(p: Poly, target: PolyRing) -> Poly:
     pad = (0,) * (target.n - p.ring.n)
     return Poly(target, {m + pad: c for m, c in p.terms.items()},
                 _trusted=True)
+
+
+# ---------------------------------------------------------------------------
+# packed terms: the one codec between Polys and int vectors
+
+class _Overflow(Exception):
+    """A field of a packed term outgrew its width."""
+
+
+class _Pack:
+    """Terms (pos, mono) of a ring and rank as ints of w-bit fields, and the
+    codec between coordinate lists of `Poly`s and packed int vectors."""
+
+    def __init__(self, ring: PolyRing, rank: int, w: int):
+        n = ring.n
+        forms = {"grevlex": [range(k) for k in range(n, 1, -1)],
+                 "grlex": [range(n)], "lex": []}[ring.order]
+        forms += [(i,) for i in range(n)]
+        k = len(forms)
+        self.ring, self.rank, self.w, self.shift = ring, rank, w, w * k
+        self.weights = [sum(1 << w * (k - 1 - f)
+                            for f, form in enumerate(forms) if i in form)
+                        for i in range(n)]
+        self.G = sum(1 << w * f + w - 1 for f in range(k))
+        self.top = max if ring.order == "lex" else sum  # the largest field
+        self.mask = (1 << w) - 1
+        self.shifts = [w * (n - 1 - i) for i in range(n)]  # of e_1..e_n
+
+    @classmethod
+    @lru_cache(maxsize=64)
+    def of(cls, ring: PolyRing, rank: int, w: int) -> "_Pack":
+        """The packing of (ring, rank, w), made once."""
+        return cls(ring, rank, w)
+
+    def enc(self, pos: int, mono: tuple) -> int:
+        """The int of (pos, mono); `_Overflow` if a field does not fit."""
+        if mono and self.top(mono) >> self.w - 1:
+            raise _Overflow
+        return ((self.rank - 1 - pos << self.shift)
+                + sum(map(mul, mono, self.weights)))
+
+    def dec(self, t: int) -> tuple:
+        mask = self.mask
+        return (self.rank - 1 - (t >> self.shift),
+                tuple([t >> s & mask for s in self.shifts]))
+
+    def vec(self, coords: Sequence[Poly]) -> tuple[dict, int]:
+        """(d * v, d) for the polys `coords` as one packed vector v, d
+        being the lcm of their denominators (1 over F_p)."""
+        ratios = {self.enc(i, m): c.as_integer_ratio()
+                  for i, f in enumerate(coords) for m, c in f.terms.items()}
+        d = lcm(*(b for _, b in ratios.values()))
+        return {t: a * (d // b) for t, (a, b) in ratios.items()}, d
+
+    def polys(self, v: dict, d: int) -> list[Poly]:
+        """The `rank` coordinates of the packed int vector v over d, with
+        exact coefficients: over F_p, where d is 1, the residues."""
+        if not v:
+            return [Poly(self.ring, {}, _trusted=True)] * self.rank
+        coords: list[dict] = [{} for _ in range(self.rank)]
+        p, dec = self.ring.field.p, self.dec
+        for t, x in v.items():
+            pos, mono = dec(t)
+            coords[pos][mono] = x if p else Fraction(x, d)
+        return [Poly(self.ring, c, _trusted=True) for c in coords]
 
 
 # ---------------------------------------------------------------------------

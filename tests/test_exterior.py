@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -13,7 +14,7 @@ from ffr.exterior import (MultiVector, are_proportional, complement,
                           subsets_colex, sylvester_plucker, wedge)
 from ffr.groebner import syzygy_module
 from ffr.monomial import MonomialList, taylor_complex
-from ffr.ring import CoefField, Poly, PolyRing, QQ
+from ffr.ring import CoefField, Poly, PolyRing, QQ, RingMismatchError
 
 
 def scalars(n=0):
@@ -368,46 +369,84 @@ def leibniz_minor(rows, ring, I, J):
     return acc
 
 
-def random_rows(rng, R, nrows, ncols, zero_row=None):
+def random_rows(rng, R, nrows, ncols, zero_row=None, fractions=False):
+    """Sparse entries of degree <= 2 in the first variable and <= 1 in the
+    others; with `fractions`, each coefficient over a denominator of its
+    own, so that rows need different clearing."""
     def entry():
         if rng.random() < 0.3:
             return R.zero()
-        return Poly(R, {(rng.randint(0, 2), rng.randint(0, 1)):
-                        R.field.coerce(rng.randint(-4, 4))
+        return Poly(R, {tuple(rng.randint(0, 1 if v else 2)
+                              for v in range(R.n)):
+                        R.field.coerce(Fraction(rng.randint(-4, 4),
+                                                rng.randint(1, 6)
+                                                if fractions else 1))
                         for _ in range(rng.randint(1, 2))})
     return [[R.zero() if i == zero_row else entry() for _ in range(ncols)]
             for i in range(nrows)]
 
 
 ORACLE_FIELDS = [QQ, CoefField(32003)]
+# the packed fields depend on the order: grevlex, grlex and lex in 3
+# variables; F_7 makes residues wrap, and the 3-variable rings draw
+# Fraction coefficients
+ORACLE_RINGS = {
+    "Q": PolyRing(QQ, ["x", "y"]),
+    "F32003": PolyRing(CoefField(32003), ["x", "y"]),
+    "F7-lex": PolyRing(CoefField(7), ["x", "y", "z"], "lex"),
+    "Q-grlex": PolyRing(QQ, ["x", "y", "z"], "grlex"),
+}
 SHAPES = [(0, 0), (1, 1), (1, 3), (3, 1), (2, 2), (2, 4), (4, 2), (3, 3),
           (3, 4), (4, 3), (4, 4)]
 
 
-@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
-def test_minors_table_matches_leibniz(field):
-    R = PolyRing(field, ["x", "y"])
-    rng = random.Random(field.p + 1)
+def assert_table_matches_leibniz(rows, R, nrows, cols):
+    for k in range(min(nrows, cols) + 2):
+        table = minors(rows, R, k)
+        keys = [(I, J) for I in subsets_colex(nrows, k)
+                for J in subsets_colex(cols, k)]
+        assert list(table) == keys  # I outermost, both colex
+        for (I, J), value in table.items():
+            assert value == leibniz_minor(rows, R, I, J)
+        powered = exterior_power_matrix(rows, R, k)
+        assert powered == [[table[I, J] for J in subsets_colex(cols, k)]
+                           for I in subsets_colex(nrows, k)]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+def test_minors_table_matches_leibniz(name):
+    R = ORACLE_RINGS[name]
+    rng = random.Random(R.field.p + R.n - 1)
     for nrows, ncols in SHAPES:
         for zero_row in (None, 0):
-            rows = random_rows(rng, R, nrows, ncols, zero_row)
+            rows = random_rows(rng, R, nrows, ncols, zero_row, R.n > 2)
             cols = ncols if nrows else 0
-            for k in range(min(nrows, cols) + 2):
-                table = minors(rows, R, k)
-                keys = [(I, J) for I in subsets_colex(nrows, k)
-                        for J in subsets_colex(cols, k)]
-                assert list(table) == keys  # I outermost, both colex
-                for (I, J), value in table.items():
-                    assert value == leibniz_minor(rows, R, I, J)
-                powered = exterior_power_matrix(rows, R, k)
-                assert powered == [[table[I, J] for J in subsets_colex(cols, k)]
-                                   for I in subsets_colex(nrows, k)]
+            assert_table_matches_leibniz(rows, R, nrows, cols)
             if nrows == cols:
                 full = tuple(range(1, nrows + 1))
                 assert poly_det(rows, R) == leibniz_minor(rows, R, full, full)
     # k = 0 is the empty minor, 1, also for the empty matrix
     assert minors([], R, 0) == {((), ()): R.one()}
     assert exterior_power_matrix([], R, 0) == [[R.one()]]
+    # entries of degree 2^12 and a 4 x 4 minor of degree 2^14: the fields
+    # must be wider than 6 bits, and than the entries alone need
+    x, y = R.gens()[:2]
+    big, one, zero = x ** 4096, R.one(), R.zero()
+    rows = [[big, one, x, zero], [y, big, -one, x], [one, x * 2, big, y],
+            [x - y, zero, y, big]]
+    assert_table_matches_leibniz(rows, R, 4, 4)
+    assert poly_det(rows, R).degree() == 4 * 4096
+
+
+def test_minors_refuses_foreign_and_ragged_matrices():
+    R = PolyRing(QQ, ["x", "y"])
+    x, y = R.gens()
+    # same variables and field, another order: another ring
+    foreign = PolyRing(QQ, ["x", "y"], "lex").gens()[0]
+    with pytest.raises(RingMismatchError):
+        minors([[x, y], [y, foreign]], R, 2)
+    with pytest.raises(ValueError, match="ragged"):
+        minors([[x, y], [y]], R, 1)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)

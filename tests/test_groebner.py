@@ -6,14 +6,14 @@ import pytest
 
 from colon_oracle import (exact_div, ideal_intersection,
                           saturation_by_iteration)
-from ffr.groebner import (IdealGens, ModuleBasis, _Overflow, _Pack,
-                          _Reducers, _spair, _tagged_basis, ideal_colon,
-                          ideal_equal, ideal_product, krull_dimension,
-                          module_gb, module_membership, radical_membership,
-                          saturation, syzygy_module)
+from ffr.groebner import (IdealGens, ModuleBasis, _Reducers, _spair,
+                          _tagged_basis, ideal_colon, ideal_equal,
+                          ideal_product, krull_dimension, module_gb,
+                          module_membership, radical_membership, saturation,
+                          syzygy_module)
 from ffr.ring import (CoefField, Poly, PolyRing, QQ, RingMismatchError,
-                      VerificationError, mono_div, mono_divides, mono_lcm,
-                      mono_mul, parse_poly)
+                      VerificationError, _Overflow, _Pack, mono_div,
+                      mono_divides, mono_lcm, mono_mul, parse_poly)
 
 
 def R2(order="grevlex"):

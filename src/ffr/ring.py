@@ -23,6 +23,7 @@ coordinates with exact coefficients (`Fraction`s over Q).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -178,7 +179,7 @@ class PolyRing:
     with `fresh_names`).
     """
 
-    __slots__ = ("field", "vars", "order", "_key", "_vindex")
+    __slots__ = ("field", "vars", "order", "_key", "_vindex", "_id")
 
     def __init__(self, field: CoefField, vars: Sequence[str],
                  order: str = "grevlex", _allow_reserved: bool = False):
@@ -197,6 +198,7 @@ class PolyRing:
         self.order = order
         self._vindex = {v: i for i, v in enumerate(vars)}
         self._key = _KEYS[order]
+        self._id = (field.p, vars, order)  # what __eq__ and __hash__ read
 
     @property
     def n(self) -> int:
@@ -290,13 +292,11 @@ class PolyRing:
         return names
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, PolyRing) and self.field == other.field
-                and self.vars == other.vars and self.order == other.order)
+        return self is other or (isinstance(other, PolyRing)
+                                 and self._id == other._id)
 
     def __hash__(self):
-        return hash((self.field, self.vars, self.order))
+        return hash(self._id)
 
     def __repr__(self):
         return f"{self.field}[{','.join(self.vars)}]<{self.order}>"
@@ -506,125 +506,126 @@ class _Pack:
 # ---------------------------------------------------------------------------
 # parsing / printing
 
-def _tokenize(src: str):
-    tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch in " \t\n":
-            i += 1
-        elif ch in "+-*^/()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(("num", int(src[i:j])))
-            i = j
-        elif ch.isalpha() or ch == "_" or ch == "#":
-            j = i
-            while j < n and (src[j].isalpha() or src[j].isdigit()
-                             or src[j] in "_#"):
-                j += 1
-            tokens.append(("name", src[i:j]))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} at position {i}")
-    return tokens
+# a token: an integer, a name, or one other character that is not a blank
+_TOKEN = re.compile(r"[ \t\n]*(\d+|(?:[^\W\d]|#)[\w#]*|[^ \t\n])")
+_BAD = re.compile(r"[^ \t\n+\-*^/()\w#]")
+
+
+def _is_name(t: str) -> bool:
+    """Whether token t reads as a name: a letter, `_` or `#`, then letters,
+    digits, `_` and `#` (for ASCII tokens `_TOKEN` checked the rest)."""
+    return (t[:1].isalpha() or t[:1] in ("_", "#")) and (t.isascii() or all(
+        c.isalpha() or c.isdigit() or c in "_#" for c in t))
 
 
 class _Parser:
-    def __init__(self, tokens, ring: PolyRing):
-        self.tokens = tokens
+    """Recursive descent over `_TOKEN`s straight into raw coefficients: a
+    term keeps its numbers and variable powers as one (coefficient,
+    exponent list) pair, and only parenthesized factors are multiplied as
+    `Poly`s; `expr` adds each term into one dict in place and drops a term
+    when it cancels, so terms keep the order of their first appearance."""
+
+    def __init__(self, src: str, ring: PolyRing):
+        self.toks = _TOKEN.findall(src) + [""]  # "" ends the input
         self.pos = 0
         self.ring = ring
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def power(self):
+        """The exponent after a primary, None if there is none."""
+        if self.toks[self.pos] != "^":
+            return None
+        k = self.toks[self.pos + 1]
+        if not k.isdecimal():
+            raise ParseError("malformed exponent")
+        self.pos += 2
+        return int(k)
 
-    def next(self):
-        t = self.peek()
-        self.pos += 1
-        return t
+    def expr(self) -> dict:
+        toks, add, res = self.toks, self.ring.field.add, {}
+        op = toks[self.pos]
+        if op in ("+", "-"):
+            self.pos += 1
+        while True:
+            c, e, f = self.term()
+            c = -c if op == "-" else c
+            for m, v in ([(tuple(e), c)] if f is None else
+                         [(mono_mul(m, e), c * v) for m, v in f.terms.items()]):
+                s = add(res.get(m, 0), v)
+                if s:
+                    res[m] = s
+                elif m in res:
+                    del res[m]
+            op = toks[self.pos]
+            if op not in ("+", "-"):
+                return res
+            self.pos += 1
 
-    def expr(self) -> Poly:
-        sign = 1
-        t = self.peek()
-        if t in ("+", "-"):
-            self.next()
-            sign = -1 if t == "-" else 1
-        p = self.term()
-        if sign < 0:
-            p = -p
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
-
-    def term(self) -> Poly:
-        p = self.factor()
-        while self.peek() == "*":
-            self.next()
-            p = p * self.factor()
-        return p
-
-    def factor(self) -> Poly:
-        sign = 1
-        while self.peek() == "-":
-            self.next()
-            sign = -sign
-        p = self.primary()
-        if self.peek() == "^":
-            self.next()
-            t = self.next()
-            if not (isinstance(t, tuple) and t[0] == "num"):
-                raise ParseError("malformed exponent")
-            p = p ** t[1]
-        return p if sign > 0 else -p
-
-    def primary(self) -> Poly:
-        t = self.next()
-        if t is None:
-            raise ParseError("unexpected end of input")
-        if t == "(":
-            p = self.expr()
-            if self.next() != ")":
-                raise ParseError("missing ')'")
-            return p
-        if isinstance(t, tuple) and t[0] == "num":
-            num = t[1]
-            if self.peek() == "/":
-                self.next()
-                d = self.next()
-                if not (isinstance(d, tuple) and d[0] == "num"):
-                    raise ParseError("malformed rational literal")
-                den = d[1]
-                p = self.ring.field.p
-                if p and den % p == 0:
-                    raise ParseError(
-                        f"denominator {den} is zero in characteristic {p}")
-                return self.ring.const(Fraction(num, den))
-            return self.ring.const(num)
-        if isinstance(t, tuple) and t[0] == "name":
-            name = t[1]
-            if name not in self.ring._vindex:
-                raise ParseError(f"unknown variable {name!r}")
-            return self.ring.var(name)
-        raise ParseError(f"unexpected token {t!r}")
+    def term(self) -> tuple:
+        """(c, e, f): the term is c * x^e * f, f being the product of its
+        parenthesized factors, or None if it has none.  A nonzero monomial
+        factor neither merges nor reorders terms, so f's terms come in the
+        order of the left-to-right product of all the factors."""
+        toks, ring = self.toks, self.ring
+        p, c, e, f = ring.field.p, 1, [0] * ring.n, None
+        while True:
+            t = toks[self.pos]
+            while t == "-":
+                c, self.pos = -c, self.pos + 1
+                t = toks[self.pos]
+            self.pos += 1
+            i = ring._vindex.get(t)
+            if i is not None and _is_name(t):
+                k = self.power()
+                e[i] += 1 if k is None else k
+            elif t.isdecimal():
+                v = int(t)
+                if toks[self.pos] == "/":
+                    den = toks[self.pos + 1]
+                    if not den.isdecimal():
+                        raise ParseError("malformed rational literal")
+                    self.pos += 2
+                    den = int(den)
+                    if (den % p if p else den) == 0:
+                        raise ParseError(
+                            f"denominator {den} is zero in characteristic {p}"
+                            if p else "zero denominator")
+                    v = v * pow(den, -1, p) % p if p else Fraction(v, den)
+                k = self.power()
+                v = v if k is None else pow(v, k, p) if p else v ** k
+                c = c * v % p if p else c * v
+            elif t == "(":
+                g = Poly(ring, self.expr(), _trusted=True)
+                if toks[self.pos] != ")":
+                    raise ParseError("missing ')'")
+                self.pos += 1
+                k = self.power()
+                g = g if k is None else g ** k
+                f = g if f is None else ring.dot((f,), (g,))
+            else:
+                raise ParseError("unexpected end of input" if not t else
+                                 f"unknown variable {t!r}" if _is_name(t)
+                                 else f"unexpected token {t!r}")
+            if toks[self.pos] != "*":
+                return c, e, f
+            self.pos += 1
 
 
 def parse_poly(src: str, ring: PolyRing) -> Poly:
     """Parse `+ - * ^` syntax with integer (or int/int) coefficients."""
-    tokens = _tokenize(src)
-    if not tokens:
+    bad = _BAD.search(src)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r} "
+                         f"at position {bad.start()}")
+    parser = _Parser(src, ring)
+    if len(parser.toks) == 1:
         raise ParseError("empty input")
-    parser = _Parser(tokens, ring)
-    p = parser.expr()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input at token {parser.peek()!r}")
-    return p
+    terms = parser.expr()
+    if parser.toks[parser.pos]:
+        raise ParseError(
+            f"trailing input at token {parser.toks[parser.pos]!r}")
+    if not ring.field.p:
+        terms = {m: Fraction(c) for m, c in terms.items()}
+    return Poly(ring, terms, _trusted=True)
 
 
 def _mono_str(m: tuple, ring: PolyRing) -> str:

@@ -210,6 +210,12 @@ def test_exit_2_on_unknown_variable(capsys):
     assert code == 2
 
 
+def test_exit_2_on_zero_denominator(capsys):
+    code = run(["gb", "--vars", "x,y", "--ideal", "1/0, x"])
+    assert code == 2
+    assert "bad polynomial '1/0'" in capsys.readouterr().err
+
+
 def test_exit_2_on_bad_field(capsys):
     # 2501 = 41*61 passes trial division and is caught by Miller-Rabin
     for field in ("Fp:6", "Fp:2501"):

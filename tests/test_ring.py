@@ -54,6 +54,11 @@ def test_parse_errors():
         parse_poly("x^", R)
     with pytest.raises(ParseError):
         parse_poly("1/3", PolyRing(CoefField(3), ["x"]))
+    # a zero denominator over Q, and a digit int() cannot read
+    with pytest.raises(ParseError):
+        parse_poly("1/0", R)
+    with pytest.raises(ParseError):
+        parse_poly("²", R)
 
 
 def test_reserved_prefix_rejected():

@@ -8,6 +8,10 @@ polynomial.
 
 Exit codes: 0 verdict computed (even a negative verdict), 2 schema
 violation, 3 ring or arity mismatch, 4 internal verification failure.
+
+Only the standard library and `ring` load with this module; each
+subcommand imports the layers it runs where it runs them, so `ffr gb`
+never loads the complexes, Cayley or Taylor layers.
 """
 
 from __future__ import annotations
@@ -17,26 +21,16 @@ import hashlib
 import json
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .algebra import AIdeal, AModule, FPAlgebra
-from .cayley import (CayleyError, cayley_factorize, hilbert_burch,
-                     resultant_via_cayley)
-from .complexes import (FreeComplex, RankObstructionError, RingMatrix,
-                        certify_exact, determinantal_ideal, mccoy_injective)
-from .depth import (INFINITY, depth_at_least, depth_value,
-                    is_completely_secant, wiebe_check)
-from .exterior import (MultiVector, complement, eps_sign, hodge_left,
-                       hodge_right, interior_right, pairing, subsets_colex,
-                       wedge)
-from .groebner import (IdealGens, ideal_colon, krull_dimension,
-                       module_membership, saturation)
-from .monomial import (MonomialList, homotopy_identity_check,
-                       is_taylor_minimal, taylor_complex)
 from .ring import (CoefField, FFRError, ParseError, Poly, PolyRing, QQ,
-                   RingMismatchError, VerificationError, coefficients_in,
-                   parse_poly)
+                   RankObstructionError, RingMismatchError, VerificationError,
+                   coefficients_in, parse_poly)
+
+if TYPE_CHECKING:
+    from .algebra import AModule, FPAlgebra
+    from .complexes import FreeComplex, RingMatrix
 
 
 class SchemaError(FFRError):
@@ -127,6 +121,7 @@ def _ideal(text: str, ring: PolyRing) -> list[Poly]:
 
 def _algebra_from_doc(doc: dict) -> FPAlgebra:
     """The algebra of a ring, complex or matrix document."""
+    from .algebra import FPAlgebra
     field, order = doc.get("field", "Q"), doc.get("order", "grevlex")
     if not isinstance(field, str) or not isinstance(order, str):
         raise SchemaError('"field" and "order" must be strings')
@@ -142,6 +137,7 @@ def _algebra(args) -> FPAlgebra:
     Commands without a --relations option ignore the relations of a ring
     document as well.
     """
+    from .algebra import FPAlgebra
     if not args.ring:
         R = PolyRing(_parse_field(args.field), _parse_list(args.vars),
                      args.order)
@@ -157,6 +153,7 @@ def _algebra(args) -> FPAlgebra:
 
 def _module(args, A: FPAlgebra) -> tuple[AModule, Optional[dict]]:
     """The --module cokernel (free of rank 1 when omitted) and its document."""
+    from .algebra import AModule
     if not args.module:
         return AModule.free(A, 1), None
     doc = _json(args.module, "bad module JSON")
@@ -179,10 +176,12 @@ def _rows(doc, ring: PolyRing, kind: str) -> list[list[Poly]]:
 
 
 def _matrix_doc(doc, A: FPAlgebra) -> RingMatrix:
+    from .complexes import RingMatrix
     return RingMatrix(A, _rows(doc, A.ring, "matrix"))
 
 
 def _complex_from_file(path: str) -> tuple[FreeComplex, dict]:
+    from .complexes import FreeComplex
     doc = _json_file(path, "complex", "matrices")
     ranks = doc.get("expected_ranks")
     if ranks is not None:
@@ -250,6 +249,7 @@ def _conditions_json(report) -> list[dict]:
 # subcommands: each returns (inputs, payload) for the report
 
 def _gb(args):
+    from .groebner import IdealGens
     R = _algebra(args).ring
     gens = _ideal(args.ideal, R)
     gb = IdealGens(R, gens).groebner()
@@ -260,6 +260,7 @@ def _gb(args):
 
 
 def _member(args):
+    from .groebner import IdealGens, module_membership
     R = _algebra(args).ring
     gens = _ideal(args.ideal, R)
     f = _poly(args.poly, R)
@@ -270,6 +271,7 @@ def _member(args):
 
 
 def _colon(args):
+    from .groebner import IdealGens, ideal_colon
     R = _algebra(args).ring
     I = IdealGens(R, _ideal(args.ideal, R))
     J = IdealGens(R, _ideal(args.by, R))
@@ -282,6 +284,7 @@ def _colon(args):
 
 
 def _sat(args):
+    from .groebner import IdealGens, saturation
     R = _algebra(args).ring
     I = IdealGens(R, _ideal(args.ideal, R))
     f = _poly(args.poly, R)
@@ -294,6 +297,7 @@ def _sat(args):
 
 
 def _dim(args):
+    from .groebner import IdealGens, krull_dimension
     R = _algebra(args).ring
     I = IdealGens(R, _ideal(args.ideal, R))
     return ({**_ring_inputs(R), "ideal": _strs(I.gens)},
@@ -302,6 +306,7 @@ def _dim(args):
 
 def _ideal_and_module(args):
     """The ideal and module of the depth commands, and their inputs echo."""
+    from .algebra import AIdeal
     A = _algebra(args)
     a = AIdeal(A, _ideal(args.ideal, A.ring))
     E, module = _module(args, A)
@@ -310,6 +315,7 @@ def _ideal_and_module(args):
 
 
 def _depth(args):
+    from .depth import depth_at_least
     a, E, inputs = _ideal_and_module(args)
     cert = depth_at_least(a, E, args.atleast)
     verdict = (f"at least {args.atleast}" if cert.holds
@@ -319,6 +325,7 @@ def _depth(args):
 
 
 def _depth_value(args):
+    from .depth import INFINITY, depth_value
     a, E, inputs = _ideal_and_module(args)
     value = depth_value(a, E)
     return inputs, {"verdict": "computed",
@@ -326,6 +333,7 @@ def _depth_value(args):
 
 
 def _secant(args):
+    from .depth import is_completely_secant
     A = _algebra(args)
     seq = _polys(_parse_list(args.seq), A.ring)
     E, module = _module(args, A)
@@ -335,6 +343,7 @@ def _secant(args):
 
 
 def _wiebe(args):
+    from .depth import wiebe_check
     A = _algebra(args)
     c_seq = _polys(_parse_list(args.c), A.ring)
     a_seq = _polys(_parse_list(args.a), A.ring)
@@ -354,6 +363,7 @@ def _wiebe(args):
 
 
 def _certify(args):
+    from .complexes import certify_exact
     C, doc = _complex_from_file(args.complex)
     report = certify_exact(C)
     return {"complex": doc}, {
@@ -364,6 +374,7 @@ def _certify(args):
 
 
 def _cayley(args):
+    from .cayley import CayleyError, cayley_factorize
     C, doc = _complex_from_file(args.complex)
     try:
         data = cayley_factorize(C)
@@ -376,6 +387,7 @@ def _cayley(args):
 
 
 def _hilbert_burch(args):
+    from .cayley import hilbert_burch
     doc = _json_file(args.matrix, "matrix", "matrix")
     A = _algebra_from_doc(doc)
     M = _matrix_doc(doc["matrix"], A)
@@ -399,6 +411,8 @@ def _hilbert_burch(args):
 
 
 def _resultant(args):
+    from .algebra import FPAlgebra
+    from .cayley import resultant_via_cayley
     field = _parse_field(args.field)
     names = _parse_list(args.vars) or ["X", "Y"]
     if len(names) != 2:
@@ -426,6 +440,8 @@ def _resultant(args):
 
 
 def _taylor(args):
+    from .monomial import (MonomialList, homotopy_identity_check,
+                           is_taylor_minimal, taylor_complex)
     R = _algebra(args).ring
     try:
         m = MonomialList.parse(R, _parse_list(args.monomials))
@@ -448,6 +464,7 @@ def _taylor(args):
 
 
 def _mccoy(args):
+    from .complexes import determinantal_ideal, mccoy_injective
     A = _algebra(args)
     M = _matrix_doc(_json(args.matrix, "bad matrix JSON"), A)
     verdict = mccoy_injective(M)
@@ -458,6 +475,11 @@ def _mccoy(args):
 
 
 def _hodge_selftest(args):
+    from .algebra import FPAlgebra
+    from .exterior import (MultiVector, complement, eps_sign, hodge_left,
+                           hodge_right, interior_right, pairing,
+                           subsets_colex, wedge)
+
     def check(ok: bool, identity: str, J) -> None:
         if not ok:
             raise VerificationError(f"{identity} fails at e_{J} (n = {n})")
@@ -556,14 +578,19 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of `command` when it names
+    one; that one is listed under the full parser's usage line."""
     ap = argparse.ArgumentParser(
         prog="ffr",
         description="exact certifications for finite free resolutions")
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for command, (help_, options, _) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_)
+    one = command in _COMMANDS
+    sub = ap.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(_COMMANDS) + "}" if one else None))
+    for cmd in [command] if one else _COMMANDS:
+        help_, options, _ = _COMMANDS[cmd]
+        p = sub.add_parser(cmd, help=help_)
         for opt in options + ("out",):
             name, kw = (opt, _OPTIONS[opt]) if isinstance(opt, str) else opt
             p.add_argument(f"--{name}", **kw)
@@ -572,7 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.perf_counter()
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         inputs, payload = _COMMANDS[args.command][2](args)
         _emit(args, inputs, payload, t0)

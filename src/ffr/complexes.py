@@ -16,11 +16,7 @@ from .algebra import AIdeal, AModule, FPAlgebra, is_faithful_ideal
 from .depth import DepthCertificate, depth_at_least
 from .exterior import (boundary_matrix, exterior_power_matrix, matrix_minor,
                        minors, poly_det)
-from .ring import FFRError, Poly, RingMismatchError
-
-
-class RankObstructionError(FFRError):
-    """A negative expected rank: the shape would force the trivial ring."""
+from .ring import Poly, RankObstructionError, RingMismatchError
 
 
 class RingMatrix:

@@ -51,6 +51,10 @@ class VerificationError(FFRError):
     """A produced certificate failed its own re-check; indicates a bug."""
 
 
+class RankObstructionError(FFRError):
+    """A negative expected rank: the shape would force the trivial ring."""
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -174,6 +178,8 @@ _KEYS = {"grevlex": _key_grevlex, "lex": _key_lex, "grlex": _key_grlex}
 class PolyRing:
     """k[x_1..x_n] with one of the monomial orders grevlex, lex or grlex.
 
+    Each name must be one name token of the polynomial text on its own, so
+    that text can name every variable.
     Names with the reserved prefix are refused unless `_allow_reserved`:
     they are the fresh variables of internal extensions (`extend_append`
     with `fresh_names`).
@@ -188,11 +194,13 @@ class PolyRing:
             raise ValueError("variable names must be distinct")
         if order not in _ORDERS:
             raise ValueError(f"unknown monomial order {order!r}")
-        if not _allow_reserved:
-            for v in vars:
-                if v.startswith(RESERVED_PREFIX):
-                    raise ValueError(
-                        f"variable name {v!r} uses the reserved prefix {RESERVED_PREFIX!r}")
+        for v in vars:
+            if _TOKEN.findall(v) != [v] or not _is_name(v):
+                raise ValueError(f"variable name {v!r} is not a name "
+                                 "polynomial text can use")
+            if v.startswith(RESERVED_PREFIX) and not _allow_reserved:
+                raise ValueError(
+                    f"variable name {v!r} uses the reserved prefix {RESERVED_PREFIX!r}")
         self.field = field
         self.vars = vars
         self.order = order
@@ -573,8 +581,8 @@ class _Parser:
                 c, self.pos = -c, self.pos + 1
                 t = toks[self.pos]
             self.pos += 1
-            i = ring._vindex.get(t)
-            if i is not None and _is_name(t):
+            i = ring._vindex.get(t)  # a ring's names are all name tokens
+            if i is not None:
                 k = self.power()
                 e[i] += 1 if k is None else k
             elif t.isdecimal():

@@ -7,7 +7,7 @@ import pytest
 
 import ffr
 from ffr.algebra import FPAlgebra
-from ffr.cli import run
+from ffr.cli import _COMMANDS, build_parser, run
 from ffr.complexes import koszul_complex
 from ffr.ring import PolyRing, QQ, parse_poly
 
@@ -210,6 +210,19 @@ def test_exit_2_on_unknown_variable(capsys):
     assert code == 2
 
 
+def test_exit_2_on_unnameable_variable(capsys):
+    # a variable no polynomial text can name is an input error
+    for argv in (["gb", "--vars", "x,y z", "--ideal", "x"],
+                 ["gb", "--vars", "x,2", "--ideal", "x"],
+                 ["dim", "--vars", '["x", " y"]', "--ideal", "x"],
+                 ["gb", "--ring", '{"vars": ["x", "x-1"]}', "--ideal", "x"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ffr: input error: variable name ")
+        assert "not a name" in captured.err
+
+
 def test_exit_2_on_zero_denominator(capsys):
     code = run(["gb", "--vars", "x,y", "--ideal", "1/0, x"])
     assert code == 2
@@ -358,3 +371,94 @@ def test_exit_2_on_wrongly_typed_document(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ffr: input error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# start-up: each subcommand loads only the layers it runs
+
+IDEAL_LAYERS = {"cli", "ring", "groebner", "algebra"}
+DEPTH_LAYERS = IDEAL_LAYERS | {"depth", "exterior"}
+COMPLEX_LAYERS = DEPTH_LAYERS | {"complexes"}
+STARTUP = {  # subcommand -> (one valid argv, the ffr modules it loads)
+    "gb": (["--vars", "x,y", "--ideal", "x+y,x-y"], IDEAL_LAYERS),
+    "member": (["--vars", "x,y", "--ideal", "x,y", "--poly", "x^2+y"],
+               IDEAL_LAYERS),
+    "colon": (["--vars", "x,y", "--ideal", "x^2,y^2", "--by", "x*y"],
+              IDEAL_LAYERS),
+    "sat": (["--vars", "x,y", "--ideal", "x*y", "--poly", "y"],
+            IDEAL_LAYERS),
+    "dim": (["--vars", "x,y", "--ideal", "x*y"], IDEAL_LAYERS),
+    "depth": (["--vars", "x,y", "--ideal", "x,y", "--atleast", "2"],
+              DEPTH_LAYERS),
+    "depth-value": (["--vars", "x,y", "--ideal", "x,y"], DEPTH_LAYERS),
+    "secant": (["--vars", "x,y", "--seq", "x,y"], DEPTH_LAYERS),
+    "wiebe": (["--vars", "x,y", "--c", "x^2,y^2", "--a", "x,y",
+               "--u", '[["x","0"],["0","y"]]'], DEPTH_LAYERS),
+    "certify": (["--complex", "koszul2.json"], COMPLEX_LAYERS),
+    "mccoy": (["--vars", "x,y", "--matrix", '[["x"],["y"]]'],
+              COMPLEX_LAYERS),
+    "cayley": (["--complex", "koszul2.json"], COMPLEX_LAYERS | {"cayley"}),
+    "hilbert-burch": (["--matrix", "hb.json", "--alpha", "x^2,x*y,y^2"],
+                      COMPLEX_LAYERS | {"cayley"}),
+    "resultant": (["--P", "X+2*Y", "--Q", "X^2+X*Y+Y^2", "--d", "2"],
+                  COMPLEX_LAYERS | {"cayley"}),
+    "taylor": (["--vars", "x,y", "--monomials", "x^2,y^2",
+                "--check-homotopy"], COMPLEX_LAYERS | {"monomial"}),
+    "hodge-selftest": (["--n", "2"], IDEAL_LAYERS | {"exterior"}),
+}
+# runs one subcommand in a fresh interpreter, then prints its exit code,
+# the ffr modules loaded and whether dataclasses was imported
+STARTUP_CHILD = """import json, sys
+from ffr.cli import run
+code = run(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m[4:] for m in sys.modules
+                               if m.startswith("ffr.")),
+                  "dataclasses" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_subcommand_loads_only_its_layers(command, tmp_path):
+    argv, layers = STARTUP[command]
+    (tmp_path / "koszul2.json").write_text(json.dumps(
+        {"field": "Q", "vars": ["x", "y"],
+         "matrices": [[["x", "y"]], [["-y"], ["x"]]]}))
+    (tmp_path / "hb.json").write_text(json.dumps(
+        {"field": "Q", "vars": ["x", "y"],
+         "matrix": [["y", "0"], ["-x", "y"], ["0", "-x"]]}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ffr.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHILD, json.dumps([command] + argv)],
+        env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    code, loaded, dataclasses = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert set(loaded) == layers
+    if layers == IDEAL_LAYERS:
+        assert not dataclasses
+
+
+def _parse_outcome(parser, argv, capsys):
+    """(exit status, stdout, stderr) of parsing argv, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [
+    [command] + tail for command in _COMMANDS
+    for tail in (["--help"], ["--bogus", "1"],
+                 STARTUP[command][0] + ["--bogus", "1"])], ids=" ".join)
+def test_one_subcommand_parser_matches_full_parser(argv, capsys):
+    # run() builds only argv[0]'s subparser; its help, usage and errors are
+    # those of the parser of every subcommand (a missing required option is
+    # reported by the subparser, an unknown one by the top-level parser)
+    full = _parse_outcome(build_parser(), argv, capsys)
+    assert _parse_outcome(build_parser(argv[0]), argv, capsys) == full
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == full
+    assert full[0] == (0 if argv[-1] == "--help" else 2)

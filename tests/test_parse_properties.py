@@ -115,9 +115,12 @@ def test_edge_texts_match_oracle():
 
 
 def test_unicode_names_match_oracle():
-    # names the old tokenizer splits or reads as digits are refused even
-    # when the ring declares them
-    R = PolyRing(QQ, ["x", "α", "x²", "x½", "²", "+", "_a#1", ""])
+    # names the old tokenizer splits or reads as digits are refused in text,
+    # and a ring cannot declare them
+    for name in ["x½", "²", "+", ""]:
+        with pytest.raises(ValueError, match="not a name"):
+            PolyRing(QQ, ["x", name])
+    R = PolyRing(QQ, ["x", "α", "x²", "_a#1"])
     for src in ["α*x", "α^2 - x²", "x½", "x½*2", "²", "x*²", "+", "x*+",
                 "_a#1^2", "x*", "x²x"]:
         assert_same(src, R)

@@ -66,6 +66,19 @@ def test_reserved_prefix_rejected():
         PolyRing(QQ, ["#k0"])
 
 
+def test_variable_names_must_be_name_tokens():
+    # a name no polynomial text can write is refused: blanks, a leading
+    # digit, a sign or an empty name
+    for name in ["y z", "2", "+", "", " x", "x-1", "x ", "1x", "x½"]:
+        with pytest.raises(ValueError, match="not a name"):
+            PolyRing(QQ, ["x", name])
+    R = PolyRing(QQ, ["a1", "x_2", "α", "x²", "_b#1"])
+    for name in R.vars:
+        assert parse_poly(name, R) == R.var(name)
+    # a reserved name is a name token, but still needs _allow_reserved
+    assert PolyRing(QQ, ["#k0"], _allow_reserved=True).vars == ("#k0",)
+
+
 def test_print_parse_round_trip():
     rng = random.Random(7)
     R = ring_qq("x", "y", "z")

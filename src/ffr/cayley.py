@@ -10,8 +10,7 @@ which stays correct in the presence of zero divisors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (AIdeal, AModule, FPAlgebra, algebra_membership,
                       is_faithful_ideal, is_regular_element)
@@ -28,8 +27,7 @@ class CayleyError(FFRError):
     """A Cayley hypothesis failed or a factorization step has no solution."""
 
 
-@dataclass(frozen=True)
-class CayleyHypotheses:
+class CayleyHypotheses(NamedTuple):
     """Gr(D_1) >= 1 and Gr(D_k) >= 2 for 2 <= k <= m, with certificates."""
 
     certificates: tuple[DepthCertificate, ...]
@@ -62,8 +60,7 @@ def _hypotheses(C: FreeComplex) -> CayleyHypotheses:
     return CayleyHypotheses(tuple(certs))
 
 
-@dataclass(frozen=True)
-class CayleyData:
+class CayleyData(NamedTuple):
     """The factorization Lambda^(r_k) A_k = u_{k-1} (u_k*)^T.
 
     u_vectors[k] is u_k (grade r_{k+1} over L_k); factor_ideals[k] is
@@ -168,8 +165,7 @@ def cayley_determinant(C: FreeComplex) -> Poly:
 # ---------------------------------------------------------------------------
 # strong gcd
 
-@dataclass(frozen=True)
-class StrongGcd:
+class StrongGcd(NamedTuple):
     """g | a_i with cofactors of certified depth >= 2, or a named failure."""
 
     ok: bool
@@ -223,8 +219,7 @@ def strong_gcd(a: AIdeal, candidate: Optional[Poly] = None) -> StrongGcd:
 # ---------------------------------------------------------------------------
 # MacRae invariant
 
-@dataclass(frozen=True)
-class MacRaeCertificate:
+class MacRaeCertificate(NamedTuple):
     module: AModule
     element: Poly
     cofactors: tuple[Poly, ...]
@@ -270,8 +265,7 @@ def macrae_invariant(E: AModule, resolution: FreeComplex) -> MacRaeCertificate:
 # ---------------------------------------------------------------------------
 # Hilbert-Burch
 
-@dataclass(frozen=True)
-class HilbertBurchReport:
+class HilbertBurchReport(NamedTuple):
     """Signed maximal minors, the exactness verdict, and the alpha factor."""
 
     delta: tuple[Poly, ...]
@@ -345,8 +339,7 @@ def hilbert_burch(M: RingMatrix,
 # ---------------------------------------------------------------------------
 # the Sylvester complex of two binary forms
 
-@dataclass(frozen=True)
-class SylvesterData:
+class SylvesterData(NamedTuple):
     """K (the two-block shift matrix) and S (generalized Sylvester)."""
 
     complex: FreeComplex

@@ -484,6 +484,8 @@ def _hodge_selftest(args):
         if not ok:
             raise VerificationError(f"{identity} fails at e_{J} (n = {n})")
 
+    if args.n < 0:
+        raise SchemaError(f"--n must be at least 0, not {args.n}")
     A = FPAlgebra.polynomial(PolyRing(QQ, ["x"]))
     checked = 0
     for n in range(1, args.n + 1):

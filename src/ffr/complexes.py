@@ -8,8 +8,7 @@ Koszul and pfaffian constructors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import groebner as gb
 from .algebra import AIdeal, AModule, FPAlgebra, is_faithful_ideal
@@ -243,8 +242,7 @@ def characteristic_ideals(C: FreeComplex) -> list[AIdeal]:
     return [characteristic_ideal(C, k) for k in range(1, C.length + 1)]
 
 
-@dataclass(frozen=True)
-class ExactnessCondition:
+class ExactnessCondition(NamedTuple):
     level: int
     ideal: AIdeal
     required_depth: int
@@ -255,23 +253,19 @@ class ExactnessCondition:
         return None if self.certificate is None else self.certificate.holds
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
+class ExactnessReport(NamedTuple):
     """Per-level depth conditions; exact iff all of them hold."""
 
     conditions: tuple[ExactnessCondition, ...]
 
     @property
     def exact(self) -> bool:
-        return all(c.holds for c in self.conditions if c.certificate is not None) \
-            and all(c.certificate is not None for c in self.conditions)
+        return all(c.holds for c in self.conditions)
 
     @property
     def failing_level(self) -> Optional[int]:
-        for c in self.conditions:
-            if c.certificate is not None and not c.holds:
-                return c.level
-        return None
+        return next((c.level for c in self.conditions if c.holds is False),
+                    None)
 
 
 def certify_exact(C: FreeComplex) -> ExactnessReport:
@@ -373,8 +367,7 @@ def pfaffian(entries: Sequence[Sequence[Poly]], ring) -> Poly:
     return rec(tuple(range(m)))
 
 
-@dataclass(frozen=True)
-class PfaffianData:
+class PfaffianData(NamedTuple):
     """Q row, the 4-term complex, and its polynomial-identity re-checks."""
 
     Q: RingMatrix

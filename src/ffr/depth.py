@@ -11,8 +11,7 @@ already forces a E = E (the infinite-depth case), so the search terminates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import groebner as gb
 from .algebra import (AIdeal, AModule, FPAlgebra, ideal_times_module_is_module,
@@ -24,8 +23,7 @@ from .ring import (Poly, VerificationError, embed_append, kronecker_poly,
 INFINITY = math.inf
 
 
-@dataclass(frozen=True)
-class KroneckerSequence:
+class KroneckerSequence(NamedTuple):
     """k polynomials, each in its own fresh variable with content ideal a."""
 
     extended_algebra: FPAlgebra
@@ -33,8 +31,7 @@ class KroneckerSequence:
     polys: tuple[Poly, ...]
 
 
-@dataclass(frozen=True)
-class DepthCertificate:
+class DepthCertificate(NamedTuple):
     """Verdict of a depth / regular-sequence query.
 
     `fail_stage` is 1-based; the witness is a nonzero normal-form element w
@@ -133,9 +130,7 @@ def depth_at_least(a: AIdeal, E: AModule, k: int) -> DepthCertificate:
     if k == 0:
         return DepthCertificate(0, True, algebra=a.algebra)
     ks = kronecker_sequence(same_depth_generators(a), k)
-    cert = is_E_regular_sequence(ks.polys, E.transport(ks.extended_algebra))
-    return DepthCertificate(k, cert.holds, cert.fail_stage, cert.witness,
-                            cert.sequence, ks.extended_algebra)
+    return is_E_regular_sequence(ks.polys, E.transport(ks.extended_algebra))
 
 
 def depth_value(a: AIdeal, E: AModule):
@@ -159,8 +154,7 @@ def depth_value(a: AIdeal, E: AModule):
     return k if cert.holds else cert.fail_stage - 1
 
 
-@dataclass(frozen=True)
-class TriangularRegularization:
+class TriangularRegularization(NamedTuple):
     """b = U a with U unitriangular over A[X1..Xl]; carries its re-checks."""
 
     matrix: tuple[tuple[Poly, ...], ...]
@@ -237,8 +231,7 @@ def is_singular_sequence(seq: Sequence[Poly], A: FPAlgebra) -> bool:
     return current.groebner().is_unit_ideal()
 
 
-@dataclass(frozen=True)
-class WiebeReport:
+class WiebeReport(NamedTuple):
     """Re-checkable record of the two Wiebe colon equalities."""
 
     delta: Poly
@@ -246,7 +239,7 @@ class WiebeReport:
     completely_secant: DepthCertificate
     colon_delta_equals_a: bool
     colon_ideal_equals_delta_plus_c: bool
-    counterexamples: dict = field(default_factory=dict)
+    counterexamples: dict
 
     @property
     def holds(self) -> bool:
@@ -304,8 +297,7 @@ def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
     return WiebeReport(delta, inclusion, secant, eq1, eq2, counterexamples)
 
 
-@dataclass(frozen=True)
-class DepthDimReport:
+class DepthDimReport(NamedTuple):
     """Certificates for depth + dimension = ring dimension over k[X]."""
 
     n: int

@@ -14,11 +14,10 @@ layout of the Koszul and Taylor differentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import FPAlgebra
 from .ring import Poly, PolyRing, RingMismatchError, _Pack
@@ -141,14 +140,13 @@ def boundary_matrix(n: int, k: int, coeff, zero: Poly) -> list[list[Poly]]:
     return ents
 
 
-@dataclass(frozen=True)
-class MultiVector:
+class MultiVector(NamedTuple):
     """An element of Lambda^p(A^n): sorted index tuples -> coefficients."""
 
     algebra: FPAlgebra
     n: int
     grade: int
-    coords: dict = field(hash=False)  # colex key order, zeros dropped
+    coords: dict  # colex key order, zeros dropped; not hashed
 
     @classmethod
     def from_dict(cls, algebra: FPAlgebra, n: int, grade: int,
@@ -216,6 +214,9 @@ class MultiVector:
         return MultiVector.from_dict(
             self.algebra, self.n, self.grade,
             {s: c * v for s, v in self.coords.items()})
+
+    def __hash__(self):
+        return hash(self[:3])
 
     def __repr__(self):
         if self.is_zero:

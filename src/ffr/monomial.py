@@ -9,10 +9,8 @@ subset bases are the shared colexicographic enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import FPAlgebra
 from .complexes import FreeComplex, RingMatrix
@@ -22,12 +20,15 @@ from .ring import (Poly, PolyRing, mono_div, mono_divides, mono_gcd, mono_lcm,
                    parse_poly)
 
 
-@dataclass(frozen=True)
 class MonomialList:
     """m_1..m_r as exponent vectors over a polynomial ring."""
 
-    ring: PolyRing
-    monomials: tuple[tuple[int, ...], ...]
+    __slots__ = ("ring", "monomials", "algebra")
+
+    def __init__(self, ring: PolyRing, monomials: Sequence[tuple[int, ...]]):
+        self.ring = ring
+        self.monomials = tuple(monomials)
+        self.algebra = FPAlgebra.polynomial(ring)  # the base of every L_k
 
     @classmethod
     def parse(cls, ring: PolyRing, sources: Sequence[str]) -> "MonomialList":
@@ -42,11 +43,6 @@ class MonomialList:
             monos.append(m)
         return cls(ring, tuple(monos))
 
-    @cached_property
-    def algebra(self) -> FPAlgebra:
-        """The polynomial ring as an algebra: the base of every L_k."""
-        return FPAlgebra.polynomial(self.ring)
-
     @property
     def r(self) -> int:
         return len(self.monomials)
@@ -60,6 +56,9 @@ class MonomialList:
         for j in J:
             acc = mono_lcm(acc, self.monomials[j - 1])
         return acc
+
+    def __repr__(self):
+        return f"MonomialList(ring={self.ring!r}, monomials={self.monomials!r})"
 
 
 def monomial_syzygies(m: MonomialList) -> list[list[Poly]]:
@@ -79,8 +78,7 @@ def monomial_syzygies(m: MonomialList) -> list[list[Poly]]:
     return out
 
 
-@dataclass(frozen=True)
-class TaylorComplex:
+class TaylorComplex(NamedTuple):
     """The Taylor resolution: L_k free on the k-subsets of {1..r}."""
 
     monomials: MonomialList
@@ -106,8 +104,10 @@ class TaylorComplex:
 
 
 def taylor_complex(m: MonomialList) -> TaylorComplex:
-    """The full complex with d(e_J) weighted by lcm ratios; d.d = 0 is
-    checked by the FreeComplex constructor."""
+    """The full complex of r >= 1 monomials, d(e_J) weighted by lcm ratios;
+    d.d = 0 is checked by the FreeComplex constructor."""
+    if not m.r:  # L_0 = A alone: a FreeComplex without matrices has L_0 = 0
+        raise ValueError("the Taylor complex needs at least one monomial")
     R = m.ring
     one = R.field.one()
 

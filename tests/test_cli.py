@@ -176,6 +176,16 @@ def test_taylor_command(capsys):
     assert rep["ranks"] == [1, 4, 6, 4, 1]
 
 
+def test_exit_2_on_taylor_without_monomials(capsys):
+    # the empty list's complex would be L_0 = A, of rank 1, not "ranks": [0]
+    code = run(["taylor", "--vars", "x,y", "--monomials", "",
+                "--check-homotopy", "--minimal"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("ffr: input error: the Taylor complex needs at "
+                            "least one monomial\n")
+
+
 def test_mccoy_command(capsys):
     code, rep = run_json(capsys, ["mccoy", "--vars", "x,y",
                                   "--matrix", '[["x"],["y"]]'])
@@ -188,6 +198,15 @@ def test_mccoy_command(capsys):
 def test_hodge_selftest(capsys):
     code, rep = run_json(capsys, ["hodge-selftest", "--n", "4"])
     assert code == 0 and rep["verdict"] == "passed"
+
+
+def test_hodge_selftest_refuses_a_negative_rank(capsys):
+    code = run(["hodge-selftest", "--n", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "ffr: input error: --n must be at least 0, not -3\n"
+    code, rep = run_json(capsys, ["hodge-selftest", "--n", "0"])
+    assert code == 0 and rep["identities_checked"] == 0
 
 
 def test_ring_json_document(capsys):
@@ -407,7 +426,8 @@ STARTUP = {  # subcommand -> (one valid argv, the ffr modules it loads)
     "hodge-selftest": (["--n", "2"], IDEAL_LAYERS | {"exterior"}),
 }
 # runs one subcommand in a fresh interpreter, then prints its exit code,
-# the ffr modules loaded and whether dataclasses was imported
+# the ffr modules loaded and whether dataclasses was imported (no layer
+# needs it: the result records are NamedTuples)
 STARTUP_CHILD = """import json, sys
 from ffr.cli import run
 code = run(json.loads(sys.argv[1]))
@@ -435,8 +455,7 @@ def test_subcommand_loads_only_its_layers(command, tmp_path):
     code, loaded, dataclasses = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     assert set(loaded) == layers
-    if layers == IDEAL_LAYERS:
-        assert not dataclasses
+    assert not dataclasses
 
 
 def _parse_outcome(parser, argv, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from ffr.algebra import AIdeal, AModule, FPAlgebra
 from ffr.complexes import RingMatrix, determinantal_ideal
-from ffr.depth import (depth_at_least, depth_dim_identity,
+from ffr.depth import (DepthCertificate, depth_at_least, depth_dim_identity,
                        depth_value, is_completely_secant,
                        is_E_regular_sequence, is_singular_sequence,
                        kronecker_sequence, same_depth_generators,
@@ -123,6 +123,19 @@ def test_depth_at_least_examples():
     assert depth_at_least(ideal(A, "x", "y"), E, 2).holds
     assert not depth_at_least(ideal(A, "x", "y"), E, 3).holds
     assert not depth_at_least(AIdeal(A, []), E, 1).holds
+
+
+def test_depth_certificate_record():
+    # a certificate prints its fields by name and cannot be changed
+    cert = DepthCertificate(2, True)
+    assert repr(cert) == ("DepthCertificate(k=2, holds=True, fail_stage=None, "
+                          "witness=None, sequence=(), algebra=None)")
+    with pytest.raises(AttributeError):
+        cert.holds = False
+    A = algebra(["x", "y"])
+    cert = depth_at_least(ideal(A, "x", "y"), AModule.free(A, 1), 2)
+    assert cert.k == 2 and len(cert.sequence) == 2
+    assert cert.algebra.ring.vars[:2] == ("x", "y") and cert.algebra.ring.n == 4
 
 
 def test_depth_value_examples():

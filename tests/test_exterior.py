@@ -36,6 +36,17 @@ def test_eps_sign():
     assert eps_sign((1, 3), (2,)) == -1
 
 
+def test_equal_multivectors_hash_equal():
+    # the coordinate dict is compared but not hashed
+    A = poly_alg("x", "y")
+    x = A.parse("x")
+    u = MultiVector.vector(A, [x, A.ring.zero()])
+    v = MultiVector.basis(A, 2, (1,)).scale(x)
+    assert u == v and u is not v and hash(u) == hash(v)
+    assert len({u, v, MultiVector.zero(A, 2, 1)}) == 2
+    assert u != MultiVector.basis(A, 2, (1,))
+
+
 def test_wedge_basics():
     A = poly_alg("x", "y")
     e1 = MultiVector.basis(A, 2, (1,))

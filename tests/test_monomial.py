@@ -234,8 +234,11 @@ def test_homotopy_identity_single_monomial():
 
 
 def test_homotopy_identity_empty_list():
-    m = mlist(["x", "y"])
-    assert homotopy_identity_check(taylor_complex(m))
+    # r = 0 leaves no complex to check: its Taylor complex would be L_0 = A
+    # of rank 1, and a FreeComplex without matrices has L_0 = 0
+    for m in (mlist(["x", "y"]), MonomialList(PolyRing(QQ, ["x"]), ())):
+        with pytest.raises(ValueError, match="at least one monomial"):
+            taylor_complex(m)
 
 
 def test_homotopy_vs_certification_cross_validation():

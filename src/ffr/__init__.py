@@ -1,9 +1,9 @@
 """Constructive finite free resolutions over finitely presented algebras.
 
-Exact Groebner-based decision procedures: depth via Kronecker sequences,
-determinantal/Fitting/characteristic ideals, exactness certification of
-free complexes, Cayley determinants and MacRae invariants, Hilbert-Burch,
-and Taylor resolutions of monomial ideals.
+Exact Groebner-based decision procedures: depth via specialized and
+Kronecker sequences, determinantal/Fitting/characteristic ideals, exactness
+certification of free complexes, Cayley determinants and MacRae invariants,
+Hilbert-Burch, and Taylor resolutions of monomial ideals.
 
 The names below are imported from their layer on first access (PEP 562),
 so `import ffr` loads no layer and each `ffr` subcommand loads only the

@@ -15,8 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 from .algebra import (AIdeal, AModule, FPAlgebra, algebra_membership,
                       is_faithful_ideal, is_regular_element)
 from .complexes import (FreeComplex, RingMatrix, certify_exact,
-                        characteristic_ideal, fitting_ideal,
-                        kernel_generators, mccoy_injective,
+                        fitting_ideal, kernel_generators, mccoy_injective,
                         presentation_matrix)
 from .depth import DepthCertificate, depth_at_least
 from .exterior import MultiVector, hodge_right, minors, subsets_colex
@@ -48,16 +47,26 @@ def is_cayley_complex(C: FreeComplex) -> CayleyHypotheses:
     """The two depth families defining a Cayley complex (length >= 2)."""
     if C.length < 2:
         raise ValueError("a Cayley complex has length at least 2")
-    return _hypotheses(C)
+    return _hypotheses(C)[0]
 
 
-def _hypotheses(C: FreeComplex) -> CayleyHypotheses:
-    E = AModule.free(C.algebra, 1)
-    certs = []
+def _hypotheses(C: FreeComplex) -> tuple[CayleyHypotheses,
+                                         list[RingMatrix]]:
+    """The hypotheses, and Lambda^(r_k) A_k for k = 1..m (index k - 1).
+
+    D_k = D_(r_k)(A_k) is read off the entries of Lambda^(r_k) A_k row by
+    row, the order of its minors table, so one table serves both.
+    """
+    A = C.algebra
+    E = AModule.free(A, 1)
+    certs, powers = [], []
     for k in range(1, C.length + 1):
+        M = C.matrix(k).exterior_power(C.ranks[k])
         required = 1 if k == 1 else 2
-        certs.append(depth_at_least(characteristic_ideal(C, k), E, required))
-    return CayleyHypotheses(tuple(certs))
+        Dk = AIdeal(A, [p for row in M.entries for p in row])
+        certs.append(depth_at_least(Dk, E, required))
+        powers.append(M)
+    return CayleyHypotheses(tuple(certs)), powers
 
 
 class CayleyData(NamedTuple):
@@ -107,7 +116,7 @@ def cayley_factorize(C: FreeComplex) -> CayleyData:
     m = C.length
     if m < 1:
         raise ValueError("empty complex")
-    hyp = _hypotheses(C)
+    hyp, powers = _hypotheses(C)
     if not hyp.holds:
         raise CayleyError(
             f"depth hypothesis fails at level {hyp.failing_level}")
@@ -115,7 +124,7 @@ def cayley_factorize(C: FreeComplex) -> CayleyData:
     u[m] = MultiVector.scalar(A, C.sizes[m], A.ring.one())
     for k in range(m, 0, -1):
         r_k = C.ranks[k]
-        M = C.matrix(k).exterior_power(r_k)
+        M = powers[k - 1]
         w = hodge_right(u[k]).coord_list()
         if len(w) != M.cols:
             raise VerificationError("exterior basis misalignment")

@@ -188,6 +188,8 @@ def _complex_from_file(path: str) -> tuple[FreeComplex, dict]:
         _array(ranks, '"expected_ranks"', int, "integers")
     # any items: _matrix_doc checks each matrix
     matrices = _array(doc["matrices"], '"matrices"', object, "matrices")
+    if not matrices:  # L_0 = A alone has no differential to certify
+        raise SchemaError("empty complex")
     A = _algebra_from_doc(doc)
     return FreeComplex(A, [_matrix_doc(m, A) for m in matrices], ranks), doc
 

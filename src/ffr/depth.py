@@ -3,6 +3,14 @@ one fresh variable T each) and the decision procedure for Gr(a, E) >= k,
 completely secant and singular sequences, the Wiebe checker and the
 depth-dimension identity over polynomial rings.
 
+Gr(a, E) >= k is first tried on the specialized sequence: the Kronecker
+polynomials evaluated at T = t_i in the base ring, with the fixed table
+t_i = i (i = 1..k), so f_i = g_1 + i g_2 + ... + i^(s-1) g_s, each
+coefficient i^(j-1) reduced mod p over F_p.  An E-regular f proves the
+bound (prime avoidance: constant combinations of the generators are
+E-regular on almost every input); otherwise the Kronecker run decides, so
+every negative verdict and witness comes from the Kronecker sequence.
+
 Depth is exposed only through the decidable predicate "at least k" plus a
 value search bounded by the generator count: with k generators, depth >= k+1
 already forces a E = E (the infinite-depth case), so the search terminates.
@@ -123,13 +131,36 @@ def same_depth_generators(a: AIdeal) -> AIdeal:
     return AIdeal(A, gens)
 
 
+def specialized_sequence(a: AIdeal, k: int) -> tuple[Poly, ...]:
+    """f_i = g_1 + t_i g_2 + ... + t_i^(s-1) g_s for i = 1..k, t_i = i: the
+    Kronecker polynomials of a evaluated at T = i, in the base ring, each
+    coefficient reduced mod p over F_p.
+    """
+    R = a.algebra.ring
+    return tuple(R.dot(a.gens, [R.const(t ** j) for j in range(len(a.gens))])
+                 for t in range(1, k + 1))
+
+
 def depth_at_least(a: AIdeal, E: AModule, k: int) -> DepthCertificate:
-    """Gr(a, E) >= k, decided on a Kronecker sequence of length k."""
+    """Gr(a, E) >= k, on the specialized sequence first, else decided on a
+    Kronecker sequence of length k.
+
+    With g_1..g_s the same-depth generators, f_i = sum_j t_i^(j-1) g_j for
+    the coefficient table t_i = i (i = 1..k), reduced mod p over F_p.  The
+    f_i lie in an ideal with the radical of a, so an E-regular f proves the
+    bound and its certificate (base algebra and sequence) is returned.  A
+    specialized sequence that fails proves nothing: the Kronecker run then
+    decides, and every negative certificate and witness comes from it.
+    """
     if k < 0:
         raise ValueError("negative depth bound")
     if k == 0:
         return DepthCertificate(0, True, algebra=a.algebra)
-    ks = kronecker_sequence(same_depth_generators(a), k)
+    gens = same_depth_generators(a)
+    cert = is_E_regular_sequence(specialized_sequence(gens, k), E)
+    if cert.holds:
+        return cert
+    ks = kronecker_sequence(gens, k)
     return is_E_regular_sequence(ks.polys, E.transport(ks.extended_algebra))
 
 

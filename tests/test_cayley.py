@@ -3,8 +3,8 @@ import random
 import pytest
 
 from ffr.algebra import AIdeal, AModule, FPAlgebra
-from ffr.cayley import (CayleyError, cayley_determinant, cayley_factorize,
-                        hilbert_burch, is_cayley_complex, macrae_invariant,
+from ffr.cayley import (CayleyError, _hypotheses, cayley_determinant,
+                        cayley_factorize, hilbert_burch, is_cayley_complex, macrae_invariant,
                         resultant_via_cayley, signed_maximal_minors,
                         strong_gcd, sylvester_complex)
 from ffr.complexes import (FreeComplex, RingMatrix, certify_exact,
@@ -12,6 +12,7 @@ from ffr.complexes import (FreeComplex, RingMatrix, certify_exact,
                            koszul_complex)
 from ffr.groebner import (IdealGens, ideal_equal, ideal_product,
                           radical_membership)
+from ffr.monomial import MonomialList, taylor_complex
 from ffr.ring import PolyRing, QQ, parse_poly
 
 
@@ -45,6 +46,34 @@ def test_certified_exact_implies_cayley():
     C = koszul(A, "x", "y", "z")
     assert certify_exact(C).exact
     assert is_cayley_complex(C).holds
+
+
+def _taylor4():
+    R = PolyRing(QQ, ["x", "y", "z"])
+    ms = MonomialList.parse(R, ["x^2*y", "x*z", "y*z", "z^3"])
+    return taylor_complex(ms).complex
+
+
+MINORS_TABLE_CASES = {
+    "koszul3": lambda: koszul(algebra(["x", "y", "z"]), "x", "y", "z"),
+    "koszul4": lambda: koszul(algebra(["x", "y", "z", "w"]),
+                              "x", "y", "z", "w"),
+    "taylor4": _taylor4,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MINORS_TABLE_CASES))
+def test_hypotheses_read_characteristic_ideals_off_exterior_powers(case):
+    # one minors table per level: D_k, read row by row off
+    # Lambda^(r_k) A_k, has the generators of characteristic_ideal in order
+    C = MINORS_TABLE_CASES[case]()
+    A = C.algebra
+    hyp, powers = _hypotheses(C)
+    assert hyp.holds and len(powers) == C.length
+    for k, M in enumerate(powers, start=1):
+        assert M == C.matrix(k).exterior_power(C.ranks[k])
+        read = AIdeal(A, [p for row in M.entries for p in row])
+        assert read.gens == characteristic_ideal(C, k).gens
 
 
 def test_depth_one_complex_not_cayley():

@@ -367,6 +367,8 @@ BAD_DOCUMENTS = {
                             '"relations" must be an array of strings'),
     "matrices-not-array": ({"matrices": 5},
                            '"matrices" must be an array of matrices'),
+    # the complex with no differential; certify and cayley refuse it alike
+    "matrices-empty": ({"matrices": []}, "empty complex"),
     "expected-ranks-not-array": ({"expected_ranks": 5},
                                  '"expected_ranks" must be an array of '
                                  'integers'),

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,7 +9,8 @@ from ffr.depth import (DepthCertificate, depth_at_least, depth_dim_identity,
                        depth_value, is_completely_secant,
                        is_E_regular_sequence, is_singular_sequence,
                        kronecker_sequence, same_depth_generators,
-                       triangular_regularization, wiebe_check, INFINITY)
+                       specialized_sequence, triangular_regularization,
+                       wiebe_check, INFINITY)
 from ffr.groebner import (IdealGens, ideal_colon, ideal_equal,
                           module_membership)
 from ffr.ring import CoefField, PolyRing, QQ, parse_poly
@@ -79,6 +81,23 @@ def test_wide_ideal_generic_2x5_minors(p):
     assert depth_value(b, free) == 1
 
 
+def test_generic_2x6_minors_depth_5_from_specialized_sequence():
+    # Gr(D_2) = 6 - 2 + 1 = 5 for the generic 2x6 matrix: 15 minors, so a
+    # Kronecker stage runs in 12 + 5 variables at degree 14 in each fresh
+    # one; the specialized sequence decides it in the base ring instead
+    names = [f"a{i}{j}" for i in range(2) for j in range(6)]
+    R = PolyRing(CoefField(32003), names)
+    A = FPAlgebra(R, [])
+    X = RingMatrix(A, [[R.var(f"a{i}{j}") for j in range(6)]
+                       for i in range(2)], 2, 6)
+    t0 = time.perf_counter()
+    cert = depth_at_least(determinantal_ideal(X, 2), AModule.free(A, 1), 5)
+    elapsed = time.perf_counter() - t0
+    assert cert.holds and cert.k == 5 and cert.algebra is A
+    # about 1.2 s on a 2-vCPU host; the Kronecker run alone exceeds 120 s
+    assert elapsed < 20, f"took {elapsed:.1f}s"
+
+
 # ---------------------------------------------------------------------------
 # regular sequences
 
@@ -125,6 +144,35 @@ def test_depth_at_least_examples():
     assert not depth_at_least(AIdeal(A, []), E, 1).holds
 
 
+@pytest.mark.parametrize("p", [0, 7])
+def test_specialized_sequence_table(p):
+    # f_i = g_1 + i g_2 + i^2 g_3 for t_i = i, coefficients reduced mod p
+    R = PolyRing(CoefField(p), ["x", "y", "z"])
+    A = FPAlgebra(R, [])
+    f = specialized_sequence(AIdeal(A, [R.var("x"), R.var("y"),
+                                        R.var("z")]), 3)
+    expected = ["x + y + z", "x + 2*y + 4*z", "x + 3*y + 2*z" if p
+                else "x + 3*y + 9*z"]
+    assert [str(g) for g in f] == expected
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_depth_at_least_falls_back_to_kronecker(p):
+    # f_1 = y*z + x vanishes on E = A/(x + y*z), yet x is E-regular: the
+    # specialized sequence proves nothing and the Kronecker run decides
+    R = PolyRing(CoefField(p), ["x", "y", "z"])
+    A = FPAlgebra(R, [])
+    a = AIdeal(A, [R.var("x"), R.var("y") * R.var("z")])
+    E = AModule.quotient_by_ideal(AIdeal(A, [parse_poly("x + y*z", R)]))
+    special = specialized_sequence(same_depth_generators(a), 1)
+    assert not is_E_regular_sequence(special, E).holds
+    cert = depth_at_least(a, E, 1)
+    assert cert.holds and cert.algebra.ring.n == 4
+    cert = depth_at_least(a, E, 2)
+    assert not cert.holds and cert.fail_stage == 2
+    assert cert.algebra.ring.n == 5
+
+
 def test_depth_certificate_record():
     # a certificate prints its fields by name and cannot be changed
     cert = DepthCertificate(2, True)
@@ -133,9 +181,17 @@ def test_depth_certificate_record():
     with pytest.raises(AttributeError):
         cert.holds = False
     A = algebra(["x", "y"])
-    cert = depth_at_least(ideal(A, "x", "y"), AModule.free(A, 1), 2)
+    E = AModule.free(A, 1)
+    a = ideal(A, "x", "y")
+    cert = depth_at_least(a, E, 2)
     assert cert.k == 2 and len(cert.sequence) == 2
-    assert cert.algebra.ring.vars[:2] == ("x", "y") and cert.algebra.ring.n == 4
+    # a positive verdict from the specialized sequence lives in the base
+    # ring: each f_i is a constant combination of x, y, and re-checks
+    assert cert.algebra is A
+    members = a.lifted().groebner()
+    for f in cert.sequence:
+        assert f.ring == cert.algebra.ring and members.contains(f)
+    assert is_E_regular_sequence(cert.sequence, E).holds
 
 
 def test_depth_value_examples():

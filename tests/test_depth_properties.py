@@ -1,0 +1,86 @@
+"""Property tests for `depth.depth_at_least`, which tries the specialized
+sequence f_i = g_1 + i g_2 + ... + i^(s-1) g_s in the base ring first and
+falls back to the Kronecker sequence.
+
+Two properties over Q, F_32003 and F_7 (where the coefficient table
+i^(j-1) mod 7 is coarser):
+
+- a specialized sequence that is E-regular makes the Kronecker sequence of
+  the same length E-regular too, as both decide Gr(a, E) >= k;
+- a negative certificate is the Kronecker-only one: the same failing stage
+  and the same witness text.
+
+Ideals have 1-3 generators in x, y, z of one or two terms, each exponent
+at most 2; k is 1-3; E is A, A/(h) for one such h, or A/(f_i) for one
+element of the specialized sequence, so that the fallback decides
+positive verdicts too.  Skipped when
+`hypothesis` is not installed.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ffr.algebra import AIdeal, AModule, FPAlgebra  # noqa: E402
+from ffr.depth import (depth_at_least, is_E_regular_sequence,  # noqa: E402
+                       kronecker_sequence, same_depth_generators,
+                       specialized_sequence)
+from ffr.ring import CoefField, PolyRing, QQ, parse_poly  # noqa: E402
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+terms = st.tuples(st.integers(-3, 3).filter(bool), *[st.integers(0, 2)] * 3)
+polys = st.lists(terms, min_size=1, max_size=2).map(
+    lambda ts: " + ".join(f"({c})*x^{a}*y^{b}*z^{d}" for c, a, b, d in ts))
+
+
+@st.composite
+def depth_cases(draw):
+    """An ideal a, a module E over the same algebra and a length k."""
+    field = draw(st.sampled_from([QQ, CoefField(32003), CoefField(7)]))
+    R = PolyRing(field, ["x", "y", "z"])
+    A = FPAlgebra(R, [])
+    a = AIdeal(A, [parse_poly(s, R)
+                   for s in draw(st.lists(polys, min_size=1, max_size=3))])
+    k = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["free", "quotient", "killed"]))
+    if kind == "free":
+        return a, AModule.free(A, 1), k
+    if kind == "quotient":
+        h = parse_poly(draw(polys), R)
+    else:  # E = A/(f_i): the specialized sequence fails, Kronecker decides
+        h = draw(st.sampled_from(
+            specialized_sequence(same_depth_generators(a), k)))
+    return a, AModule.quotient_by_ideal(AIdeal(A, [h])), k
+
+
+def kronecker_only(a, E, k):
+    ks = kronecker_sequence(same_depth_generators(a), k)
+    return is_E_regular_sequence(ks.polys, E.transport(ks.extended_algebra))
+
+
+@SETTINGS
+@given(depth_cases())
+def test_specialized_regular_implies_kronecker_regular(case):
+    a, E, k = case
+    gens = same_depth_generators(a)
+    if is_E_regular_sequence(specialized_sequence(gens, k), E).holds:
+        assert kronecker_only(a, E, k).holds
+
+
+@SETTINGS
+@given(depth_cases())
+def test_negative_certificate_is_the_kronecker_one(case):
+    a, E, k = case
+    cert = depth_at_least(a, E, k)
+    kron = kronecker_only(a, E, k)
+    assert cert.holds == kron.holds
+    if not cert.holds:
+        assert cert.fail_stage == kron.fail_stage
+        assert list(map(str, cert.witness)) == list(map(str, kron.witness))
+        assert cert.sequence == kron.sequence

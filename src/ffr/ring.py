@@ -469,8 +469,17 @@ class _Pack:
                         for i in range(n)]
         self.G = sum(1 << w * f + w - 1 for f in range(k))
         self.top = max if ring.order == "lex" else sum  # the largest field
-        self.mask = (1 << w) - 1
+        self.mask = mask = (1 << w) - 1
         self.shifts = [w * (n - 1 - i) for i in range(n)]  # of e_1..e_n
+        # the total degree of a term: its top field (s_n for grevlex, the
+        # degree field for grlex); lex has no degree field
+        if not n:
+            self.deg = lambda t: 0
+        elif ring.order == "lex":
+            self.deg = lambda t: sum(self.dec(t)[1])
+        else:
+            top = self.shift - w
+            self.deg = lambda t: t >> top & mask
 
     @classmethod
     @lru_cache(maxsize=64)

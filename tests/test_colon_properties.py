@@ -7,11 +7,13 @@ against the defining property of (W : a); `saturation` and
 Skipped when `hypothesis` is not installed.
 
 Polynomials have degree at most 2 in each of x, y, z, with at most three
-terms for rank 1 and two for rank 2.  The rank-2 limit is the lex module
-basis over Q, not the colon: `module_gb` of W + a R^2 for
+terms.  For rank 2 that bound rests on sugar selection in the Buchberger
+loop: the 60 trinomial examples take about 0.25 s, while with the older
+normal selection (smallest lcm first) lex module bases over Q such as
+that of W + a R^2 for
 W = [[xy + 3yz^2 + 2z^2, -y^2z], [-2xz^2 + 2y^2 - 2, -3x^2yz^2 + 3xz + 2]]
-and a = -2x^2z^2 - 2xy^2z^2 + 3y^2z^2 does not finish within five minutes in
-Q[x,y,z] lex and takes a fraction of a second in grevlex.
+and a = -2x^2z^2 - 2xy^2z^2 + 3y^2z^2 ran for minutes, and the suite
+drew two-term polynomials.
 
 The saturation cases take binomial I and f: 0.3-0.4 s for 60 examples on a
 2-vCPU host.  With trinomial I the property took 2.2 s there, of which the
@@ -88,11 +90,11 @@ def rank2_cases(draw):
     """A ring, 1-2 vectors spanning W in R^2, and 1-2 generators of a, some
     of them zero."""
     R = draw(rings)
-    vectors = st.tuples(binomials, binomials).map(
+    vectors = st.tuples(trinomials, trinomials).map(
         lambda v: [parse_poly(s, R) for s in v])
     W = draw(st.lists(vectors, min_size=1, max_size=2))
     a = draw(st.lists(st.one_of(st.just(R.zero()),
-                                binomials.map(lambda s: parse_poly(s, R))),
+                                trinomials.map(lambda s: parse_poly(s, R))),
                       min_size=1, max_size=2))
     return R, W, a
 

@@ -11,9 +11,11 @@ bound (prime avoidance: constant combinations of the generators are
 E-regular on almost every input); otherwise the Kronecker run decides, so
 every negative verdict and witness comes from the Kronecker sequence.
 
-Depth is exposed only through the decidable predicate "at least k" plus a
-value search bounded by the generator count: with k generators, depth >= k+1
-already forces a E = E (the infinite-depth case), so the search terminates.
+Depth is exposed through the decidable predicate "at least k" and through
+`depth_value`, which decides "at least k" on the same route for k the
+generator count: with k generators, depth >= k+1 already forces a E = E (the
+infinite-depth case).  Over k[X] with E free, each finite value is checked
+again against Gr(a, E) = n - dim A/a, read off the same reduced basis.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:
     return DepthCertificate(len(seq), True, sequence=seq, algebra=A)
 
 
-def same_depth_generators(a: AIdeal) -> AIdeal:
+def same_depth_generators(a: AIdeal,
+                          lifted: Optional[gb.IdealGens] = None) -> AIdeal:
     """A generator substitution that preserves every depth verdict.
 
     The list is replaced by the reduced basis of the lifted ideal (the same
@@ -112,10 +115,12 @@ def same_depth_generators(a: AIdeal) -> AIdeal:
     radical; equal-radical finitely generated ideals have equal depth on
     every module (the product lemma), so the substitution is sound and cuts
     the monomial case down from e.g. the cube of the maximal ideal to the
-    maximal ideal itself.
+    maximal ideal itself.  `lifted`, when given, is `a.lifted()` and keeps
+    its basis for the caller.
     """
     A = a.algebra
-    gens = [g for g in (A.nf(p) for p in a.lifted().groebner().basis)
+    lifted = lifted or a.lifted()
+    gens = [g for g in (A.nf(p) for p in lifted.groebner().basis)
             if not g.is_zero]
     if gens and all(len(g.terms) == 1 for g in gens):
         seen: list[tuple] = []
@@ -156,7 +161,11 @@ def depth_at_least(a: AIdeal, E: AModule, k: int) -> DepthCertificate:
         raise ValueError("negative depth bound")
     if k == 0:
         return DepthCertificate(0, True, algebra=a.algebra)
-    gens = same_depth_generators(a)
+    return _specialized_else_kronecker(same_depth_generators(a), E, k)
+
+
+def _specialized_else_kronecker(gens: AIdeal, E: AModule,
+                                k: int) -> DepthCertificate:
     cert = is_E_regular_sequence(specialized_sequence(gens, k), E)
     if cert.holds:
         return cert
@@ -167,22 +176,29 @@ def depth_at_least(a: AIdeal, E: AModule, k: int) -> DepthCertificate:
 def depth_value(a: AIdeal, E: AModule):
     """Gr(a, E) as an integer, or INFINITY when a E = E.
 
-    Finite values need a single Kronecker run: a prefix of a Kronecker
-    sequence is again a Kronecker sequence, so the first failing stage j
-    pins the depth at j - 1.
+    Finite values take the route of `depth_at_least` for k the generator
+    count, which bounds the depth: an E-regular specialized sequence of
+    length k gives k; else in the Kronecker run (a prefix of a Kronecker
+    sequence is again one) the first failing stage j pins the depth at
+    j - 1.  Over k[X] with E free the value must equal n - dim A/a (k[X] is
+    Cohen-Macaulay), read off the basis that gave the generators; a
+    mismatch raises VerificationError.
     """
     if ideal_times_module_is_module(a, E):
         return INFINITY
-    if not a.gens:
-        return 0
-    reduced = same_depth_generators(a)
+    lifted = a.lifted()
+    reduced = same_depth_generators(a, lifted)
     # the depth is bounded by both generator counts (else a E = E)
-    k = min(len(a.gens), len(reduced.gens)) if reduced.gens else 0
-    if k == 0:
-        return 0
-    ks = kronecker_sequence(reduced, k)
-    cert = is_E_regular_sequence(ks.polys, E.transport(ks.extended_algebra))
-    return k if cert.holds else cert.fail_stage - 1
+    k = min(len(a.gens), len(reduced.gens))
+    value = 0
+    if k:
+        cert = _specialized_else_kronecker(reduced, E, k)
+        value = k if cert.holds else cert.fail_stage - 1
+    A = a.algebra
+    if (A.is_polynomial_ring() and not E.presentation
+            and value != A.ring.n - gb.krull_dimension(lifted)):
+        raise VerificationError("depth disagrees with n - dim A/a")
+    return value
 
 
 class TriangularRegularization(NamedTuple):

@@ -77,6 +77,15 @@ def test_depth_value_infinity(capsys):
     assert code == 0 and rep["depth"] == "infinity"
 
 
+def test_depth_value_dimension_mismatch_exits_4(monkeypatch, capsys):
+    import ffr.groebner as gb
+    monkeypatch.setattr(gb, "krull_dimension", lambda I: 0)
+    code = run(["depth-value", "--vars", "x,y,z", "--ideal", '["x*y","x*z"]'])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.startswith("ffr: internal verification failure: ")
+
+
 def test_secant_with_relations(capsys):
     code, rep = run_json(capsys, [
         "secant", "--vars", "x,y,z", "--relations", '["x*(y-1)"]',

@@ -203,6 +203,28 @@ def test_depth_value_examples():
     assert depth_value(ideal(B, "x*y", "x*z"), AModule.free(B, 1)) == 1
 
 
+def test_depth_value_rechecks_the_dimension(monkeypatch):
+    # over k[X] on a free module each value must equal n - dim A/a
+    import ffr.groebner as gb
+    from ffr.ring import VerificationError
+    A = algebra(["x", "y", "z"])
+    E = AModule.free(A, 1)
+    monkeypatch.setattr(gb, "krull_dimension", lambda I: 0)
+    with pytest.raises(VerificationError):
+        depth_value(ideal(A, "x*y", "x*z"), E)
+    # the check reads the basis same_depth_generators already holds
+    calls = []
+    monkeypatch.setattr(gb, "krull_dimension",
+                        lambda I: calls.append(I._gb) or 2)
+    assert depth_value(ideal(A, "x*y", "x*z"), E) == 1
+    assert len(calls) == 1 and calls[0] is not None
+    # quotient algebras and presented modules keep the Kronecker path only
+    B = algebra(["x", "y"], "x*y")
+    assert depth_value(ideal(B, "x", "y"), AModule.free(B, 1)) == 1
+    quot = AModule.quotient_by_ideal(ideal(A, "x"))
+    assert depth_value(ideal(A, "y", "z"), quot) == 2
+
+
 def test_depth_value_infinite_on_quotient():
     A = algebra(["x"])
     quot = AModule.quotient_by_ideal(ideal(A, "x"))

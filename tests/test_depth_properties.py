@@ -1,14 +1,19 @@
-"""Property tests for `depth.depth_at_least`, which tries the specialized
-sequence f_i = g_1 + i g_2 + ... + i^(s-1) g_s in the base ring first and
-falls back to the Kronecker sequence.
+"""Property tests for `depth.depth_at_least` and `depth.depth_value`, which
+try the specialized sequence f_i = g_1 + i g_2 + ... + i^(s-1) g_s in the
+base ring first and fall back to the Kronecker sequence.
 
-Two properties over Q, F_32003 and F_7 (where the coefficient table
-i^(j-1) mod 7 is coarser):
+Properties over Q, F_32003 and F_7 (where the coefficient table i^(j-1)
+mod 7 is coarser):
 
 - a specialized sequence that is E-regular makes the Kronecker sequence of
   the same length E-regular too, as both decide Gr(a, E) >= k;
 - a negative certificate is the Kronecker-only one: the same failing stage
-  and the same witness text.
+  and the same witness text;
+- `depth_value` equals a Kronecker-only oracle, and does not change when
+  x, y and z are permuted.
+
+Two pinned cases over F_2 and F_3 have a coefficient table that collides
+mod p, so the specialized sequence fails and the fallback decides.
 
 Ideals have 1-3 generators in x, y, z of one or two terms, each exponent
 at most 2; k is 1-3; E is A, A/(h) for one such h, or A/(f_i) for one
@@ -24,8 +29,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ffr.algebra import AIdeal, AModule, FPAlgebra  # noqa: E402
-from ffr.depth import (depth_at_least, is_E_regular_sequence,  # noqa: E402
+from ffr.algebra import (AIdeal, AModule, FPAlgebra,  # noqa: E402
+                         ideal_times_module_is_module)
+from ffr.depth import (INFINITY, depth_at_least,  # noqa: E402
+                       depth_value, is_E_regular_sequence,
                        kronecker_sequence, same_depth_generators,
                        specialized_sequence)
 from ffr.ring import CoefField, PolyRing, QQ, parse_poly  # noqa: E402
@@ -84,3 +91,57 @@ def test_negative_certificate_is_the_kronecker_one(case):
         assert cert.fail_stage == kron.fail_stage
         assert list(map(str, cert.witness)) == list(map(str, kron.witness))
         assert cert.sequence == kron.sequence
+
+
+def kronecker_only_value(a, E):
+    """Gr(a, E) on the Kronecker sequence alone: its first failing stage j
+    pins the depth at j - 1."""
+    if ideal_times_module_is_module(a, E):
+        return INFINITY
+    reduced = same_depth_generators(a)
+    k = min(len(a.gens), len(reduced.gens))
+    if k == 0:
+        return 0
+    cert = kronecker_only(a, E, k)
+    return k if cert.holds else cert.fail_stage - 1
+
+
+@SETTINGS
+@given(depth_cases())
+def test_depth_value_is_the_kronecker_value(case):
+    a, E, _ = case
+    assert depth_value(a, E) == kronecker_only_value(a, E)
+
+
+def permuted(a, E, names):
+    """a and E with x, y, z renamed to `names`, in a fresh ring."""
+    R = PolyRing(a.algebra.ring.field, names)
+    A = FPAlgebra(R, [])
+
+    def move(p):
+        return parse_poly(str(p), R)
+    return (AIdeal(A, [move(g) for g in a.gens]),
+            AModule(A, E.rank, [[move(p) for p in row]
+                                for row in E.presentation]))
+
+
+@SETTINGS
+@given(depth_cases(), st.permutations(["x", "y", "z"]))
+def test_depth_value_is_invariant_under_permuting_variables(case, names):
+    a, E, _ = case
+    assert depth_value(*permuted(a, E, names)) == depth_value(a, E)
+
+
+@pytest.mark.parametrize("p, names", [(2, ["x", "y", "z"]),
+                                      (3, ["x", "y", "z", "w"])])
+def test_depth_value_when_the_coefficient_table_collides(p, names):
+    # t_i = i mod p repeats after p steps, so f_1 = f_(p+1) (over F_2:
+    # f_1 = f_3 = x + y + z) and the Kronecker fallback decides the value
+    R = PolyRing(CoefField(p), names)
+    A = FPAlgebra(R, [])
+    a = AIdeal(A, [R.var(v) for v in names])
+    E = AModule.free(A, 1)
+    f = specialized_sequence(same_depth_generators(a), len(names))
+    assert f[0] == f[p]
+    assert not is_E_regular_sequence(f, E).holds
+    assert depth_value(a, E) == len(names) == kronecker_only_value(a, E)

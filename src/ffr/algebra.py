@@ -147,39 +147,26 @@ def is_regular_element(A: FPAlgebra, f: Poly) -> bool:
 
 
 def is_faithful_ideal(A: FPAlgebra, a: AIdeal) -> bool:
-    """Ann_A(a) = 0, i.e. (J : <gens>) = J in k[X]."""
-    if not a.gens:
-        return is_trivial(A)
-    colon = gb.ideal_colon(A.relations, gb.IdealGens(A.ring, a.gens))
-    jgb = A.relations.groebner()
-    return all(jgb.contains(g) for g in colon.gens)
+    """Ann_A(a) = 0, i.e. (J : <gens>) = J in k[X]; for a = 0, A = 0."""
+    J = [[g] for g in A.relations.gens]
+    return next(gb._colon_classes(J, a.gens, 1, A.ring), None) is None
 
 
 def module_colon_element(E: AModule, f: Poly) -> list[list[Poly]]:
     """Generators of (0 :_E f), as normal-form representatives in A^q."""
-    if E.rank == 0:
-        return []
-    R = E.algebra.ring
-    W = E.base_vectors()
-    basis = gb.module_gb(W, rank=E.rank, ring=R)
-    gens = gb.module_colon(W, [E.algebra.nf(f)], E.rank, R)
     out = []
-    for g in gens:
-        r = basis.normal_form(g)
-        if any(not p.is_zero for p in r) and r not in out:
+    for r in gb._colon_classes(E.base_vectors(), [E.algebra.nf(f)], E.rank,
+                               E.algebra.ring):
+        if r not in out:
             out.append(r)
     return out
 
 
 def ideal_times_module_is_module(a: AIdeal, E: AModule) -> bool:
-    """True iff a E = E, tested on the images of the basis vectors."""
-    if E.rank == 0:
-        return True
+    """True iff a E = E, i.e. E / a E = 0."""
     R = E.algebra.ring
     span = E.base_vectors() + gb.scalar_columns(a.gens, E.rank, R)
-    basis = gb.module_gb(span, rank=E.rank, ring=R)
-    return all(basis.contains(e_t)
-               for e_t in gb.scalar_columns([R.one()], E.rank, R))
+    return next(gb._colon_classes(span, [], E.rank, R), None) is None
 
 
 def annihilator(E: AModule) -> AIdeal:

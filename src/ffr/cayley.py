@@ -95,15 +95,6 @@ class CayleyData(NamedTuple):
         return g
 
 
-def _outer_product_holds(M: RingMatrix, col: Sequence[Poly],
-                         row: Sequence[Poly], algebra: FPAlgebra) -> bool:
-    for i in range(M.rows):
-        for j in range(M.cols):
-            if not algebra.nf(M.entries[i][j] - col[i] * row[j]).is_zero:
-                return False
-    return True
-
-
 def cayley_factorize(C: FreeComplex) -> CayleyData:
     """Downward recursion from u_m = [1], solving M = u_{k-1} (u_k*)^T.
 
@@ -142,7 +133,8 @@ def cayley_factorize(C: FreeComplex) -> CayleyData:
                     f"no factorization at level {k}: a row of the exterior "
                     "power is not a multiple of the dual vector")
             coords.append(lift[0])
-        if not _outer_product_holds(M, coords, w, A):
+        if RingMatrix(A, [[c * x for x in w] for c in coords],
+                      M.rows, M.cols) != M:
             raise VerificationError("outer-product identity failed")
         subs = subsets_colex(C.sizes[k - 1], r_k)
         u[k - 1] = MultiVector.from_dict(A, C.sizes[k - 1], r_k,
@@ -240,7 +232,7 @@ def macrae_invariant(E: AModule, resolution: FreeComplex) -> MacRaeCertificate:
 
     The resolution must be certified exact, resolve E (its first matrix is
     E's presentation), and have chi = 0; the invariant is the Cayley
-    determinant, with the cofactor certificate of F_0(E).
+    determinant, re-checked as a `strong_gcd` of F_0(E).
     """
     A = E.algebra
     if resolution.algebra != A:
@@ -257,18 +249,10 @@ def macrae_invariant(E: AModule, resolution: FreeComplex) -> MacRaeCertificate:
         raise CayleyError(
             f"resolution is not exact (level {report.failing_level})")
     e = cayley_determinant(resolution)
-    a_gens = fitting_ideal(E, 0).gens
-    cofactors = []
-    for p in a_gens:
-        lift = algebra_membership([p], [[e]], A)
-        if lift is None:
-            raise VerificationError("F_0 is not contained in <e>")
-        cofactors.append(lift[0])
-    cert = depth_at_least(AIdeal(A, cofactors), AModule.free(A, 1), 2)
-    if not cert.holds:
-        raise VerificationError("MacRae cofactors lost their depth-2 "
-                                "certificate")
-    return MacRaeCertificate(E, e, tuple(cofactors), cert)
+    gcd = strong_gcd(fitting_ideal(E, 0), e)
+    if not gcd.ok:
+        raise VerificationError(f"F_0 lost its strong gcd: {gcd.reason}")
+    return MacRaeCertificate(E, e, gcd.cofactors, gcd.certificate)
 
 
 # ---------------------------------------------------------------------------

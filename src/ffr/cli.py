@@ -65,7 +65,10 @@ def _parse_field(text: str) -> CoefField:
         return QQ
     if text.startswith("Fp:"):
         try:
-            return CoefField(int(text[3:]))
+            p = int(text[3:])
+            if not p:  # CoefField(0) is the rationals
+                raise ValueError("0 is not prime")
+            return CoefField(p)
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
     raise SchemaError(f"unknown field {text!r} (use Q or Fp:<prime>)")
@@ -137,12 +140,11 @@ def _algebra(args) -> FPAlgebra:
     Commands without a --relations option ignore the relations of a ring
     document as well.
     """
-    from .algebra import FPAlgebra
     if not args.ring:
-        R = PolyRing(_parse_field(args.field), _parse_list(args.vars),
-                     args.order)
-        relations = _parse_list(getattr(args, "relations", ""))
-        return FPAlgebra(R, _polys(relations, R))
+        return _algebra_from_doc({
+            "field": args.field, "vars": _parse_list(args.vars),
+            "order": args.order,
+            "relations": _parse_list(getattr(args, "relations", ""))})
     doc = _json(args.ring, "bad ring JSON")
     if not isinstance(doc, dict) or "vars" not in doc:
         raise SchemaError('ring object needs "vars"')
@@ -414,7 +416,8 @@ def _hilbert_burch(args):
 
 def _resultant(args):
     from .algebra import FPAlgebra
-    from .cayley import resultant_via_cayley
+    from .cayley import CayleyError, resultant_via_cayley, sylvester_complex
+    from .complexes import determinantal_ideal
     field = _parse_field(args.field)
     names = _parse_list(args.vars) or ["X", "Y"]
     if len(names) != 2:
@@ -434,8 +437,17 @@ def _resultant(args):
         return [base.const(by_x[k].lt()[1]) if k in by_x else base.zero()
                 for k in range(deg + 1)]
 
-    g = resultant_via_cayley(FPAlgebra.polynomial(base), coeff_list(P),
-                             coeff_list(Q), args.d)
+    A, pc, qc = FPAlgebra.polynomial(base), coeff_list(P), coeff_list(Q)
+    try:
+        g = resultant_via_cayley(A, pc, qc, args.d)
+    except CayleyError:
+        # over a field the Cayley hypotheses fail only when every maximal
+        # minor of S is zero: P and Q share a factor, and Res(P, Q) = 0
+        S = sylvester_complex(A, pc, qc, args.d).S
+        if determinantal_ideal(S, S.rows).gens:
+            raise VerificationError("Cayley hypotheses fail, yet S has a "
+                                    "nonzero maximal minor") from None
+        g = base.zero()
     return ({"field": args.field, "vars": names, "P": str(P), "Q": str(Q),
              "d": args.d},
             {"verdict": "computed", "resultant": str(g)})

@@ -131,7 +131,7 @@ def is_stable_rank(M: RingMatrix, r: int) -> bool:
 
 def mccoy_injective(M: RingMatrix) -> bool:
     """Injectivity of M : A^cols -> A^rows iff D_cols(M) is faithful."""
-    return is_faithful_ideal(M.algebra, determinantal_ideal(M, M.cols))
+    return stable_rank_at_least(M, M.cols)
 
 
 def kernel_generators(M: RingMatrix) -> list[list[Poly]]:
@@ -338,7 +338,6 @@ def koszul_complex(algebra: FPAlgebra, seq: Sequence[Poly]) -> FreeComplex:
     the position of i inside J; bases of the exterior powers are colex.
     """
     n = len(seq)
-    seq = [algebra.nf(p) for p in seq]
     zero = algebra.ring.zero()
     return FreeComplex(algebra, [
         RingMatrix(algebra, boundary_matrix(
@@ -397,10 +396,9 @@ def pfaffian_data(X: RingMatrix) -> PfaffianData:
     n = X.rows
     if X.cols != n or n % 2 == 0:
         raise ValueError("need an odd-size square matrix")
-    for i in range(n):
-        for j in range(n):
-            if not A.nf(X.entries[i][j] + X.entries[j][i]).is_zero:
-                raise ValueError("matrix is not antisymmetric")
+    if X.transpose() != RingMatrix(A, [[-p for p in row]
+                                       for row in X.entries]):
+        raise ValueError("matrix is not antisymmetric")
     ents = [list(r) for r in X.entries]
     qs = []
     for i in range(1, n + 1):
@@ -410,9 +408,6 @@ def pfaffian_data(X: RingMatrix) -> PfaffianData:
         qs.append(-p if i % 2 else p)
     Q = RingMatrix(A, [qs], 1, n)
     qx = Q.mul(X).is_zero()
-    adj = adjugate(X)
-    tQQ = Q.transpose().mul(Q)
-    adj_ok = all(A.nf(adj.entries[i][j] - tQQ.entries[i][j]).is_zero
-                 for i in range(n) for j in range(n))
+    adj_ok = adjugate(X) == Q.transpose().mul(Q)
     cplx = FreeComplex(A, [Q, X, Q.transpose()])
     return PfaffianData(Q, cplx, qx, adj_ok)

@@ -82,18 +82,9 @@ def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:
     R = A.ring
     q = E.rank
     seq = tuple(A.nf(p) for p in seq)
-    if q == 0:
-        return DepthCertificate(len(seq), True, sequence=seq, algebra=A)
     W = E.base_vectors()
     for j, a_j in enumerate(seq, start=1):
-        basis = gb.module_gb(W, rank=q, ring=R)
-        colon = gb.module_colon(W, [a_j], q, R)
-        witness = None
-        for g in colon:
-            r = basis.normal_form(g)
-            if any(not p.is_zero for p in r):
-                witness = r
-                break
+        witness = next(gb._colon_classes(W, [a_j], q, R), None)
         if witness is not None:
             scaled = [a_j * p for p in witness]
             if gb.module_membership(scaled, W) is None:

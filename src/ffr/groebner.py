@@ -598,6 +598,20 @@ def module_colon(vectors: Sequence[Sequence[Poly]],
     return syzygy_module(mains, diagonal_blocks(vectors, len(gens), ring))
 
 
+def _colon_classes(vectors: Sequence[Sequence[Poly]], by: Sequence[Poly],
+                   rank: int, ring: PolyRing):
+    """The nonzero normal forms modulo W = span(vectors) of the generators
+    of (W : by), in the order of `module_colon`: none iff (0 :_E <by>) = 0
+    for E = R^rank / W, which for `by` empty (or zero) means E = 0."""
+    colon = module_colon(vectors, by, rank, ring)
+    if colon:
+        basis = ModuleBasis(ring, rank, vectors)
+        for g in colon:
+            r = basis.normal_form(g)
+            if any(not p.is_zero for p in r):
+                yield r
+
+
 def module_membership(v: Sequence[Poly],
                       gens: Sequence[Sequence[Poly]]) -> Optional[list[Poly]]:
     """A lift (c_1..c_s) with sum c_i g_i = v, or None if v is not a member.

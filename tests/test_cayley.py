@@ -13,7 +13,7 @@ from ffr.complexes import (FreeComplex, RingMatrix, certify_exact,
 from ffr.groebner import (IdealGens, ideal_equal, ideal_product,
                           radical_membership)
 from ffr.monomial import MonomialList, taylor_complex
-from ffr.ring import PolyRing, QQ, parse_poly
+from ffr.ring import PolyRing, QQ, VerificationError, parse_poly
 
 
 def algebra(vars, *relations, order="grevlex"):
@@ -40,6 +40,19 @@ def test_koszul_is_cayley():
     A = algebra(["x", "y"])
     assert is_cayley_complex(koszul(A, "x", "y")).holds
 
+
+def test_factorization_rechecks_the_outer_product(monkeypatch):
+    # a wrong row lift must fail the re-checked identity M = u (w)^T
+    import ffr.cayley
+    lift = ffr.cayley.algebra_membership
+
+    def wrong_lift(v, gens, A):
+        good = lift(v, gens, A)
+        return None if good is None else [good[0] + A.ring.one()]
+
+    monkeypatch.setattr(ffr.cayley, "algebra_membership", wrong_lift)
+    with pytest.raises(VerificationError):
+        cayley_factorize(koszul(algebra(["x", "y"]), "x", "y"))
 
 def test_certified_exact_implies_cayley():
     A = algebra(["x", "y", "z"])
@@ -334,6 +347,17 @@ def test_macrae_ses_multiplicativity():
     assert ideal_equal(IdealGens(A.ring, [prod]),
                        IdealGens(A.ring, [invariants["x*y"]]))
 
+
+def test_macrae_rechecks_that_the_invariant_divides_f0(monkeypatch):
+    # x + 1 is regular on A = Q[x, y] but does not divide F_0(A/(x)) = (x)
+    import ffr.cayley
+    A = algebra(["x", "y"])
+    monkeypatch.setattr(ffr.cayley, "cayley_determinant",
+                        lambda C: A.parse("x + 1"))
+    E = AModule.quotient_by_ideal(AIdeal(A, [A.parse("x")]))
+    C = FreeComplex(A, [matrix(A, [["x"]])])
+    with pytest.raises(VerificationError):
+        macrae_invariant(E, C)
 
 def test_macrae_requires_matching_presentation():
     A = algebra(["x", "y"])

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -174,6 +175,66 @@ def test_resultant_command(capsys):
         assert rep["resultant"] in ("3", "-3")
 
 
+def test_resultant_of_forms_with_a_common_factor_is_zero(capsys):
+    # the Cayley hypotheses fail at level 1 (every maximal minor of S is
+    # zero), which over a field is Res(P, Q) = 0
+    code, rep = run_json(capsys, ["resultant", "--P", "X*Y",
+                                  "--Q", "X*Y+Y^2", "--d", "3"])
+    assert code == 0
+    assert rep["verdict"] == "computed" and rep["resultant"] == "0"
+
+
+def test_resultant_rechecks_a_failed_hypothesis(monkeypatch, capsys):
+    # a CayleyError on coprime forms contradicts the nonzero minors of S
+    import ffr.cayley
+
+    def fails(*args):
+        raise ffr.cayley.CayleyError("depth hypothesis fails at level 1")
+
+    monkeypatch.setattr(ffr.cayley, "resultant_via_cayley", fails)
+    assert run(["resultant", "--P", "X+2*Y", "--Q", "X-Y", "--d", "1"]) == 4
+    assert "verification failure" in capsys.readouterr().err
+
+
+def _random_form(rng, names):
+    """A nonzero binary form of degree 1-3, coefficients in {-1, 0, 1, 2}:
+    its text and its coefficients by descending power of X."""
+    deg = rng.randint(1, 3)
+    while True:
+        coeffs = [rng.choice([-1, 0, 1, 2]) for _ in range(deg + 1)]
+        if any(coeffs):
+            break
+    X, Y = names
+    text = " + ".join(f"({c})*{X}^{deg - i}*{Y}^{i}"
+                      for i, c in enumerate(coeffs))
+    return text, coeffs
+
+
+@pytest.mark.parametrize("field,p", [("Q", 0), ("Fp:7", 7)])
+def test_resultant_matches_the_sylvester_determinant(field, p, capsys):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(24 + p)
+    zeros = 0
+    for _ in range(20):
+        (P, pc), (Q, qc) = (_random_form(rng, "XY") for _ in range(2))
+        m, n = len(pc) - 1, len(qc) - 1
+        d = m + n - 1 + rng.randint(0, 1)
+        code, rep = run_json(capsys, ["resultant", "--field", field,
+                                      "--P", P, "--Q", Q, "--d", str(d)])
+        assert code == 0
+        # the classical (m + n) x (m + n) Sylvester matrix
+        rows = [[0] * i + pc + [0] * (n - 1 - i) for i in range(n)]
+        rows += [[0] * i + qc + [0] * (m - 1 - i) for i in range(m)]
+        det = sympy.Matrix(rows).det()
+        got = sympy.Rational(rep["resultant"])
+        if p:
+            assert (got - det) % p == 0 or (got + det) % p == 0
+            zeros += det % p == 0
+        else:
+            assert got in (det, -det)
+            zeros += det == 0
+    assert zeros  # the seeded draws include forms with a common factor
+
 def test_taylor_command(capsys):
     code, rep = run_json(capsys, [
         "taylor", "--vars", "x,y,z",
@@ -263,6 +324,25 @@ def test_exit_2_on_bad_field(capsys):
         code = run(["gb", "--field", field, "--vars", "x", "--ideal", '["x"]'])
         assert code == 2
 
+
+def test_exit_2_on_the_field_of_characteristic_0(tmp_path, capsys):
+    # Fp:0 would otherwise be read as the rationals
+    ring = {"field": "Fp:0", "vars": ["x", "y"]}
+    (tmp_path / "c.json").write_text(json.dumps(
+        {**ring, "matrices": [[["x", "y"]], [["-y"], ["x"]]]}))
+    (tmp_path / "m.json").write_text(json.dumps(
+        {**ring, "matrix": [["y", "0"], ["-x", "y"], ["0", "-x"]]}))
+    for argv in (
+            ["gb", "--field", "Fp:0", "--vars", "x", "--ideal", "x"],
+            ["gb", "--ring", json.dumps(ring), "--ideal", "x"],
+            ["certify", "--complex", str(tmp_path / "c.json")],
+            ["hilbert-burch", "--matrix", str(tmp_path / "m.json")],
+            ["resultant", "--field", "Fp:0", "--P", "X+2*Y", "--Q", "X-Y",
+             "--d", "1"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ffr: input error: 0 is not prime\n"
 
 def test_determinism_and_round_trip(capsys):
     argv = ["depth", "--vars", "x,y", "--ideal", '["x","y"]',

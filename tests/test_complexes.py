@@ -385,6 +385,14 @@ def test_pfaffian_squares_to_determinant():
     assert M.det() == pf * pf
 
 
+def test_pfaffian_data_refuses_a_symmetric_pair():
+    A = algebra(["x"])
+    x, zero = A.parse("x"), A.ring.zero()
+    X = RingMatrix(A, [[zero, x, zero], [x, zero, zero],
+                       [zero, zero, zero]])
+    with pytest.raises(ValueError):
+        pfaffian_data(X)
+
 def test_pfaffian_data_n3():
     A = algebra(["x12", "x13", "x23"])
     x12, x13, x23 = A.ring.gens()

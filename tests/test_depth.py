@@ -13,7 +13,7 @@ from ffr.depth import (DepthCertificate, depth_at_least, depth_dim_identity,
                        wiebe_check, INFINITY)
 from ffr.groebner import (IdealGens, ideal_colon, ideal_equal,
                           module_membership)
-from ffr.ring import CoefField, PolyRing, QQ, parse_poly
+from ffr.ring import CoefField, PolyRing, QQ, VerificationError, parse_poly
 
 
 def algebra(vars, *relations, order="grevlex"):
@@ -132,6 +132,17 @@ def test_cusp_powers_not_regular():
     cert2 = is_E_regular_sequence([A.parse("u"), A.parse("v")], E)
     assert not cert2.holds
 
+
+def test_failing_stage_witness_is_reverified(monkeypatch):
+    # a failing stage re-checks f_j w = 0 in E by a membership lift; a
+    # lift that cannot be found is a verification failure, not a verdict
+    import ffr.groebner
+    monkeypatch.setattr(ffr.groebner, "module_membership",
+                        lambda v, gens: None)
+    A = algebra(["x", "y"])
+    with pytest.raises(VerificationError):
+        is_E_regular_sequence([A.parse("x"), A.parse("x*y")],
+                              AModule.free(A, 1))
 
 # ---------------------------------------------------------------------------
 # depth

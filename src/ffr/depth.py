@@ -12,10 +12,12 @@ E-regular on almost every input); otherwise the Kronecker run decides, so
 every negative verdict and witness comes from the Kronecker sequence.
 
 Depth is exposed through the decidable predicate "at least k" and through
-`depth_value`, which decides "at least k" on the same route for k the
-generator count: with k generators, depth >= k+1 already forces a E = E (the
-infinite-depth case).  Over k[X] with E free, each finite value is checked
-again against Gr(a, E) = n - dim A/a, read off the same reduced basis.
+`depth_value`, which over k[X] with E free decides by the depth-dimension
+bracket Gr(a, E) = n - dim A/a (k[X] is Cohen-Macaulay: Bruns & Herzog,
+Cor. 2.1.4): an independent set of the reduced basis's leads (Kredel &
+Weispfenning, J. Symbolic Comput. 6, 1988) bounds it above, a sequence of
+that length below.  Elsewhere a Kronecker run on E modulo the E-regular
+prefix of the specialized sequence decides.
 """
 
 from __future__ import annotations
@@ -167,29 +169,52 @@ def _specialized_else_kronecker(gens: AIdeal, E: AModule,
 def depth_value(a: AIdeal, E: AModule):
     """Gr(a, E) as an integer, or INFINITY when a E = E.
 
-    Finite values take the route of `depth_at_least` for k the generator
-    count, which bounds the depth: an E-regular specialized sequence of
-    length k gives k; else in the Kronecker run (a prefix of a Kronecker
-    sequence is again one) the first failing stage j pins the depth at
-    j - 1.  Over k[X] with E free the value must equal n - dim A/a (k[X] is
-    Cohen-Macaulay), read off the basis that gave the generators; a
-    mismatch raises VerificationError.
+    Over k[X] with E free, Gr(a, E) = height a = n - d, d = dim A/a (k[X]
+    is Cohen-Macaulay; Bruns & Herzog, Cor. 2.1.4): an independent set S of
+    the reduced basis's leads with |S| = d (Kredel & Weispfenning 1988)
+    proves Gr <= n - d, and `_specialized_else_kronecker` of length n - d
+    proves Gr >= n - d.  If S meets a lead, |S| != d or the lower bound
+    fails, VerificationError is raised.
+
+    Elsewhere (the identity can fail) the specialized sequence of length k,
+    the generator count, runs first.  If it fails at stage j + 1, its
+    E-regular prefix f gives Gr(a, E) = j + Gr(a, E/(f)E), decided by a
+    Kronecker run of length k - j on E/(f)E: its first failing stage m
+    gives j + m - 1.
     """
+    A = a.algebra
+    lifted = a.lifted()
+    if A.is_polynomial_ring() and not E.presentation:
+        if not E.rank or lifted.groebner().is_unit_ideal():
+            return INFINITY
+        d = gb.krull_dimension(lifted)
+        S = set(gb.independent_set(lifted))
+        if len(S) != d or any(all(i in S for i, e in enumerate(g.lm()) if e)
+                              for g in lifted.groebner().basis):
+            raise VerificationError("independent set does not re-check")
+        height = A.ring.n - d
+        reduced = same_depth_generators(a, lifted)
+        if not _specialized_else_kronecker(reduced, E, height).holds:
+            raise VerificationError("depth is below n - dim A/a")
+        return height
     if ideal_times_module_is_module(a, E):
         return INFINITY
-    lifted = a.lifted()
     reduced = same_depth_generators(a, lifted)
     # the depth is bounded by both generator counts (else a E = E)
     k = min(len(a.gens), len(reduced.gens))
-    value = 0
-    if k:
-        cert = _specialized_else_kronecker(reduced, E, k)
-        value = k if cert.holds else cert.fail_stage - 1
-    A = a.algebra
-    if (A.is_polynomial_ring() and not E.presentation
-            and value != A.ring.n - gb.krull_dimension(lifted)):
-        raise VerificationError("depth disagrees with n - dim A/a")
-    return value
+    if not k:
+        return 0
+    cert = is_E_regular_sequence(specialized_sequence(reduced, k), E)
+    if cert.holds:
+        return k
+    j = cert.fail_stage - 1
+    cols = E.relation_columns() + gb.scalar_columns(cert.sequence[:j],
+                                                    E.rank, A.ring)
+    quotient = AModule(A, E.rank, list(zip(*cols)))
+    ks = kronecker_sequence(reduced, k - j)
+    rest = is_E_regular_sequence(ks.polys,
+                                 quotient.transport(ks.extended_algebra))
+    return k if rest.holds else j + rest.fail_stage - 1
 
 
 class TriangularRegularization(NamedTuple):

@@ -442,25 +442,33 @@ def radical_membership(f: Poly, I: IdealGens) -> bool:
     return saturation(I, f).groebner().is_unit_ideal()
 
 
-def krull_dimension(I: IdealGens) -> int:
-    """Krull dimension of R/I, from the initial-ideal independent sets.
+def independent_set(I: IdealGens) -> Optional[tuple[int, ...]]:
+    """A largest set S of variable indices such that no leading monomial
+    of the reduced basis is supported inside S, or None iff 1 in I.
 
-    The dimension is the maximal size of a variable subset S such that no
-    leading monomial of the reduced basis is supported inside S; -1 iff
-    1 in I.
+    Such an S certifies dim R/I >= |S|, and a largest one gives the
+    dimension (Kredel & Weispfenning, "Computing dimension and independent
+    sets for polynomial ideals", J. Symbolic Comput. 6, 1988).
     """
     gb = I.groebner()
     if gb.is_unit_ideal():
-        return -1
-    lms = [g.lm() for g in gb.basis]
+        return None
     n = I.ring.n
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
+    supports = [frozenset(i for i, e in enumerate(g.lm()) if e)
+                for g in gb.basis]
     for k in range(n, 0, -1):
         for S in combinations(range(n), k):
             Sset = set(S)
             if not any(sup <= Sset for sup in supports):
-                return k
-    return 0
+                return S
+    return ()
+
+
+def krull_dimension(I: IdealGens) -> int:
+    """Krull dimension of R/I: the size of `independent_set(I)`, -1 iff
+    1 in I (Kredel & Weispfenning 1988)."""
+    S = independent_set(I)
+    return -1 if S is None else len(S)
 
 
 # ---------------------------------------------------------------------------

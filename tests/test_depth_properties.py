@@ -10,7 +10,9 @@ mod 7 is coarser):
 - a negative certificate is the Kronecker-only one: the same failing stage
   and the same witness text;
 - `depth_value` equals a Kronecker-only oracle, and does not change when
-  x, y and z are permuted.
+  x, y and z are permuted;
+- on free modules of rank 1 or 2, where `depth_value` decides by the
+  depth-dimension bracket, it equals the same oracle.
 
 Two pinned cases over F_2 and F_3 have a coefficient table that collides
 mod p, so the specialized sequence fails and the fallback decides.
@@ -110,6 +112,25 @@ def kronecker_only_value(a, E):
 @given(depth_cases())
 def test_depth_value_is_the_kronecker_value(case):
     a, E, _ = case
+    assert depth_value(a, E) == kronecker_only_value(a, E)
+
+
+@st.composite
+def free_cases(draw):
+    """An ideal a of k[x, y, z] and a free module of rank 1 or 2."""
+    field = draw(st.sampled_from([QQ, CoefField(32003), CoefField(7)]))
+    R = PolyRing(field, ["x", "y", "z"])
+    A = FPAlgebra(R, [])
+    a = AIdeal(A, [parse_poly(s, R)
+                   for s in draw(st.lists(polys, min_size=1, max_size=3))])
+    return a, AModule.free(A, draw(st.integers(1, 2)))
+
+
+@SETTINGS
+@given(free_cases())
+def test_bracket_value_is_the_kronecker_value(case):
+    # the depth-dimension bracket against the Kronecker-only oracle
+    a, E = case
     assert depth_value(a, E) == kronecker_only_value(a, E)
 
 

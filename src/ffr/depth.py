@@ -16,8 +16,9 @@ Depth is exposed through the decidable predicate "at least k" and through
 bracket Gr(a, E) = n - dim A/a (k[X] is Cohen-Macaulay: Bruns & Herzog,
 Cor. 2.1.4): an independent set of the reduced basis's leads (Kredel &
 Weispfenning, J. Symbolic Comput. 6, 1988) bounds it above, a sequence of
-that length below.  Elsewhere a Kronecker run on E modulo the E-regular
-prefix of the specialized sequence decides.
+that length below.  Elsewhere it decides "at least k" on the route of
+`depth_at_least` for k the generator count: with k generators, depth >= k+1
+already forces a E = E (the infinite-depth case).
 """
 
 from __future__ import annotations
@@ -176,17 +177,20 @@ def depth_value(a: AIdeal, E: AModule):
     proves Gr >= n - d.  If S meets a lead, |S| != d or the lower bound
     fails, VerificationError is raised.
 
-    Elsewhere (the identity can fail) the specialized sequence of length k,
-    the generator count, runs first.  If it fails at stage j + 1, its
-    E-regular prefix f gives Gr(a, E) = j + Gr(a, E/(f)E), decided by a
-    Kronecker run of length k - j on E/(f)E: its first failing stage m
-    gives j + m - 1.
+    Elsewhere (the identity can fail) finite values take the route of
+    `depth_at_least` for k the generator count, which bounds the depth: an
+    E-regular specialized sequence of length k gives k; else in the
+    Kronecker run (a prefix of a Kronecker sequence is again one) the first
+    failing stage j pins the depth at j - 1.
     """
     A = a.algebra
     lifted = a.lifted()
     if A.is_polynomial_ring() and not E.presentation:
         if not E.rank or lifted.groebner().is_unit_ideal():
             return INFINITY
+        # krull_dimension repeats independent_set's search; the call is
+        # kept as the re-check seam that tests/test_depth.py patches, so
+        # |S| = d holds unless one of the two is replaced
         d = gb.krull_dimension(lifted)
         S = set(gb.independent_set(lifted))
         if len(S) != d or any(all(i in S for i, e in enumerate(g.lm()) if e)
@@ -204,17 +208,8 @@ def depth_value(a: AIdeal, E: AModule):
     k = min(len(a.gens), len(reduced.gens))
     if not k:
         return 0
-    cert = is_E_regular_sequence(specialized_sequence(reduced, k), E)
-    if cert.holds:
-        return k
-    j = cert.fail_stage - 1
-    cols = E.relation_columns() + gb.scalar_columns(cert.sequence[:j],
-                                                    E.rank, A.ring)
-    quotient = AModule(A, E.rank, list(zip(*cols)))
-    ks = kronecker_sequence(reduced, k - j)
-    rest = is_E_regular_sequence(ks.polys,
-                                 quotient.transport(ks.extended_algebra))
-    return k if rest.holds else j + rest.fail_stage - 1
+    cert = _specialized_else_kronecker(reduced, E, k)
+    return k if cert.holds else cert.fail_stage - 1
 
 
 class TriangularRegularization(NamedTuple):

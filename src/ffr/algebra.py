@@ -147,9 +147,11 @@ def is_regular_element(A: FPAlgebra, f: Poly) -> bool:
 
 
 def is_faithful_ideal(A: FPAlgebra, a: AIdeal) -> bool:
-    """Ann_A(a) = 0, i.e. (J : <gens>) = J in k[X]; for a = 0, A = 0."""
+    """Ann_A(a) = 0, i.e. (J : <gens>) = J in k[X]; for a = 0, A = 0.
+    The colon generators are reduced by the basis A holds for J."""
     J = [[g] for g in A.relations.gens]
-    return next(gb._colon_classes(J, a.gens, 1, A.ring), None) is None
+    return next(gb._colon_classes(J, a.gens, 1, A.ring,
+                                  lambda v: [A.nf(v[0])]), None) is None
 
 
 def module_colon_element(E: AModule, f: Poly) -> list[list[Poly]]:

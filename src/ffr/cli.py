@@ -43,7 +43,7 @@ class SchemaError(FFRError):
 def _json(text: str, message: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{message}: {exc}") from None
 
 

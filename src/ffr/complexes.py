@@ -13,8 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import groebner as gb
 from .algebra import AIdeal, AModule, FPAlgebra, is_faithful_ideal
 from .depth import DepthCertificate, depth_at_least
-from .exterior import (boundary_matrix, exterior_power_matrix, matrix_minor,
-                       minors, poly_det)
+from .exterior import boundary_matrix, exterior_power_matrix, minors, poly_det
 from .ring import Poly, RankObstructionError, RingMismatchError
 
 
@@ -84,8 +83,8 @@ class RingMatrix:
         return self.algebra.nf(poly_det(self.entries, self.algebra.ring))
 
     def minor(self, rset: Sequence[int], cset: Sequence[int]) -> Poly:
-        return self.algebra.nf(matrix_minor(self.entries, self.algebra.ring,
-                                            rset, cset))
+        return self.algebra.nf(poly_det([[self.entries[i][j] for j in cset]
+                                         for i in rset], self.algebra.ring))
 
     def exterior_power(self, r: int) -> "RingMatrix":
         return RingMatrix(self.algebra, exterior_power_matrix(

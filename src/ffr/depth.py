@@ -171,11 +171,11 @@ def depth_value(a: AIdeal, E: AModule):
     """Gr(a, E) as an integer, or INFINITY when a E = E.
 
     Over k[X] with E free, Gr(a, E) = height a = n - d, d = dim A/a (k[X]
-    is Cohen-Macaulay; Bruns & Herzog, Cor. 2.1.4): an independent set S of
-    the reduced basis's leads with |S| = d (Kredel & Weispfenning 1988)
-    proves Gr <= n - d, and `_specialized_else_kronecker` of length n - d
-    proves Gr >= n - d.  If S meets a lead, |S| != d or the lower bound
-    fails, VerificationError is raised.
+    is Cohen-Macaulay; Bruns & Herzog, Cor. 2.1.4): an independent set S
+    (no lead of the reduced basis lies in it) has |S| <= d (Kredel &
+    Weispfenning 1988), so Gr <= n - |S|; `_specialized_else_kronecker`
+    of length n - |S| proves Gr >= n - |S|, so a smaller S fails there.
+    If S meets a lead or the lower bound fails, VerificationError is raised.
 
     Elsewhere (the identity can fail) finite values take the route of
     `depth_at_least` for k the generator count, which bounds the depth: an
@@ -188,15 +188,11 @@ def depth_value(a: AIdeal, E: AModule):
     if A.is_polynomial_ring() and not E.presentation:
         if not E.rank or lifted.groebner().is_unit_ideal():
             return INFINITY
-        # krull_dimension repeats independent_set's search; the call is
-        # kept as the re-check seam that tests/test_depth.py patches, so
-        # |S| = d holds unless one of the two is replaced
-        d = gb.krull_dimension(lifted)
         S = set(gb.independent_set(lifted))
-        if len(S) != d or any(all(i in S for i, e in enumerate(g.lm()) if e)
-                              for g in lifted.groebner().basis):
+        if any(all(i in S for i, e in enumerate(g.lm()) if e)
+               for g in lifted.groebner().basis):
             raise VerificationError("independent set does not re-check")
-        height = A.ring.n - d
+        height = A.ring.n - len(S)
         reduced = same_depth_generators(a, lifted)
         if not _specialized_else_kronecker(reduced, E, height).holds:
             raise VerificationError("depth is below n - dim A/a")
@@ -332,14 +328,14 @@ def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
 
     W = E.base_vectors()
     Wc = W + gb.scalar_columns(c_seq, E.rank, R)
-    basis_c = gb.module_gb(Wc, rank=E.rank, ring=R) if E.rank else None
+    basis_c = gb.ModuleBasis(R, E.rank, Wc) if E.rank else None
 
     def colon_is(by: Sequence[Poly], target: Sequence[Poly], key: str) -> bool:
         # (cE : by) subseteq target E, and conversely by target E subseteq cE
         if not E.rank:
             return True
         Wt = W + gb.scalar_columns(target, E.rank, R)
-        basis_t = gb.module_gb(Wt, rank=E.rank, ring=R)
+        basis_t = gb.ModuleBasis(R, E.rank, Wt)
         for g in gb.module_colon(Wc, [A.nf(b) for b in by], E.rank, R):
             if not basis_t.contains(g):
                 counterexamples[key] = [tuple(basis_t.normal_form(g))]

@@ -119,12 +119,6 @@ def poly_det(rows: Sequence[Sequence[Poly]], ring: PolyRing) -> Poly:
     return minors(rows, ring, m)[full, full]
 
 
-def matrix_minor(rows: Sequence[Sequence[Poly]], ring: PolyRing,
-                 rset: Sequence[int], cset: Sequence[int]) -> Poly:
-    """Minor on row indices rset and column indices cset (0-based)."""
-    return poly_det([[rows[i][j] for j in cset] for i in rset], ring)
-
-
 def boundary_matrix(n: int, k: int, coeff, zero: Poly) -> list[list[Poly]]:
     """The map e_J -> sum_pos (-1)^pos coeff(J, pos) e_(J minus J[pos]).
 

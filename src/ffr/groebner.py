@@ -350,7 +350,7 @@ class IdealGens:
 
     def groebner(self) -> "GroebnerBasis":
         if self._gb is None:
-            self._gb = GroebnerBasis(self, _buchberger_vecs(
+            self._gb = GroebnerBasis(self.ring, _buchberger_vecs(
                 [[g] for g in self.gens], self.ring, 1))
         return self._gb
 
@@ -361,11 +361,10 @@ class IdealGens:
 class GroebnerBasis:
     """Reduced Groebner basis; canonical for (ideal, order)."""
 
-    __slots__ = ("source", "basis", "ring", "_red")
+    __slots__ = ("basis", "ring", "_red")
 
-    def __init__(self, source: IdealGens, table: _Reducers):
-        self.source = source
-        self.ring = source.ring
+    def __init__(self, ring: PolyRing, table: _Reducers):
+        self.ring = ring
         self._red = table
         self.basis = tuple(table.pack.polys(v, a)[0]
                            for _, v, a in table.entries)
@@ -412,7 +411,7 @@ def saturation(I: IdealGens, f: Poly) -> IdealGens:
     by <f>, each on the reduced basis of the previous ideal.
 
     The chain stops when two successive reduced bases agree, and that
-    basis is returned, with the chain's last run as its Groebner basis, so
+    basis is returned holding the chain's last Groebner basis itself, so
     asking for it runs no Buchberger again.  The fixed point S has
     (S : f) = S and I in S; with k the number of steps that changed the
     ideal, f^k S in I is re-checked, which makes S = (I : f^k) = (I : f^inf).
@@ -433,7 +432,7 @@ def saturation(I: IdealGens, f: Poly) -> IdealGens:
     if not all(gbI.contains(fk * g) for g in basis):
         raise VerificationError("saturation generator not in (I : f^k)")
     S = IdealGens(R, basis)
-    S._gb = GroebnerBasis(S, last._red)
+    S._gb = last
     return S
 
 
@@ -516,18 +515,6 @@ class ModuleBasis:
         return all(p.is_zero for p in self.normal_form(coords))
 
 
-def module_gb(vectors: Sequence[Sequence[Poly]],
-              rank: Optional[int] = None,
-              ring: Optional[PolyRing] = None) -> ModuleBasis:
-    if rank is None or ring is None:
-        if not vectors:
-            raise ValueError("empty generator list needs rank and ring")
-        r, R = _module_rank_ring(vectors)
-        rank = r if rank is None else rank
-        ring = R if ring is None else ring
-    return ModuleBasis(ring, rank, vectors)
-
-
 def _tagged_basis(vectors: Sequence[Sequence[Poly]], rank: int,
                   ring: PolyRing,
                   modulo: Sequence[Sequence[Poly]] = ()) -> ModuleBasis:
@@ -607,15 +594,16 @@ def module_colon(vectors: Sequence[Sequence[Poly]],
 
 
 def _colon_classes(vectors: Sequence[Sequence[Poly]], by: Sequence[Poly],
-                   rank: int, ring: PolyRing):
+                   rank: int, ring: PolyRing, nf=None):
     """The nonzero normal forms modulo W = span(vectors) of the generators
     of (W : by), in the order of `module_colon`: none iff (0 :_E <by>) = 0
-    for E = R^rank / W, which for `by` empty (or zero) means E = 0."""
+    for E = R^rank / W, which for `by` empty (or zero) means E = 0.  `nf`
+    reduces a vector mod W by a basis the caller holds; else one is built."""
     colon = module_colon(vectors, by, rank, ring)
     if colon:
-        basis = ModuleBasis(ring, rank, vectors)
+        nf = nf or ModuleBasis(ring, rank, vectors).normal_form
         for g in colon:
-            r = basis.normal_form(g)
+            r = nf(g)
             if any(not p.is_zero for p in r):
                 yield r
 

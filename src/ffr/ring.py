@@ -106,9 +106,6 @@ class CoefField:
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
-
     def mul(self, a, b):
         return (a * b) % self.p if self.p else a * b
 
@@ -380,16 +377,7 @@ class Poly:
         return Poly(self.ring, res, _trusted=True)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        sub = self.ring.field.sub
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = sub(res.get(m, 0), c)
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
-        return Poly(self.ring, res, _trusted=True)
+        return self + -other
 
     def __neg__(self) -> "Poly":
         neg = self.ring.field.neg
@@ -636,7 +624,10 @@ def parse_poly(src: str, ring: PolyRing) -> Poly:
     parser = _Parser(src, ring)
     if len(parser.toks) == 1:
         raise ParseError("empty input")
-    terms = parser.expr()
+    try:
+        terms = parser.expr()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply") from None
     if parser.toks[parser.pos]:
         raise ParseError(
             f"trailing input at token {parser.toks[parser.pos]!r}")

@@ -7,7 +7,7 @@ from ffr.algebra import (AIdeal, AModule, FPAlgebra, annihilator,
                          is_regular_element, is_trivial, module_colon_element,
                          quotient_dimension)
 from ffr.complexes import RingMatrix, kernel_generators
-from ffr.groebner import module_colon, module_gb, module_membership
+from ffr.groebner import ModuleBasis, module_colon, module_membership
 from ffr.ring import (CoefField, PolyRing, QQ, RingMismatchError,
                       embed_append, kronecker_poly, parse_poly)
 
@@ -68,6 +68,33 @@ def test_faithful_ideals():
     assert is_faithful_ideal(C, AIdeal(C, [C.parse("x+y")]))
     # zero ideal is faithful only over the trivial ring
     assert not is_faithful_ideal(B, AIdeal(B, []))
+
+
+def test_faithful_ideal_reduces_by_the_basis_of_J(monkeypatch):
+    # once J's basis exists, a faithfulness question runs one Buchberger
+    # run, the colon's tagged one, and none on J's generators again
+    import ffr.groebner as gb
+    run = gb._buchberger_vecs
+    runs = []
+
+    def counted(generators, ring, rank):
+        runs.append((rank, sorted(str(p) for v in generators for p in v)))
+        return run(generators, ring, rank)
+
+    cubic = algebra(["x", "y", "z", "w"], "x*z - y^2", "y*w - z^2",
+                    "x*w - y*z")
+    A = algebra(["x", "y"], "x*y")
+    cases = [(AIdeal(B, [B.parse(g) for g in gens]), faithful)
+             for B, gens, faithful in ((cubic, ["x", "w"], True),
+                                       (A, ["x"], False),
+                                       (A, ["x + y"], True))]
+    monkeypatch.setattr(gb, "_buchberger_vecs", counted)
+    for a, faithful in cases:
+        B = a.algebra
+        J = (1, sorted(map(str, B.relations.gens)))
+        runs.clear()
+        assert is_faithful_ideal(B, a) is faithful
+        assert len(runs) == 1 and J not in runs
 
 
 def test_faithfulness_invariant_under_generator_change():
@@ -152,7 +179,7 @@ def _kronecker_regular_on_module(A, gens, E):
                               R.var(names[0])))
     Eext = E.transport(ext)
     W = Eext.base_vectors()
-    basis = module_gb(W, rank=Eext.rank, ring=ext.ring)
+    basis = ModuleBasis(ext.ring, Eext.rank, W)
     colon = module_colon(W, [f], Eext.rank, ext.ring)
     return all(basis.contains(g) for g in colon)
 
@@ -160,7 +187,7 @@ def _kronecker_regular_on_module(A, gens, E):
 def _ideal_regular_on_module(A, gens, E):
     """Is <gens> E-regular: (0 :_E <gens>) = 0?"""
     W = E.base_vectors()
-    basis = module_gb(W, rank=E.rank, ring=A.ring)
+    basis = ModuleBasis(A.ring, E.rank, W)
     colon = module_colon(W, gens, E.rank, A.ring)
     return all(basis.contains(g) for g in colon)
 
@@ -228,7 +255,7 @@ def test_module_colon_scalar_rank2():
     E = AModule(B, 2, [[B.parse("x")], [B.parse("y")]])
     W = E.base_vectors()
     colon = module_colon(W, [B.parse("x")], 2, R)
-    basis = module_gb(W, rank=2, ring=R)
+    basis = ModuleBasis(R, 2, W)
     # (0 :_E x): x*(v) in W means v is a multiple of the column (x,y) scaled by
     # something with x*v in <(x,y)>; sanity: every returned generator really lands in W
     for g in colon:

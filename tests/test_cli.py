@@ -79,8 +79,9 @@ def test_depth_value_infinity(capsys):
 
 
 def test_depth_value_dimension_mismatch_exits_4(monkeypatch, capsys):
+    # a non-maximal independent set claims depth 3; the lower bound refuses
     import ffr.groebner as gb
-    monkeypatch.setattr(gb, "krull_dimension", lambda I: 0)
+    monkeypatch.setattr(gb, "independent_set", lambda I: ())
     code = run(["depth-value", "--vars", "x,y,z", "--ideal", '["x*y","x*z"]'])
     out, err = capsys.readouterr()
     assert code == 4 and out == ""
@@ -343,6 +344,26 @@ def test_exit_2_on_the_field_of_characteristic_0(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "ffr: input error: 0 is not prime\n"
+
+
+def test_exit_2_on_deeply_nested_input(tmp_path, capsys):
+    # polynomial text and JSON nested past the recursion limit are input
+    # errors, not tracebacks
+    parens = "(" * 5000 + "x" + ")" * 5000
+    deep = "[" * 20000 + "]" * 20000
+    (tmp_path / "c.json").write_text('{"matrices": ' + deep + "}")
+    for argv, says in (
+            (["gb", "--vars", "x", "--ideal", json.dumps([parens])],
+             "parentheses nested too deeply"),
+            (["gb", "--vars", "x", "--ideal", deep], "bad JSON list"),
+            (["gb", "--ring", deep, "--ideal", '["x"]'], "bad ring JSON"),
+            (["certify", "--complex", str(tmp_path / "c.json")],
+             "bad complex JSON")):
+        assert run(argv) == 2, argv[:3]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ffr: input error: ")
+        assert says in captured.err
 
 def test_determinism_and_round_trip(capsys):
     argv = ["depth", "--vars", "x,y", "--ideal", '["x","y"]',

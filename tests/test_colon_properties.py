@@ -30,8 +30,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from colon_oracle import (ideal_colon_poly, ideal_intersection,  # noqa: E402
                           saturation_by_iteration)
-from ffr.groebner import (IdealGens, ideal_colon, ideal_equal,  # noqa: E402
-                          module_colon, module_gb, radical_membership,
+from ffr.groebner import (IdealGens, ModuleBasis, ideal_colon,  # noqa: E402
+                          ideal_equal, module_colon, radical_membership,
                           saturation)
 from ffr.ring import CoefField, PolyRing, QQ, parse_poly  # noqa: E402
 
@@ -104,11 +104,11 @@ def rank2_cases(draw):
 def test_rank2_colon_is_the_colon_module(case):
     R, W, a = case
     colon = module_colon(W, a, 2, R)
-    basis_W = module_gb(W, rank=2, ring=R)
+    basis_W = ModuleBasis(R, 2, W)
     for x in colon:
         for g in a:
             assert basis_W.contains([g * p for p in x])
-    basis_colon = module_gb(colon, rank=2, ring=R)
+    basis_colon = ModuleBasis(R, 2, colon)
     for w in W:
         assert basis_colon.contains(w)
 

@@ -215,18 +215,20 @@ def test_depth_value_examples():
 
 
 def test_depth_value_rechecks_the_dimension(monkeypatch):
-    # over k[X] on a free module each value must equal n - dim A/a
+    # over k[X] on a free module each value must equal n - dim A/a: an
+    # independent set below dim A/a = 2 claims a depth the lower bound
+    # refuses
     import ffr.groebner as gb
     from ffr.ring import VerificationError
     A = algebra(["x", "y", "z"])
     E = AModule.free(A, 1)
-    monkeypatch.setattr(gb, "krull_dimension", lambda I: 0)
+    monkeypatch.setattr(gb, "independent_set", lambda I: ())
     with pytest.raises(VerificationError):
         depth_value(ideal(A, "x*y", "x*z"), E)
     # the check reads the basis same_depth_generators already holds
     calls = []
-    monkeypatch.setattr(gb, "krull_dimension",
-                        lambda I: calls.append(I._gb) or 2)
+    monkeypatch.setattr(gb, "independent_set",
+                        lambda I: calls.append(I._gb) or (1, 2))
     assert depth_value(ideal(A, "x*y", "x*z"), E) == 1
     assert len(calls) == 1 and calls[0] is not None
     # quotient algebras and presented modules keep the Kronecker path only

@@ -48,12 +48,33 @@ def test_depth_value_refuses_an_independent_set_that_meets_a_lead(
 
 def test_depth_value_refuses_an_independent_set_smaller_than_the_dimension(
         monkeypatch):
-    # with d = 3 the lower bound n - d = 0 holds trivially, so only
-    # |S| = d keeps the upper bound n - |S| = 1 from being skipped
+    # {y} and {} carry no lead of (xy, xz) but are smaller than
+    # dim A/a = 2: each claims a depth n - |S| > 1 that the lower bound
+    # refuses
     A = xyz()
-    monkeypatch.setattr(gb, "krull_dimension", lambda I: 3)
-    with pytest.raises(VerificationError, match="independent set"):
-        depth_value(ideal(A, "x*y", "x*z"), AModule.free(A, 1))
+    for S in ((1,), ()):
+        monkeypatch.setattr(gb, "independent_set", lambda I, S=S: S)
+        with pytest.raises(VerificationError, match="below n - dim"):
+            depth_value(ideal(A, "x*y", "x*z"), AModule.free(A, 1))
+
+
+def test_depth_value_searches_the_independent_set_once(monkeypatch):
+    # one search over k[X]: the bracket reads n - |S| off S itself
+    calls = []
+    search = gb.independent_set
+
+    def counted(I):
+        calls.append(I)
+        return search(I)
+
+    def no_dimension(I):
+        raise AssertionError("krull_dimension ran")
+
+    monkeypatch.setattr(gb, "independent_set", counted)
+    monkeypatch.setattr(gb, "krull_dimension", no_dimension)
+    A = xyz()
+    assert depth_value(ideal(A, "x*y", "x*z"), AModule.free(A, 1)) == 1
+    assert len(calls) == 1
 
 
 def failed_lower_bound(gens, E, k):

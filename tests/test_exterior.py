@@ -9,9 +9,9 @@ from ffr.cayley import signed_maximal_minors
 from ffr.complexes import RingMatrix, adjugate, koszul_complex
 from ffr.exterior import (MultiVector, are_proportional, complement,
                           decomposable, eps_sign, exterior_power_matrix,
-                          hodge_left, hodge_right, interior_right,
-                          matrix_minor, minors, pairing, poly_det,
-                          subsets_colex, sylvester_plucker, wedge)
+                          hodge_left, hodge_right, interior_right, minors,
+                          pairing, poly_det, subsets_colex, sylvester_plucker,
+                          wedge)
 from ffr.groebner import syzygy_module
 from ffr.monomial import MonomialList, taylor_complex
 from ffr.ring import CoefField, Poly, PolyRing, QQ, RingMismatchError
@@ -356,12 +356,13 @@ def test_exterior_power_matrix_alignment():
     x, y = R.gens()
     M = [[x, y, R.one()], [y, x, R.zero()], [R.one(), R.zero(), x]]
     L2 = exterior_power_matrix(M, R, 2)
+    MA = RingMatrix(A, M)
     rows = subsets_colex(3, 2)
     cols = subsets_colex(3, 2)
     for a, I in enumerate(rows):
         for b, J in enumerate(cols):
-            assert L2[a][b] == matrix_minor(M, R, [i - 1 for i in I],
-                                            [j - 1 for j in J])
+            assert L2[a][b] == MA.minor([i - 1 for i in I],
+                                        [j - 1 for j in J])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 import parse_oracle
-from ffr.ring import CoefField, ParseError, PolyRing, QQ, parse_poly
+from ffr.ring import (CoefField, ParseError, PolyRing, QQ, RingMismatchError,
+                      parse_poly)
 
 RINGS = {f"{name}-{order}": PolyRing(field, ["x", "y", "z"], order)
          for name, field in (("Q", QQ), ("F3", CoefField(3)),
@@ -139,3 +140,27 @@ def test_dense_expanded_polynomial_matches_oracle():
     for R in RINGS.values():
         assert_same(src, R)
     assert len(parse_poly(src, RINGS["Q-grevlex"]).terms) >= 200
+
+
+def drawn_poly(rng, R):
+    """The first of the seeded random texts above that R accepts."""
+    while True:
+        try:
+            return parse_poly(deep(rng) if rng.random() < 0.5
+                              else expr(rng, 2), R)
+        except ParseError:
+            continue
+
+
+@pytest.mark.parametrize("p", [0, 32003, 2])
+def test_subtraction_adds_the_negation(p):
+    R = PolyRing(CoefField(p), ["x", "y", "z"])
+    S = PolyRing(CoefField(p), ["x", "y", "w"])
+    rng = random.Random(f"sub-{p}")
+    for _ in range(60):
+        f, g = drawn_poly(rng, R), drawn_poly(rng, R)
+        d = f - g
+        assert d == f + (-g) and all(d.terms.values())
+        assert d + g == f and (f - f).is_zero
+        with pytest.raises(RingMismatchError):
+            f - drawn_poly(rng, S)

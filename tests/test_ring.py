@@ -61,6 +61,15 @@ def test_parse_errors():
         parse_poly("²", R)
 
 
+def test_parse_refuses_parentheses_nested_too_deeply():
+    # past the interpreter's recursion limit the parser refuses the text
+    # instead of raising RecursionError
+    R = ring_qq("x")
+    assert parse_poly("(" * 300 + "x" + ")" * 300, R) == R.var("x")
+    with pytest.raises(ParseError, match="^parentheses nested too deeply$"):
+        parse_poly("(" * 5000 + "x" + ")" * 5000, R)
+
+
 def test_reserved_prefix_rejected():
     with pytest.raises(ValueError):
         PolyRing(QQ, ["#k0"])

@@ -186,13 +186,17 @@ def annihilator(E: AModule) -> AIdeal:
     return AIdeal(A, [s[0] for s in syz])
 
 
-def algebra_membership(v: Sequence[Poly], gens: Sequence[Sequence[Poly]],
-                       algebra: FPAlgebra) -> Optional[list[Poly]]:
-    """Lift of v over span(gens) + J A^rank; coefficients for gens only."""
+def algebra_membership(vectors: Sequence[Sequence[Poly]],
+                       gens: Sequence[Sequence[Poly]],
+                       algebra: FPAlgebra) -> list[Optional[list[Poly]]]:
+    """For each v of `vectors`, a lift over span(gens) + J A^rank with
+    coefficients for gens only, or None; one tagged basis serves them all."""
+    if not vectors:
+        return []
     aug = [list(g) for g in gens] + gb.scalar_columns(
-        algebra.relations.gens, len(v), algebra.ring)
-    lift = gb.module_membership(list(v), aug)
-    return None if lift is None else lift[:len(gens)]
+        algebra.relations.gens, len(vectors[0]), algebra.ring)
+    return [None if lift is None else lift[:len(gens)]
+            for lift in gb.module_membership(vectors, aug)]
 
 
 def quotient_dimension(A: FPAlgebra, a: Optional[AIdeal] = None) -> int:

@@ -124,15 +124,12 @@ def cayley_factorize(C: FreeComplex) -> CayleyData:
             raise CayleyError(
                 f"non-unique factorization at level {k}: the dual vector's "
                 "coordinate ideal is not faithful")
-        coords = []
-        for i in range(M.rows):
-            row = [M.entries[i][j] for j in range(M.cols)]
-            lift = algebra_membership(row, [w], A)
-            if lift is None:
-                raise CayleyError(
-                    f"no factorization at level {k}: a row of the exterior "
-                    "power is not a multiple of the dual vector")
-            coords.append(lift[0])
+        lifts = algebra_membership(M.entries, [w], A)
+        if None in lifts:
+            raise CayleyError(
+                f"no factorization at level {k}: a row of the exterior "
+                "power is not a multiple of the dual vector")
+        coords = [lift[0] for lift in lifts]
         if RingMatrix(A, [[c * x for x in w] for c in coords],
                       M.rows, M.cols) != M:
             raise VerificationError("outer-product identity failed")
@@ -202,13 +199,11 @@ def strong_gcd(a: AIdeal, candidate: Optional[Poly] = None) -> StrongGcd:
             return StrongGcd(False, reason="no candidate and no derivable one")
     if not is_regular_element(A, g):
         return StrongGcd(False, element=g, reason="candidate is not regular")
-    cofactors = []
-    for p in gens:
-        lift = algebra_membership([p], [[g]], A)
-        if lift is None:
-            return StrongGcd(False, element=g,
-                             reason="candidate does not divide a generator")
-        cofactors.append(lift[0])
+    lifts = algebra_membership([[p] for p in gens], [[g]], A)
+    if None in lifts:
+        return StrongGcd(False, element=g,
+                         reason="candidate does not divide a generator")
+    cofactors = [lift[0] for lift in lifts]
     cert = depth_at_least(AIdeal(A, cofactors), AModule.free(A, 1), 2)
     if not cert.holds:
         return StrongGcd(False, element=g, cofactors=tuple(cofactors),
@@ -315,10 +310,10 @@ def hilbert_burch(M: RingMatrix,
         injective = mccoy_injective(M)
         ker = kernel_generators(arow)
         span = M.columns()
-        in_image = all(algebra_membership(g, span, A) is not None for g in ker)
+        in_image = None not in algebra_membership(ker, span, A)
         alpha_exact = injective and in_image
         if alpha_exact:
-            lift = algebra_membership(alpha, [delta], A)
+            lift, = algebra_membership([alpha], [delta], A)
             if lift is None:
                 raise VerificationError("alpha is not a multiple of Delta")
             factor = lift[0]

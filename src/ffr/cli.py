@@ -268,7 +268,7 @@ def _member(args):
     R = _algebra(args).ring
     gens = _ideal(args.ideal, R)
     f = _poly(args.poly, R)
-    lift = module_membership([f], [[g] for g in IdealGens(R, gens).gens])
+    lift, = module_membership([[f]], [[g] for g in IdealGens(R, gens).gens])
     payload = ({"verdict": "not-member"} if lift is None
                else {"verdict": "member", "lift": _strs(lift)})
     return {**_ring_inputs(R), "ideal": _strs(gens), "poly": str(f)}, payload

@@ -59,18 +59,21 @@ class DepthCertificate(NamedTuple):
     algebra: Optional[FPAlgebra] = None
 
 
+def _fresh_extension(a: AIdeal, k: int):
+    """k fresh names, a's algebra with them appended, a's gens embedded."""
+    names = a.algebra.ring.fresh_names(k)
+    ext = a.algebra.extend_append(names)
+    return names, ext, [embed_append(g, ext.ring) for g in a.gens]
+
+
 def kronecker_sequence(a: AIdeal, k: int) -> KroneckerSequence:
     """k Kronecker polynomials a_1 + a_2 T_i + ... + a_s T_i^(s-1) for a,
     each on its own fresh variable T_i.
     """
     if k < 0:
         raise ValueError("negative length")
-    A = a.algebra
-    names = A.ring.fresh_names(k)
-    ext = A.extend_append(names)
-    R = ext.ring
-    gens = [embed_append(g, R) for g in a.gens]
-    polys = tuple(kronecker_poly(gens, R.var(name)) for name in names)
+    names, ext, gens = _fresh_extension(a, k)
+    polys = tuple(kronecker_poly(gens, ext.ring.var(name)) for name in names)
     return KroneckerSequence(ext, tuple(names), polys)
 
 
@@ -90,7 +93,7 @@ def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:
         witness = next(gb._colon_classes(W, [a_j], q, R), None)
         if witness is not None:
             scaled = [a_j * p for p in witness]
-            if gb.module_membership(scaled, W) is None:
+            if None in gb.module_membership([scaled], W):
                 raise VerificationError("witness does not re-verify")
             return DepthCertificate(len(seq), False, fail_stage=j,
                                     witness=tuple(witness),
@@ -234,16 +237,13 @@ def triangular_regularization(a: AIdeal, level: int,
     k = len(a.gens)
     if not 1 <= level <= k:
         raise ValueError("level must be between 1 and the generator count")
-    A = a.algebra
-    names = A.ring.fresh_names(level)
-    ext = A.extend_append(names)
+    names, ext, gens = _fresh_extension(a, level)
     R = ext.ring
-    gens = [embed_append(g, R) for g in a.gens]
     U: list[list[Poly]] = []
     for i in range(k):
         row = [R.zero()] * k
         if i < level:
-            x = R.var(A.ring.n + i)
+            x = R.var(names[i])
             power = R.one()
             for j in range(i, k):
                 row[j] = power

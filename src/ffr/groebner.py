@@ -608,24 +608,24 @@ def _colon_classes(vectors: Sequence[Sequence[Poly]], by: Sequence[Poly],
                 yield r
 
 
-def module_membership(v: Sequence[Poly],
-                      gens: Sequence[Sequence[Poly]]) -> Optional[list[Poly]]:
-    """A lift (c_1..c_s) with sum c_i g_i = v, or None if v is not a member.
-
-    The lift is re-verified by substitution before being returned.
-    """
-    if not gens:
-        return [] if all(p.is_zero for p in v) else None
-    rank, ring = _module_rank_ring(gens)
-    if len(v) != rank:
-        raise RingMismatchError("vector rank mismatch")
-    zero = ring.zero()
-    r = _tagged_basis(gens, rank, ring).normal_form(
-        list(v) + [zero] * len(gens))
-    if any(not p.is_zero for p in r[:rank]):
-        return None
-    lift = [-p for p in r[rank:]]
-    for j in range(rank):
-        if ring.dot(lift, [g[j] for g in gens]) != v[j]:
+def module_membership(vectors: Sequence[Sequence[Poly]],
+                      gens: Sequence[Sequence[Poly]]
+                      ) -> list[Optional[list[Poly]]]:
+    """For each v of `vectors`, a lift (c_1..c_s) with sum c_i g_i = v, or
+    None if v is not a member.  One tagged basis of the g_i serves every v,
+    and every lift is re-verified by substitution before being returned."""
+    if not gens or not vectors:
+        return [[] if all(p.is_zero for p in v) else None for v in vectors]
+    rank, ring = _module_rank_ring(list(gens) + list(vectors))
+    tagged, pad = _tagged_basis(gens, rank, ring), [ring.zero()] * len(gens)
+    lifts = []
+    for v in vectors:
+        r = tagged.normal_form(list(v) + pad)
+        lift = [-p for p in r[rank:]]
+        if any(not p.is_zero for p in r[:rank]):
+            lift = None
+        elif any(ring.dot(lift, [g[j] for g in gens]) != v[j]
+                 for j in range(rank)):
             raise VerificationError("membership lift failed re-substitution")
-    return lift
+        lifts.append(lift)
+    return lifts

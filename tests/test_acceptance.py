@@ -127,9 +127,9 @@ def test_criterion_04_hilbert_burch_monomial(capsys):
     # the kernel of mu is exactly the column span: free of rank 2
     from ffr.groebner import syzygy_module
     for s in syzygy_module([[p] for p in mu]):
-        ok = ok and module_membership(s, [c for c in
-                                          [list(col) for col in
-                                           zip(*M.entries)]]) is not None
+        ok = ok and module_membership([s], [c for c in
+                                            [list(col) for col in
+                                             zip(*M.entries)]])[0] is not None
     with capsys.disabled():
         _line(4, "Hilbert-Burch for (x^3, x^2 y^2, y^4): free rank-2 kernel, "
                  "Delta up to sign, grade >= 2", ok,

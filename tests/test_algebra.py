@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ffr.algebra import (AIdeal, AModule, FPAlgebra, annihilator,
+from ffr.algebra import (AIdeal, AModule, FPAlgebra, algebra_membership,
+                         annihilator,
                          ideal_times_module_is_module, is_faithful_ideal,
                          is_regular_element, is_trivial, module_colon_element,
                          quotient_dimension)
@@ -114,6 +115,19 @@ def test_product_of_regular_elements_is_regular():
         f = C.parse(rng.choice(regular))
         g = C.parse(rng.choice(regular))
         assert is_regular_element(C, f * g)
+
+
+def test_algebra_membership_lifts_a_list_modulo_J():
+    # over Q[x, y]/(x y): one call lifts each vector over span(gens) + J
+    A = algebra(["x", "y"], "x*y")
+    x, y = A.parse("x"), A.parse("y")
+    assert algebra_membership([], [[x]], A) == []
+    vectors = [[x * x], [y], [x * y], [A.ring.zero()]]
+    lifts = algebra_membership(vectors, [[x]], A)
+    assert lifts == [algebra_membership([v], [[x]], A)[0] for v in vectors]
+    assert [lift is None for lift in lifts] == [False, True, False, False]
+    for v, lift in zip(vectors, lifts):
+        assert lift is None or A.nf(lift[0] * x - v[0]).is_zero
 
 
 def test_module_colon_element():
@@ -260,7 +274,7 @@ def test_module_colon_scalar_rank2():
     # something with x*v in <(x,y)>; sanity: every returned generator really lands in W
     for g in colon:
         scaled = [B.parse("x") * g[0], B.parse("x") * g[1]]
-        assert module_membership(scaled, W) is not None
+        assert module_membership([scaled], W)[0] is not None
     # f = 0 and rank 3: f g lies in W for every generator g, and the colon
     # holds W; (W : 0) is the whole free module, given by its unit vectors
     C = algebra(["x", "y", "z"])
@@ -273,9 +287,10 @@ def test_module_colon_scalar_rank2():
         for f in (x, y * z, zero):
             colon = module_colon(W, [f], r, C.ring)
             for g in colon:
-                assert module_membership([f * p for p in g], W) is not None
+                assert module_membership([[f * p for p in g]],
+                                         W)[0] is not None
             for w in W:
-                assert module_membership(w, colon) is not None
+                assert module_membership([w], colon)[0] is not None
             if f.is_zero:
                 assert colon == [[one if i == t else zero for i in range(r)]
                                  for t in range(r)]

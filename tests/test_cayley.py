@@ -46,13 +46,40 @@ def test_factorization_rechecks_the_outer_product(monkeypatch):
     import ffr.cayley
     lift = ffr.cayley.algebra_membership
 
-    def wrong_lift(v, gens, A):
-        good = lift(v, gens, A)
-        return None if good is None else [good[0] + A.ring.one()]
+    def wrong_lift(vectors, gens, A):
+        return [None if good is None else [good[0] + A.ring.one()]
+                for good in lift(vectors, gens, A)]
 
     monkeypatch.setattr(ffr.cayley, "algebra_membership", wrong_lift)
     with pytest.raises(VerificationError):
         cayley_factorize(koszul(algebra(["x", "y"]), "x", "y"))
+
+
+def test_one_lift_basis_per_cayley_level_and_per_strong_gcd(monkeypatch):
+    # every row of a level, and every cofactor of a strong gcd, is lifted
+    # over one tagged basis; syzygy runs build tagged bases of their own
+    import sys
+
+    import ffr.groebner
+    tagged = ffr.groebner._tagged_basis
+    lift_bases = []
+
+    def counting(*args):
+        if sys._getframe(1).f_code.co_name == "module_membership":
+            lift_bases.append(args)
+        return tagged(*args)
+
+    monkeypatch.setattr(ffr.groebner, "_tagged_basis", counting)
+    C = koszul(algebra(["x", "y", "z"]), "x", "y", "z")
+    data = cayley_factorize(C)
+    assert data.det is not None
+    assert len(lift_bases) == C.length == 3
+    del lift_bases[:]
+    A = algebra(["x", "y"])
+    x, y = A.parse("x"), A.parse("y")
+    gcd = strong_gcd(AIdeal(A, [x * x, x * y]), candidate=x)
+    assert gcd.ok and gcd.cofactors == (x, y)
+    assert len(lift_bases) == 1
 
 def test_certified_exact_implies_cayley():
     A = algebra(["x", "y", "z"])

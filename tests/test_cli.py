@@ -168,6 +168,18 @@ def test_hilbert_burch_command(tmp_path, capsys):
     assert rep["factor"] == "1" and rep["factor_strong_gcd"]
 
 
+def test_hilbert_burch_on_the_1x0_matrix(tmp_path, capsys):
+    # no columns: Delta = (1), alpha's kernel is zero, so no vector is
+    # lifted over the empty column span, and alpha = x Delta
+    path = tmp_path / "hb.json"
+    path.write_text(json.dumps({"vars": ["x"], "matrix": [[]]}))
+    code, rep = run_json(capsys, ["hilbert-burch", "--matrix", str(path),
+                                  "--alpha", "x"])
+    assert code == 0 and rep["verdict"] == "exact"
+    assert rep["delta"] == ["1"] and rep["factor"] == "x"
+    assert rep["factor_strong_gcd"]
+
+
 def test_resultant_command(capsys):
     for d in ("2", "3"):
         code, rep = run_json(capsys, ["resultant", "--P", "X+2*Y",

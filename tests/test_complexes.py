@@ -351,7 +351,7 @@ def _homology_zero_at(C, k):
             v = [zero] * C.sizes[k]
             v[t] = rel
             span.append(v)
-    return all(module_membership(g, span) is not None for g in ker)
+    return all(module_membership([g], span)[0] is not None for g in ker)
 
 
 def test_peskine_szpiro_style_cross_check():

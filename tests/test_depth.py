@@ -76,8 +76,8 @@ def test_wide_ideal_generic_2x5_minors(p):
     assert not cert.holds and cert.fail_stage == 2
     f1, f2 = cert.sequence
     (w,) = cert.witness
-    assert module_membership([w], [[f1]]) is None
-    assert module_membership([f2 * w], [[f1]]) is not None
+    assert module_membership([[w]], [[f1]]) == [None]
+    assert module_membership([[f2 * w]], [[f1]])[0] is not None
     assert depth_value(b, free) == 1
 
 
@@ -138,7 +138,7 @@ def test_failing_stage_witness_is_reverified(monkeypatch):
     # lift that cannot be found is a verification failure, not a verdict
     import ffr.groebner
     monkeypatch.setattr(ffr.groebner, "module_membership",
-                        lambda v, gens: None)
+                        lambda vectors, gens: [None] * len(vectors))
     A = algebra(["x", "y"])
     with pytest.raises(VerificationError):
         is_E_regular_sequence([A.parse("x"), A.parse("x*y")],
@@ -308,7 +308,7 @@ def test_depth_two_proportionality():
         w = A.parse(rng.choice(["x", "y", "x+y", "x*y", "x^2-y"]))
         v = [g * w for g in a_gens]  # proportional by construction
         # solving v = a*w by lifting: membership of v in the module a*A
-        lift = module_membership(v, [a_gens])
+        lift, = module_membership([v], [a_gens])
         assert lift is not None
         assert lift[0] == w  # uniqueness: the lift is exactly w
 

@@ -121,7 +121,7 @@ def test_nf_idempotent_and_membership_lift():
         nf = gb.normal_form(f)
         assert gb.normal_form(nf) == nf
         member = nf.is_zero
-        lift = module_membership([f], [[g] for g in I.gens])
+        lift, = module_membership([[f]], [[g] for g in I.gens])
         assert (lift is not None) == member
 
 
@@ -334,7 +334,7 @@ def test_syzygy_monomials_closed_form():
             vec = [R.zero()] * len(polys)
             vec[i] = mij
             vec[j] = -mji
-            assert module_membership(vec, syz) is not None
+            assert module_membership([vec], syz)[0] is not None
     # and conversely every computed syzygy lies in their span
     closed = []
     for i in range(len(polys)):
@@ -346,16 +346,54 @@ def test_syzygy_monomials_closed_form():
             vec[j] = -Poly(R, {mono_div(mi, g): QQ.one()})
             closed.append(vec)
     for s in syz:
-        assert module_membership(s, closed) is not None
+        assert module_membership([s], closed)[0] is not None
 
 
 def test_module_membership_examples():
     R = R2()
     gens = [[P(R, "x"), R.zero()], [R.zero(), P(R, "y")]]
-    lift = module_membership([P(R, "x^2"), R.zero()], gens)
+    lift, = module_membership([[P(R, "x^2"), R.zero()]], gens)
     assert lift == [P(R, "x"), R.zero()]
-    assert module_membership([R.one(), R.zero()], gens) is None
-    assert module_membership([R.zero(), R.zero()], gens) == [R.zero(), R.zero()]
+    assert module_membership([[R.one(), R.zero()]], gens) == [None]
+    assert module_membership([[R.zero(), R.zero()]], gens) == [
+        [R.zero(), R.zero()]]
+
+
+def test_list_lift_empty_cases_and_rank_check():
+    R = R2()
+    x = P(R, "x")
+    assert module_membership([], [[x]]) == []
+    assert module_membership([], []) == []
+    # no generators: only zero vectors lift, with the empty lift
+    assert module_membership([[R.zero()], [x]], []) == [[], None]
+    with pytest.raises(RingMismatchError):
+        module_membership([[x], [x, R.zero()]], [[x]])
+
+
+def test_list_lift_widens_the_shared_table_partway(monkeypatch):
+    # the second vector has degree 41, past the packed fields of the tagged
+    # basis, so its normal form widens the shared table in the middle of
+    # the list; every lift is still the lift of a one-element list
+    R = R3()
+    gens = [[P(R, "x"), P(R, "y")], [P(R, "y"), P(R, "z")]]
+    vectors = [[P(R, "x^2 + y^2"), P(R, "x*y + y*z")],
+               [P(R, "x^40*y"), P(R, "x^40*z")],
+               [R.one(), R.zero()],
+               [R.zero(), R.zero()],
+               [P(R, "x*y"), P(R, "y^2")]]
+    widened = []
+    widen = _Reducers.widen
+
+    def counting(self):
+        widened.append(self.pack.w)
+        widen(self)
+
+    monkeypatch.setattr(_Reducers, "widen", counting)
+    lifts = module_membership(vectors, gens)
+    assert widened
+    assert lifts == [[P(R, "x"), P(R, "y")], [R.zero(), P(R, "x^40")], None,
+                     [R.zero(), R.zero()], [P(R, "y"), R.zero()]]
+    assert lifts == [module_membership([v], gens)[0] for v in vectors]
 
 
 def test_module_normal_form_checks_rank_and_ring():
@@ -421,7 +459,7 @@ def test_membership_lift_f7_grlex_refusal():
         "x + 2", "y + 6", "z + 5"]
     f = P(R, "x*y^5*z^5 + 5*x*y^5*z^4 + x^3*y^2*z^4 + 2*x^2*y^4*z^3"
              " + 3*x^2*y^4*z^2 + 2*x^4*y*z^2 + 1")
-    assert module_membership([f], gens) is None
+    assert module_membership([[f]], gens) == [None]
 
 
 @pytest.mark.parametrize("field", [CoefField(32003), QQ], ids=["Fp", "Q"])
@@ -505,7 +543,7 @@ def test_coprime_leading_monomials_family():
                 vec[j] = -fs[i]
                 koszul.append(vec)
         for s in syz:
-            assert module_membership(s, koszul) is not None
+            assert module_membership([s], koszul)[0] is not None
         # and the sequence is regular
         A = FPAlgebra.polynomial(R)
         assert is_E_regular_sequence(fs, AModule.free(A, 1)).holds

@@ -62,7 +62,7 @@ def test_basis_over_q_maps_to_basis_over_fp(order, drawn):
     assume(_p_integral(G))
     image = tuple(_mod_p(g, Rp) for g in G)
     assert IdealGens(Rp, list(image)).groebner().basis == image
-    lifts = [module_membership([g], [[f] for f in gens]) for g in G]
+    lifts = [module_membership([[g]], [[f] for f in gens])[0] for g in G]
     assume(all(_p_integral(h) for h in lifts))
     fp_gens = [_mod_p(f, Rp) for f in gens]
     assert IdealGens(Rp, fp_gens).groebner().basis == image

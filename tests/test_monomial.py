@@ -69,9 +69,9 @@ def test_monomial_syzygies_generate():
             for c, v in zip(s, vs):
                 acc = acc + c * v[0]
             assert acc.is_zero
-            assert module_membership(s, computed) is not None
+            assert module_membership([s], computed)[0] is not None
         for s in computed:
-            assert module_membership(s, closed) is not None
+            assert module_membership([s], closed)[0] is not None
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,8 @@ def test_element_colon_is_empty_iff_the_element_is_regular(data):
     assert (colon == []) == is_E_regular_sequence([f], E).holds
     for w in colon:  # each element is a nonzero class killed by f
         assert any(not p.is_zero for p in w)
-        assert module_membership([f * p for p in w],
-                                 E.base_vectors()) is not None
+        assert module_membership([[f * p for p in w]],
+                                 E.base_vectors())[0] is not None
 
 
 @SETTINGS
@@ -112,6 +112,6 @@ def test_ideal_times_module_matches_unit_vector_lifts(data):
         gens.append(E.presentation[0][0] + R.one())
     a = AIdeal(A, gens)
     span = E.base_vectors() + scalar_columns(a.gens, q, R)
-    lifts = all(module_membership(e_t, span) is not None
+    lifts = all(module_membership([e_t], span)[0] is not None
                 for e_t in scalar_columns([R.one()], q, R))
     assert ideal_times_module_is_module(a, E) == lifts

@@ -18,7 +18,9 @@ Cor. 2.1.4): an independent set of the reduced basis's leads (Kredel &
 Weispfenning, J. Symbolic Comput. 6, 1988) bounds it above, a sequence of
 that length below.  Elsewhere it decides "at least k" on the route of
 `depth_at_least` for k the generator count: with k generators, depth >= k+1
-already forces a E = E (the infinite-depth case).
+already forces a E = E (the infinite-depth case).  The depth-dimension
+identity is the bracket's report, and a sequence is completely secant when
+`depth_value` reaches its length.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from . import groebner as gb
-from .algebra import (AIdeal, AModule, FPAlgebra, ideal_times_module_is_module,
-                      quotient_dimension)
+from .algebra import AIdeal, AModule, FPAlgebra, ideal_times_module_is_module
 from .exterior import poly_det
 from .ring import (Poly, VerificationError, embed_append, kronecker_poly,
                    mono_divides)
@@ -170,15 +171,35 @@ def _specialized_else_kronecker(gens: AIdeal, E: AModule,
     return is_E_regular_sequence(ks.polys, E.transport(ks.extended_algebra))
 
 
+def _bracket(a: AIdeal, E: AModule, lifted: gb.IdealGens):
+    """(S, lower) with Gr(a, E) = n - |S|, over k[X] with E free of rank
+    > 0 and `lifted` = `a.lifted()`; (None, None) when a = (1).
+
+    Gr(a, E) = height a = n - dim A/a there (k[X] is Cohen-Macaulay; Bruns
+    & Herzog, Cor. 2.1.4).  The independent set S is re-checked to carry no
+    lead of the reduced basis, so |S| <= dim A/a (Kredel & Weispfenning
+    1988) and Gr <= n - |S|; `lower`, the specialized-else-Kronecker
+    certificate of length n - |S|, must hold, so a smaller S fails there.
+    Either failure raises VerificationError.
+    """
+    basis = lifted.groebner().basis
+    S = gb.independent_set(lifted)
+    if S is None:
+        return None, None
+    if any(all(i in S for i, e in enumerate(g.lm()) if e) for g in basis):
+        raise VerificationError("independent set does not re-check")
+    lower = _specialized_else_kronecker(same_depth_generators(a, lifted), E,
+                                        a.algebra.ring.n - len(S))
+    if not lower.holds:
+        raise VerificationError("depth is below n - dim A/a")
+    return S, lower
+
+
 def depth_value(a: AIdeal, E: AModule):
     """Gr(a, E) as an integer, or INFINITY when a E = E.
 
-    Over k[X] with E free, Gr(a, E) = height a = n - d, d = dim A/a (k[X]
-    is Cohen-Macaulay; Bruns & Herzog, Cor. 2.1.4): an independent set S
-    (no lead of the reduced basis lies in it) has |S| <= d (Kredel &
-    Weispfenning 1988), so Gr <= n - |S|; `_specialized_else_kronecker`
-    of length n - |S| proves Gr >= n - |S|, so a smaller S fails there.
-    If S meets a lead or the lower bound fails, VerificationError is raised.
+    Over k[X] with E free it is n - |S| for the independent set S of
+    `_bracket`, which re-checks both bounds (VerificationError).
 
     Elsewhere (the identity can fail) finite values take the route of
     `depth_at_least` for k the generator count, which bounds the depth: an
@@ -189,17 +210,8 @@ def depth_value(a: AIdeal, E: AModule):
     A = a.algebra
     lifted = a.lifted()
     if A.is_polynomial_ring() and not E.presentation:
-        if not E.rank or lifted.groebner().is_unit_ideal():
-            return INFINITY
-        S = set(gb.independent_set(lifted))
-        if any(all(i in S for i, e in enumerate(g.lm()) if e)
-               for g in lifted.groebner().basis):
-            raise VerificationError("independent set does not re-check")
-        height = A.ring.n - len(S)
-        reduced = same_depth_generators(a, lifted)
-        if not _specialized_else_kronecker(reduced, E, height).holds:
-            raise VerificationError("depth is below n - dim A/a")
-        return height
+        S = _bracket(a, E, lifted)[0] if E.rank else None
+        return INFINITY if S is None else A.ring.n - len(S)
     if ideal_times_module_is_module(a, E):
         return INFINITY
     reduced = same_depth_generators(a, lifted)
@@ -239,18 +251,10 @@ def triangular_regularization(a: AIdeal, level: int,
         raise ValueError("level must be between 1 and the generator count")
     names, ext, gens = _fresh_extension(a, level)
     R = ext.ring
-    U: list[list[Poly]] = []
-    for i in range(k):
-        row = [R.zero()] * k
-        if i < level:
-            x = R.var(names[i])
-            power = R.one()
-            for j in range(i, k):
-                row[j] = power
-                power = power * x
-        else:
-            row[i] = R.one()
-        U.append(row)
+    U = [[R.zero()] * i + [R.var(names[i]) ** (j - i) for j in range(i, k)]
+         for i in range(level)]
+    U += [[R.one() if j == i else R.zero() for j in range(k)]
+          for i in range(level, k)]
     b = [R.dot(row, gens) for row in U]
     new_gens = b[:level] + gens[level:]
     lifted_a = AIdeal(ext, gens).lifted()
@@ -262,11 +266,10 @@ def triangular_regularization(a: AIdeal, level: int,
 
 
 def is_completely_secant(seq: Sequence[Poly], E: AModule) -> bool:
-    """Gr(<seq>, E) >= len(seq); order-independent by construction."""
-    if not seq:
-        return True
-    a = AIdeal(E.algebra, list(seq))
-    return depth_at_least(a, E, len(seq)).holds
+    """Gr(<seq>, E) >= len(seq), read off `depth_value`; order-independent
+    by construction.  Over k[X] with E free no sequence longer than the
+    height runs, and height <= len(seq)."""
+    return depth_value(AIdeal(E.algebra, list(seq)), E) >= len(seq)
 
 
 def is_singular_sequence(seq: Sequence[Poly], A: FPAlgebra) -> bool:
@@ -352,35 +355,32 @@ def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
 
 
 class DepthDimReport(NamedTuple):
-    """Certificates for depth + dimension = ring dimension over k[X]."""
+    """Certificates for depth + dimension = ring dimension over k[X], read
+    off the bracket of `depth_value`: `independent_set` S carries no lead
+    of the reduced basis (so dim A/a = |S| and the depth is at most
+    n - |S|), and `lower` proves the depth at least n - |S|.
+    """
 
     n: int
     quotient_dim: int
     expected_depth: Optional[int]
     unit_ideal: bool
     lower: Optional[DepthCertificate]
-    upper: Optional[DepthCertificate]
+    independent_set: Optional[tuple[int, ...]]
 
     @property
     def holds(self) -> bool:
-        if self.unit_ideal:
-            return True
-        if self.lower is None or not self.lower.holds:
-            return False
-        return self.upper is None or not self.upper.holds
+        return self.unit_ideal or self.lower.holds
 
 
 def depth_dim_identity(a: AIdeal) -> DepthDimReport:
-    """Certify Gr(a) = n - Kdim(A/a) over a pure polynomial ring."""
+    """Certify Gr(a) = n - Kdim(A/a) over a pure polynomial ring by the
+    bracket; a failed re-check raises VerificationError."""
     A = a.algebra
     if not A.is_polynomial_ring():
         raise ValueError("identity applies over a polynomial ring only")
     n = A.ring.n
-    r = quotient_dimension(A, a)
-    E = AModule.free(A, 1)
-    if r == -1:
-        return DepthDimReport(n, r, None, True, None, None)
-    q = n - r
-    lower = depth_at_least(a, E, q)
-    upper = depth_at_least(a, E, q + 1)
-    return DepthDimReport(n, r, q, False, lower, upper)
+    S, lower = _bracket(a, AModule.free(A, 1), a.lifted())
+    if S is None:
+        return DepthDimReport(n, -1, None, True, None, None)
+    return DepthDimReport(n, len(S), n - len(S), False, lower, S)

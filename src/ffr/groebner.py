@@ -490,9 +490,10 @@ def _module_rank_ring(vectors: Sequence[Sequence[Poly]]):
 
 
 class ModuleBasis:
-    """Reduced Groebner basis of a submodule of A^rank (POT order)."""
+    """Reduced Groebner basis of a submodule of A^rank (POT order), held
+    as its reducer table; `vectors` decodes the basis on each read."""
 
-    __slots__ = ("ring", "rank", "vectors", "_red")
+    __slots__ = ("ring", "rank", "_red")
 
     def __init__(self, ring: PolyRing, rank: int,
                  generators: Sequence[Sequence[Poly]]):
@@ -500,9 +501,12 @@ class ModuleBasis:
             raise RingMismatchError("rank or ring disagrees with the vectors")
         self.ring = ring
         self.rank = rank
-        red = self._red = _buchberger_vecs(generators, ring, rank)
-        self.vectors = tuple(tuple(red.pack.polys(v, a))
-                             for _, v, a in red.entries)
+        self._red = _buchberger_vecs(generators, ring, rank)
+
+    @property
+    def vectors(self) -> tuple[tuple[Poly, ...], ...]:
+        pack = self._red.pack
+        return tuple(tuple(pack.polys(v, a)) for _, v, a in self._red.entries)
 
     def normal_form(self, coords: Sequence[Poly]) -> list[Poly]:
         if len(coords) != self.rank:
@@ -539,15 +543,16 @@ def syzygy_module(vectors: Sequence[Sequence[Poly]],
     tagged run; with `modulo` empty, the syzygies of the v_i.
 
     This is Singular's `modulo`: only the v_i carry tags, so the run keeps
-    no cofactors of the u_j.  The tag-block elements of the POT basis
-    form the reduced basis of that module, in descending lead order.
+    no cofactors of the u_j.  The tag-block elements of the POT basis (lead
+    position >= rank, so zero below it) form the reduced basis of that
+    module, in descending lead order; only they are decoded.
     """
     if not vectors:
         return []
     rank, ring = _module_rank_ring(list(vectors) + list(modulo))
-    gb = _tagged_basis(vectors, rank, ring, modulo)
-    return [list(w[rank:]) for w in gb.vectors
-            if all(p.is_zero for p in w[:rank])]
+    red = _tagged_basis(vectors, rank, ring, modulo)._red
+    return [red.pack.polys(v, a)[rank:] for lead, v, a in red.entries
+            if red.pack.dec(lead)[0] >= rank]
 
 
 def scalar_columns(scalars: Sequence[Poly], rank: int,

@@ -696,10 +696,4 @@ def kronecker_poly(gens: Sequence[Poly], t: Poly) -> Poly:
 
     The content ideal of the result in t equals <gens>.
     """
-    R = t.ring
-    (m, _), = t.terms.items()
-    j = m.index(1)
-    before, after = (0,) * j, (0,) * (R.n - 1 - j)
-    one = R.field.one()
-    return R.dot(gens, [Poly(R, {before + (i,) + after: one}, _trusted=True)
-                        for i in range(len(gens))])
+    return t.ring.dot(gens, [t ** i for i in range(len(gens))])

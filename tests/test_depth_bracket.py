@@ -2,9 +2,11 @@
 bracket: an independent set S of the reduced basis's leads bounds the depth
 above by n - |S|, and a specialized-else-Kronecker sequence of that length
 bounds it below.  Both bounds are re-checked (VerificationError, CLI exit
-4).  Off that path the specialized-else-Kronecker route decides.  The
-runaway pins bound the wall clock of instances that the Kronecker route
-took minutes on.
+4).  `depth_dim_identity` reports the same bracket, and
+`is_completely_secant` reads `depth_value`, so neither runs a failing
+Kronecker sequence there.  Off that path the specialized-else-Kronecker
+route decides.  The runaway pins bound the wall clock of instances that
+the Kronecker route took minutes on.
 """
 
 import time
@@ -16,7 +18,8 @@ import ffr.groebner as gb
 from ffr.algebra import AIdeal, AModule, FPAlgebra
 from ffr.cli import run
 from ffr.complexes import RingMatrix, determinantal_ideal
-from ffr.depth import INFINITY, DepthCertificate, depth_value
+from ffr.depth import (INFINITY, DepthCertificate, depth_at_least,
+                       depth_dim_identity, depth_value, is_completely_secant)
 from ffr.ring import CoefField, PolyRing, QQ, VerificationError
 
 
@@ -37,17 +40,25 @@ def test_independent_set_is_the_dimension_witness():
     assert gb.krull_dimension(ideal(A, "x + 1", "x").lifted()) == -1
 
 
-def test_depth_value_refuses_an_independent_set_that_meets_a_lead(
-        monkeypatch):
+# both readers of the bracket: the value, and the identity's report on A
+BRACKET_READERS = pytest.mark.parametrize(
+    "decide", [depth_value, lambda a, E: depth_dim_identity(a)],
+    ids=["depth_value", "depth_dim_identity"])
+
+
+@BRACKET_READERS
+def test_bracket_refuses_an_independent_set_that_meets_a_lead(
+        monkeypatch, decide):
     # {x, y} has the size of dim A/(xy, xz) = 2 but carries the lead x*y
     A = xyz()
     monkeypatch.setattr(gb, "independent_set", lambda I: (0, 1))
     with pytest.raises(VerificationError, match="independent set"):
-        depth_value(ideal(A, "x*y", "x*z"), AModule.free(A, 1))
+        decide(ideal(A, "x*y", "x*z"), AModule.free(A, 1))
 
 
-def test_depth_value_refuses_an_independent_set_smaller_than_the_dimension(
-        monkeypatch):
+@BRACKET_READERS
+def test_bracket_refuses_an_independent_set_smaller_than_the_dimension(
+        monkeypatch, decide):
     # {y} and {} carry no lead of (xy, xz) but are smaller than
     # dim A/a = 2: each claims a depth n - |S| > 1 that the lower bound
     # refuses
@@ -55,7 +66,7 @@ def test_depth_value_refuses_an_independent_set_smaller_than_the_dimension(
     for S in ((1,), ()):
         monkeypatch.setattr(gb, "independent_set", lambda I, S=S: S)
         with pytest.raises(VerificationError, match="below n - dim"):
-            depth_value(ideal(A, "x*y", "x*z"), AModule.free(A, 1))
+            decide(ideal(A, "x*y", "x*z"), AModule.free(A, 1))
 
 
 def test_depth_value_searches_the_independent_set_once(monkeypatch):
@@ -147,9 +158,52 @@ def test_generic_2x5_minors_depth_value(p):
     assert elapsed < 10, f"took {elapsed:.1f}s"
 
 
+@pytest.mark.parametrize("p", [0, 32003])
+def test_generic_2x5_minors_depth_dim_identity(p):
+    # the identity's report is the bracket's: more than 120 s when its
+    # upper bound was a failing Kronecker run of length 5
+    a, _ = generic_d2(p, 5)
+    t0 = time.perf_counter()
+    rep = depth_dim_identity(a)
+    elapsed = time.perf_counter() - t0
+    assert (rep.quotient_dim, rep.expected_depth, rep.holds) == (6, 4, True)
+    assert elapsed < 10, f"took {elapsed:.1f}s"
+
+
 def test_generic_2x6_minors_depth_value():
     # about 1.2-1.5 s on a 2-vCPU host
     t0 = time.perf_counter()
     assert depth_value(*generic_d2(32003, 6)) == 5
     elapsed = time.perf_counter() - t0
     assert elapsed < 20, f"took {elapsed:.1f}s"
+
+
+def no_kronecker(a, k):
+    raise AssertionError("kronecker_sequence ran")
+
+
+def test_depth_dim_identity_reads_the_bracket(monkeypatch):
+    # one regular-sequence run of length n - |S|, no failing upper-bound run
+    A = xyz()
+    a, E = ideal(A, "x", "y"), AModule.free(A, 1)
+    stages, regular = [], depth.is_E_regular_sequence
+    monkeypatch.setattr(depth, "is_E_regular_sequence", lambda seq, E: (
+        stages.append(seq) or regular(seq, E)))
+    monkeypatch.setattr(depth, "kronecker_sequence", no_kronecker)
+    rep = depth_dim_identity(a)
+    assert len(stages) == 1
+    assert (rep.quotient_dim, rep.expected_depth, rep.holds) == (1, 2, True)
+    S = set(rep.independent_set)
+    assert len(S) == 1
+    assert not any(all(i in S for i, e in enumerate(g.lm()) if e)
+                   for g in a.lifted().groebner().basis)
+    assert rep.lower == depth_at_least(a, E, 2)
+
+
+def test_not_completely_secant_without_a_kronecker_run(monkeypatch):
+    # the six minors of the generic 2x4 matrix have height 3 < 6: the
+    # bracket's sequence of length 3 holds, so no failing run is needed
+    a, E = generic_d2(32003, 4)
+    monkeypatch.setattr(depth, "kronecker_sequence", no_kronecker)
+    assert len(a.gens) == 6
+    assert not is_completely_secant(list(a.gens), E)

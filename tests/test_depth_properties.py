@@ -12,7 +12,13 @@ mod 7 is coarser):
 - `depth_value` equals a Kronecker-only oracle, and does not change when
   x, y and z are permuted;
 - on free modules of rank 1 or 2, where `depth_value` decides by the
-  depth-dimension bracket, it equals the same oracle.
+  depth-dimension bracket, it equals the same oracle;
+- `depth_dim_identity` reports the bracket: its dimension is
+  `quotient_dimension`, its depth is `depth_value`, and its lower bound is
+  the `depth_at_least` certificate of that length;
+- `is_completely_secant` equals `depth_at_least` of the sequence's length
+  on free modules over k[x, y, z], on a quotient algebra k[x, y, z]/(h)
+  and on presented modules A/(h).
 
 Two pinned cases over F_2 and F_3 have a coefficient table that collides
 mod p, so the specialized sequence fails and the fallback decides.
@@ -32,9 +38,10 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ffr.algebra import (AIdeal, AModule, FPAlgebra,  # noqa: E402
-                         ideal_times_module_is_module)
+                         ideal_times_module_is_module, quotient_dimension)
 from ffr.depth import (INFINITY, depth_at_least,  # noqa: E402
-                       depth_value, is_E_regular_sequence,
+                       depth_dim_identity, depth_value,
+                       is_completely_secant, is_E_regular_sequence,
                        kronecker_sequence, same_depth_generators,
                        specialized_sequence)
 from ffr.ring import CoefField, PolyRing, QQ, parse_poly  # noqa: E402
@@ -132,6 +139,51 @@ def test_bracket_value_is_the_kronecker_value(case):
     # the depth-dimension bracket against the Kronecker-only oracle
     a, E = case
     assert depth_value(a, E) == kronecker_only_value(a, E)
+
+
+@SETTINGS
+@given(free_cases())
+def test_depth_dim_identity_is_the_bracket(case):
+    a, _ = case
+    A = a.algebra
+    E = AModule.free(A, 1)
+    rep = depth_dim_identity(a)
+    r = quotient_dimension(A, a)
+    assert rep.holds and rep.quotient_dim == r
+    if r == -1:
+        assert rep.unit_ideal and depth_value(a, E) == INFINITY
+        return
+    assert rep.expected_depth == depth_value(a, E) == A.ring.n - r
+    assert len(rep.independent_set) == r
+    assert rep.lower == depth_at_least(a, E, rep.expected_depth)
+
+
+@st.composite
+def secant_cases(draw):
+    """1-3 polys and a module: free of rank 1 or 2 over k[x, y, z], free
+    of rank 1 over k[x, y, z]/(h), or A/(h) over k[x, y, z]."""
+    field = draw(st.sampled_from([QQ, CoefField(32003), CoefField(7)]))
+    R = PolyRing(field, ["x", "y", "z"])
+    seq = [parse_poly(s, R)
+           for s in draw(st.lists(polys, min_size=1, max_size=3))]
+    kind = draw(st.sampled_from(["free", "algebra", "presented"]))
+    if kind == "free":
+        return seq, AModule.free(FPAlgebra(R, []), draw(st.integers(1, 2)))
+    h = parse_poly(draw(polys), R)
+    if kind == "algebra":
+        return seq, AModule.free(FPAlgebra(R, [h]), 1)
+    A = FPAlgebra(R, [])
+    return seq, AModule.quotient_by_ideal(AIdeal(A, [h]))
+
+
+@SETTINGS
+@given(secant_cases())
+def test_completely_secant_is_depth_at_least_its_length(case):
+    # the oracle is the route that decided it before: depth_at_least of
+    # length len(seq), which runs a Kronecker sequence on every negative
+    seq, E = case
+    oracle = depth_at_least(AIdeal(E.algebra, seq), E, len(seq)).holds
+    assert is_completely_secant(seq, E) == oracle
 
 
 def permuted(a, E, names):

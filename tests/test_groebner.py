@@ -448,6 +448,25 @@ def test_syzygy_soundness_random():
             assert acc.is_zero
 
 
+def test_module_basis_decodes_only_what_is_read(monkeypatch):
+    # a basis is its reducer table: building one decodes no element, and
+    # syzygy_module decodes only the tag-block elements it returns, not
+    # the basis of the span of the v_i that the same tagged run holds
+    decoded = []
+    polys = _Pack.polys
+    monkeypatch.setattr(_Pack, "polys", lambda pack, v, d: (
+        decoded.append(v) or polys(pack, v, d)))
+    R = R2()
+    vs = [[P(R, "x")], [P(R, "y")], [P(R, "x*y + x")]]
+    ModuleBasis(R, 1, vs)
+    ModuleBasis(R, 2, [[P(R, "x"), P(R, "y")], [P(R, "y"), P(R, "x")]])
+    assert decoded == []
+    syz = syzygy_module(vs)
+    assert len(syz) == len(decoded) == 2
+    for s in syz:
+        assert R.dot(s, [v[0] for v in vs]).is_zero
+
+
 def test_membership_lift_f7_grlex_refusal():
     # the ideal is (x + 2, y + 6, z + 5) and f(-2, -6, -5) = 1 in F_7, so
     # no lift exists; the tagged run took over 30 s before sugar selection

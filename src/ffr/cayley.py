@@ -254,13 +254,13 @@ def macrae_invariant(E: AModule, resolution: FreeComplex) -> MacRaeCertificate:
 # Hilbert-Burch
 
 class HilbertBurchReport(NamedTuple):
-    """Signed maximal minors, the exactness verdict, and the alpha factor."""
+    """Signed maximal minors, the exactness verdict, and the alpha factor;
+    the alpha fields are None when no alpha is given."""
 
     delta: tuple[Poly, ...]
     delta_annihilates: bool
     grade2: DepthCertificate
     exact: bool
-    alpha_given: bool = False
     alpha_complex_ok: Optional[bool] = None
     alpha_exact: Optional[bool] = None
     factor: Optional[Poly] = None
@@ -320,7 +320,7 @@ def hilbert_burch(M: RingMatrix,
             factor_regular = is_regular_element(A, factor)
             factor_gcd = strong_gcd(AIdeal(A, alpha), candidate=factor)
     return HilbertBurchReport(tuple(delta), annihilates, grade2, exact,
-                              True, complex_ok, alpha_exact, factor,
+                              complex_ok, alpha_exact, factor,
                               factor_regular, factor_gcd)
 
 
@@ -379,7 +379,7 @@ def sylvester_complex(algebra: FPAlgebra, p_coeffs: Sequence[Poly],
     K = RingMatrix(algebra, [[k_cols[c][r] for c in range(a)]
                              for r in range(a + b)], a + b, a)
 
-    cplx = FreeComplex(algebra, [S, K], expected_ranks=[0, b, a, 0])
+    cplx = FreeComplex(algebra, [S, K])
     return SylvesterData(cplx, K, S, d, a, b)
 
 

@@ -77,8 +77,6 @@ def _parse_field(text: str) -> CoefField:
 def _parse_list(text: Optional[str]) -> list[str]:
     """A JSON array of strings, or a comma-separated list."""
     text = (text or "").strip()
-    if not text:
-        return []
     if text.startswith("["):
         data = _json(text, "bad JSON list")
         if not isinstance(data, list) or not all(isinstance(s, str)
@@ -193,7 +191,11 @@ def _complex_from_file(path: str) -> tuple[FreeComplex, dict]:
     if not matrices:  # L_0 = A alone has no differential to certify
         raise SchemaError("empty complex")
     A = _algebra_from_doc(doc)
-    return FreeComplex(A, [_matrix_doc(m, A) for m in matrices], ranks), doc
+    C = FreeComplex(A, [_matrix_doc(m, A) for m in matrices])
+    if ranks not in (None, list(C.ranks), list(C.ranks[:-1])):
+        raise SchemaError(f'"expected_ranks" {ranks} disagree with the ranks '
+                          f"the sizes force, {list(C.ranks)}")
+    return C, doc
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,7 @@ def _ring_inputs(R, A=None) -> dict:
 def _conditions_json(report) -> list[dict]:
     out = []
     for c in report.conditions:
-        rec = {"level": c.level, "required_depth": c.required_depth,
+        rec = {"level": c.level, "required_depth": c.level,
                "ideal_gens": _strs(c.ideal.gens),
                "verdict": {None: "skipped", True: "holds",
                            False: "fails"}[c.holds]}
@@ -403,7 +405,7 @@ def _hilbert_burch(args):
         "delta_annihilates": rep.delta_annihilates,
         "grade2": _cert_json(rep.grade2),
     }
-    if rep.alpha_given:
+    if rep.alpha_complex_ok is not None:
         payload["alpha_complex_ok"] = rep.alpha_complex_ok
         payload["alpha_exact"] = rep.alpha_exact
         if rep.factor is not None:

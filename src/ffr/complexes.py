@@ -140,11 +140,8 @@ def kernel_generators(M: RingMatrix) -> list[list[Poly]]:
     modulo J A^rows, one relative syzygy run.
     """
     A = M.algebra
-    R = A.ring
-    cols = M.columns()
-    if not cols:
-        return []
-    syz = gb.syzygy_module(cols, gb.scalar_columns(A.relations.gens, M.rows, R))
+    syz = gb.syzygy_module(M.columns(), gb.scalar_columns(
+        A.relations.gens, M.rows, A.ring))
     jgb = A.relations.groebner()
     out = []
     for s in syz:
@@ -160,14 +157,14 @@ def kernel_generators(M: RingMatrix) -> list[list[Poly]]:
 class FreeComplex:
     """0 -> L_m -> ... -> L_1 -> L_0 with d.d = 0 checked at construction.
 
-    `matrices[k-1]` is A_k : L_k -> L_{k-1} (so A_1 comes first); expected
-    stable ranks r_0..r_{m+1} are computed from the sizes unless supplied.
+    `matrices[k-1]` is A_k : L_k -> L_{k-1} (so A_1 comes first); the
+    expected stable ranks r_0..r_{m+1} are the ones the sizes force:
+    r_{m+1} = 0 and p_k = r_k + r_{k+1}.
     """
 
     __slots__ = ("algebra", "matrices", "sizes", "ranks")
 
-    def __init__(self, algebra: FPAlgebra, matrices: Sequence[RingMatrix],
-                 expected_ranks: Optional[Sequence[int]] = None):
+    def __init__(self, algebra: FPAlgebra, matrices: Sequence[RingMatrix]):
         for M in matrices:
             if M.algebra != algebra:
                 raise RingMismatchError("matrix over a different algebra")
@@ -184,26 +181,13 @@ class FreeComplex:
         for k in range(m - 1):
             if not matrices[k].mul(matrices[k + 1]).is_zero():
                 raise ValueError(f"A_{k+1} A_{k+2} != 0: not a complex")
-        if expected_ranks is None:
-            ranks = [0] * (m + 2)
-            for k in range(m, -1, -1):
-                ranks[k] = sizes[k] - ranks[k + 1]
-                if ranks[k] < 0:
-                    raise RankObstructionError(
-                        f"expected rank r_{k} = {ranks[k]} is negative: "
-                        "this shape forces the trivial ring")
-        else:
-            ranks = list(expected_ranks)
-            if len(ranks) == m + 1:
-                ranks = ranks + [0]
-            if len(ranks) != m + 2 or ranks[m + 1] != 0:
-                raise ValueError("expected_ranks must be r_0..r_m(+1) with "
-                                 "r_{m+1} = 0")
-            if any(r < 0 for r in ranks):
-                raise RankObstructionError("negative expected rank")
-            for k in range(m + 1):
-                if sizes[k] != ranks[k] + ranks[k + 1]:
-                    raise ValueError(f"p_{k} != r_{k} + r_{k+1}")
+        ranks = [0] * (m + 2)
+        for k in range(m, -1, -1):
+            ranks[k] = sizes[k] - ranks[k + 1]
+            if ranks[k] < 0:
+                raise RankObstructionError(
+                    f"expected rank r_{k} = {ranks[k]} is negative: "
+                    "this shape forces the trivial ring")
         self.algebra = algebra
         self.matrices = tuple(matrices)
         self.sizes = tuple(sizes)
@@ -242,9 +226,10 @@ def characteristic_ideals(C: FreeComplex) -> list[AIdeal]:
 
 
 class ExactnessCondition(NamedTuple):
+    """Gr(ideal) >= level: the depth a level requires is the level."""
+
     level: int
     ideal: AIdeal
-    required_depth: int
     certificate: Optional[DepthCertificate]
 
     @property
@@ -280,10 +265,10 @@ def certify_exact(C: FreeComplex) -> ExactnessReport:
     failed = False
     for level, ideal in enumerate(ideals, start=1):
         if failed:
-            conditions.append(ExactnessCondition(level, ideal, level, None))
+            conditions.append(ExactnessCondition(level, ideal, None))
             continue
         cert = depth_at_least(ideal, E, level)
-        conditions.append(ExactnessCondition(level, ideal, level, cert))
+        conditions.append(ExactnessCondition(level, ideal, cert))
         if not cert.holds:
             failed = True
     return ExactnessReport(tuple(conditions))
@@ -325,9 +310,7 @@ def elementary_modification(C: FreeComplex, k: int, s: int) -> FreeComplex:
         for _ in range(s):
             rows2.append([zero] * old_k2.cols)
         mats[k + 1] = RingMatrix(A, rows2, old_k2.rows + s, old_k2.cols)
-    ranks = list(C.ranks)
-    ranks[k + 1] += s
-    return FreeComplex(A, mats, ranks)
+    return FreeComplex(A, mats)
 
 
 def koszul_complex(algebra: FPAlgebra, seq: Sequence[Poly]) -> FreeComplex:
@@ -345,12 +328,8 @@ def koszul_complex(algebra: FPAlgebra, seq: Sequence[Poly]) -> FreeComplex:
 
 
 def pfaffian(entries: Sequence[Sequence[Poly]], ring) -> Poly:
-    """Pfaffian of an antisymmetric even-size matrix (Laplace-style)."""
-    m = len(entries)
-    if m == 0:
-        return ring.one()
-    if m % 2:
-        return ring.zero()
+    """Pfaffian of an antisymmetric matrix (Laplace-style): 1 on the empty
+    matrix, 0 on one of odd size, where the expansion runs out of entries."""
 
     def rec(idx: tuple[int, ...]) -> Poly:
         if not idx:
@@ -362,7 +341,7 @@ def pfaffian(entries: Sequence[Sequence[Poly]], ring) -> Poly:
             [e if pos % 2 else -e for pos, e in live],
             [rec(idx[1:pos] + idx[pos + 1:]) for pos, _ in live])
 
-    return rec(tuple(range(m)))
+    return rec(tuple(range(len(entries))))
 
 
 class PfaffianData(NamedTuple):

@@ -157,8 +157,6 @@ def depth_at_least(a: AIdeal, E: AModule, k: int) -> DepthCertificate:
     """
     if k < 0:
         raise ValueError("negative depth bound")
-    if k == 0:
-        return DepthCertificate(0, True, algebra=a.algebra)
     return _specialized_else_kronecker(same_depth_generators(a), E, k)
 
 
@@ -217,8 +215,6 @@ def depth_value(a: AIdeal, E: AModule):
     reduced = same_depth_generators(a, lifted)
     # the depth is bounded by both generator counts (else a E = E)
     k = min(len(a.gens), len(reduced.gens))
-    if not k:
-        return 0
     cert = _specialized_else_kronecker(reduced, E, k)
     return k if cert.holds else cert.fail_stage - 1
 
@@ -331,18 +327,16 @@ def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
 
     W = E.base_vectors()
     Wc = W + gb.scalar_columns(c_seq, E.rank, R)
-    basis_c = gb.ModuleBasis(R, E.rank, Wc) if E.rank else None
+    basis_c = gb.ModuleBasis(R, E.rank, Wc)
 
     def colon_is(by: Sequence[Poly], target: Sequence[Poly], key: str) -> bool:
         # (cE : by) subseteq target E, and conversely by target E subseteq cE
-        if not E.rank:
-            return True
         Wt = W + gb.scalar_columns(target, E.rank, R)
         basis_t = gb.ModuleBasis(R, E.rank, Wt)
-        for g in gb.module_colon(Wc, [A.nf(b) for b in by], E.rank, R):
-            if not basis_t.contains(g):
-                counterexamples[key] = [tuple(basis_t.normal_form(g))]
-                return False
+        for r in gb._colon_classes(Wc, [A.nf(b) for b in by], E.rank, R,
+                                   basis_t.normal_form):
+            counterexamples[key] = [tuple(r)]
+            return False
         for v in Wt:
             if not all(basis_c.contains([b * p for p in v]) for b in by):
                 counterexamples[key] = [tuple(v)]

@@ -223,7 +223,7 @@ def _buchberger_vecs(generators: Sequence[Sequence[Poly]], ring: PolyRing,
         pack = _Pack.of(ring, rank, w)
         try:
             vecs = [v for v, _ in map(pack.vec, generators) if v]
-            return _buchberger_run(vecs, pack) if vecs else _Reducers(pack)
+            return _buchberger_run(vecs, pack)
         except _Overflow:
             w *= 2
 
@@ -396,12 +396,11 @@ def ideal_product(I: IdealGens, J: IdealGens) -> IdealGens:
 
 
 def ideal_colon(I: IdealGens, J: IdealGens) -> IdealGens:
-    """(I : J), by one syzygy run over all generators of J."""
+    """(I : J), by one syzygy run over all generators of J; (I : 0) is
+    (1), the unit vector `module_colon` returns for no generators."""
     R = I.ring
     if J.ring != R:
         raise RingMismatchError("ideals over different rings")
-    if not J.gens:
-        return IdealGens(R, [R.one()])
     colon = module_colon([[g] for g in I.gens], J.gens, 1, R)
     return IdealGens(R, [x[0] for x in colon])
 
@@ -419,8 +418,6 @@ def saturation(I: IdealGens, f: Poly) -> IdealGens:
     R = I.ring
     if f.ring != R:
         raise RingMismatchError("polynomial in a different ring")
-    if f.is_zero:
-        return IdealGens(R, [R.one()])
     gbI, by = I.groebner(), IdealGens(R, [f])
     basis, steps = gbI.basis, 0
     while True:
@@ -603,7 +600,8 @@ def _colon_classes(vectors: Sequence[Sequence[Poly]], by: Sequence[Poly],
     """The nonzero normal forms modulo W = span(vectors) of the generators
     of (W : by), in the order of `module_colon`: none iff (0 :_E <by>) = 0
     for E = R^rank / W, which for `by` empty (or zero) means E = 0.  `nf`
-    reduces a vector mod W by a basis the caller holds; else one is built."""
+    reduces by a basis the caller holds, of W or of a larger module the
+    colon is tested against; else one of W is built."""
     colon = module_colon(vectors, by, rank, ring)
     if colon:
         nf = nf or ModuleBasis(ring, rank, vectors).normal_form

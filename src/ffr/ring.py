@@ -219,10 +219,7 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c) -> "Poly":
-        c = self.field.coerce(c)
-        if not c:
-            return Poly(self, {})
-        return Poly(self, {(0,) * self.n: c})
+        return Poly(self, {(0,) * self.n: self.field.coerce(c)})
 
     def var(self, name_or_index) -> "Poly":
         i = (self._vindex[name_or_index]

@@ -76,11 +76,12 @@ def test_criterion_02_koszul_exactness(capsys):
     C = koszul_complex(A, A.ring.gens())
     mats = [C.matrix(k) for k in (1, 2, 3)]
     mats.append(RingMatrix.zero(A, 4, 1))
-    broken = FreeComplex(A, mats, C.ranks)
+    broken = FreeComplex(A, mats)
     rep = certify_exact(broken)
     cond = [c for c in rep.conditions if c.certificate is not None][-1]
-    ok = (ok and not rep.exact and cond.certificate is not None
-          and not cond.holds and cond.certificate.witness is not None)
+    ok = (ok and broken.ranks == C.ranks and not rep.exact
+          and cond.certificate is not None and not cond.holds
+          and cond.certificate.witness is not None)
     with capsys.disabled():
         _line(2, "Koszul n=2,3,4 exact; zeroed column rejected with witness",
               ok, time.perf_counter() - t0, 30.0)
@@ -342,8 +343,8 @@ def test_criterion_11_invariance_batteries(capsys):
     hb_mat = RingMatrix.from_strings(A, [["y^2", "0"], ["-x", "y^2"],
                                          ["0", "-x^2"]])
     hb = FreeComplex(A, [RingMatrix(A, [signed_maximal_minors(hb_mat)], 1, 3),
-                         hb_mat], expected_ranks=[0, 1, 2, 0])
-    ok = True
+                         hb_mat])
+    ok = hb.ranks == (0, 1, 2, 0)
     pool = ["0", "1", "x", "y", "x+y", "x*y"]
     for C in (koszul2, hb):
         base = cayley_factorize(C)
@@ -374,7 +375,8 @@ def test_criterion_11_invariance_batteries(capsys):
                     mats[k - 1] = mats[k - 1].mul(Emat)
                 if k < D.length:
                     mats[k] = Einv_mat.mul(mats[k])
-                D = FreeComplex(A, mats, D.ranks)
+                ranks, D = D.ranks, FreeComplex(A, mats)
+                ok = ok and D.ranks == ranks
             for k in range(1, C.length + 1):
                 ok = ok and ideal_equal(characteristic_ideal(D, k).lifted(),
                                         base_char[k - 1])

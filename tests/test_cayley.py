@@ -41,6 +41,14 @@ def test_koszul_is_cayley():
     assert is_cayley_complex(koszul(A, "x", "y")).holds
 
 
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+def test_factorization_records_its_hypotheses(names):
+    A = algebra(list(names))
+    C = koszul(A, *names)
+    hyp = cayley_factorize(C).hypotheses
+    assert hyp.holds and hyp == is_cayley_complex(C)
+
+
 def test_factorization_rechecks_the_outer_product(monkeypatch):
     # a wrong row lift must fail the re-checked identity M = u (w)^T
     import ffr.cayley
@@ -231,7 +239,9 @@ def _apply_elementary_change(C, k, i, j, lam):
         mats[k - 1] = mats[k - 1].mul(Emat)        # A_k . E
     if k < C.length:
         mats[k] = Einv_mat.mul(mats[k])            # E^-1 . A_{k+1}
-    return FreeComplex(A, mats, C.ranks)
+    D = FreeComplex(A, mats)
+    assert D.ranks == C.ranks
+    return D
 
 
 def test_basis_change_invariance():
@@ -282,7 +292,8 @@ def test_two_generator_theorem_monomial_pairs():
         ga2 = exact_div(A.parse(a2), A.parse(g))
         M2 = RingMatrix(A, [[-ga2], [ga1]], 2, 1)
         M1 = RingMatrix(A, [[A.parse(a1), A.parse(a2)]], 1, 2)
-        C = FreeComplex(A, [M1, M2], expected_ranks=[0, 1, 1, 0])
+        C = FreeComplex(A, [M1, M2])
+        assert C.ranks == (0, 1, 1, 0)
         assert certify_exact(C).exact
         got = cayley_determinant(C)
         assert ideal_equal(IdealGens(A.ring, [got]),
@@ -296,7 +307,8 @@ def test_factorize_hilbert_burch_shape_recovers_delta():
     M2 = matrix(A, [["y^2", "0"], ["-x", "y^2"], ["0", "-x^2"]])
     delta = signed_maximal_minors(M2)
     M1 = RingMatrix(A, [list(delta)], 1, 3)
-    C = FreeComplex(A, [M1, M2], expected_ranks=[0, 1, 2, 0])
+    C = FreeComplex(A, [M1, M2])
+    assert C.ranks == (0, 1, 2, 0)
     data = cayley_factorize(C)
     assert data.u_vectors[2].coeff(()) == A.ring.one()
     dual = hodge_right(data.u_vectors[1]).coord_list()
@@ -351,6 +363,7 @@ def test_macrae_principal():
     C = FreeComplex(A, [matrix(A, [["x"]])])
     cert = macrae_invariant(E, C)
     assert str(cert.element) == "x"
+    assert cert.depth2.holds and cert.depth2.k == 2
 
 
 def test_macrae_elementary():
@@ -468,6 +481,16 @@ def test_resultant_generic_linear_forms():
         g = resultant_via_cayley(A, [b, a], [d, c], deg)
         want = a * d - b * c
         assert g == want or g == -want
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sylvester_complex_derives_its_ranks(d):
+    # P = X + 2Y (p = 1), Q = X^2 + XY + Y^2 (q = 2): a = d - 2, b = d + 1
+    A = algebra([])
+    one, two = A.ring.one(), A.ring.const(2)
+    data = sylvester_complex(A, [two, one], [one, one, one], d)
+    assert data.complex.ranks == (0, data.b, data.a, 0)
+    assert (data.a, data.b) == (d - 2, d + 1)
 
 
 def test_generalized_sylvester_K_shape():

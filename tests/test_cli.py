@@ -8,7 +8,7 @@ import pytest
 
 import ffr
 from ffr.algebra import FPAlgebra
-from ffr.cli import _COMMANDS, build_parser, run
+from ffr.cli import _COMMANDS, _parse_list, build_parser, run
 from ffr.complexes import koszul_complex
 from ffr.ring import PolyRing, QQ, parse_poly
 
@@ -498,6 +498,13 @@ BAD_DOCUMENTS = {
     "expected-ranks-booleans": ({"expected_ranks": [False, True]},
                                 '"expected_ranks" must be an array of '
                                 'integers'),
+    # the ranks a document states must be the ones its sizes force
+    "expected-ranks-disagree": ({"expected_ranks": [1, 0]},
+                                '"expected_ranks" [1, 0] disagree with the '
+                                'ranks the sizes force, [0, 1, 0]'),
+    "expected-ranks-too-long": ({"expected_ranks": [0, 1, 0, 0]},
+                                '"expected_ranks" [0, 1, 0, 0] disagree with '
+                                'the ranks the sizes force, [0, 1, 0]'),
     "module-rank-boolean": (["depth", "--vars", "x", "--ideal", "x",
                              "--atleast", "1", "--module",
                              '{"rank": true, "presentation": []}'],
@@ -514,6 +521,20 @@ def test_exit_2_on_wrongly_typed_document(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ffr: input error: {message}\n"
+
+
+@pytest.mark.parametrize("ranks", [[0, 1], [0, 1, 0]])
+def test_certify_accepts_expected_ranks_that_agree(ranks, tmp_path, capsys):
+    # with or without the trailing r_{m+1} = 0
+    path = _complex_file(tmp_path, expected_ranks=ranks)
+    code, rep = run_json(capsys, ["certify", "--complex", path])
+    assert code == 0 and rep["verdict"] == "exact"
+    assert rep["expected_ranks"] == [0, 1, 0]
+
+
+@pytest.mark.parametrize("text", ["", None, "  "])
+def test_parse_list_of_nothing_is_empty(text):
+    assert _parse_list(text) == []
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,9 @@ def test_depth_at_least_examples():
     assert depth_at_least(ideal(A, "x", "y"), E, 2).holds
     assert not depth_at_least(ideal(A, "x", "y"), E, 3).holds
     assert not depth_at_least(AIdeal(A, []), E, 1).holds
+    # the empty sequence proves depth >= 0
+    cert = depth_at_least(ideal(A, "x"), E, 0)
+    assert cert.holds and cert.k == 0 and cert.sequence == ()
 
 
 @pytest.mark.parametrize("p", [0, 7])
@@ -212,6 +215,9 @@ def test_depth_value_examples():
     assert depth_value(ideal(A, "x", "y"), E) == 2
     B = algebra(["x", "y", "z"])
     assert depth_value(ideal(B, "x*y", "x*z"), AModule.free(B, 1)) == 1
+    # the zero ideal off k[X]: no generator, depth 0
+    Q = algebra(["x", "y"], "x*y")
+    assert depth_value(AIdeal(Q, []), AModule.free(Q, 1)) == 0
 
 
 def test_depth_value_rechecks_the_dimension(monkeypatch):
@@ -515,6 +521,10 @@ def test_wiebe_trivial_and_univariate():
     assert rep.holds and str(rep.delta) == "1"
     rep2 = wiebe_check([A.parse("x^2")], [A.parse("x")], [[A.parse("x")]], E)
     assert rep2.holds and str(rep2.delta) == "x"
+    # on the zero module every colon equality holds
+    rep0 = wiebe_check([A.parse("x^2")], [A.parse("x")], [[A.parse("x")]],
+                       AModule.free(A, 0))
+    assert rep0.holds and rep0.counterexamples == {}
 
 
 def test_wiebe_corrupted_delta_fails():
@@ -525,6 +535,8 @@ def test_wiebe_corrupted_delta_fails():
     rep = wiebe_check([A.parse("x^2"), A.parse("y^2")],
                       [A.parse("x"), A.parse("y")], U, E)
     assert not rep.holds
+    # x^2 in c, so (cE : x^2) = E, whose generator 1 is not in aE
+    assert rep.counterexamples["colon_delta"] == [(A.ring.one(),)]
 
 
 # ---------------------------------------------------------------------------

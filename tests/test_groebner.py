@@ -146,6 +146,14 @@ def test_colon_by_unit():
     assert ideal_equal(ideal_colon(I, ideal(R, "1")), I)
 
 
+@pytest.mark.parametrize("by", [(), ("0",)])
+def test_colon_by_zero_is_unit(by):
+    # (I : 0) = (1), whether the zero ideal is given by 0 or by no generator
+    R = R2()
+    colon = ideal_colon(ideal(R, "x^2 - y"), ideal(R, *by))
+    assert colon.groebner().is_unit_ideal()
+
+
 def test_colon_dense_trinomials():
     # Dense quadric-to-sextic inputs over F_32003; the basis below equals
     # the elimination colon's (I : f).
@@ -190,6 +198,8 @@ def test_saturation_examples():
     assert ideal_equal(saturation(ideal(R, "x"), P(R, "y")), ideal(R, "x"))
     got = saturation(ideal(R, "x^2*y", "x*y^2"), P(R, "x*y"))
     assert got.groebner().is_unit_ideal()
+    # (I : 0^inf) = (1)
+    assert saturation(ideal(R, "x*y"), R.zero()).groebner().is_unit_ideal()
 
 
 def test_saturation_matches_iteration():

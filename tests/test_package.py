@@ -10,6 +10,7 @@ import pytest
 import ffr
 
 README = Path(__file__).parent.parent / "README.md"
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 
 def test_every_export_is_its_layer_object():
@@ -38,3 +39,12 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out == "False 2\n"
+
+
+def test_version_matches_pyproject():
+    # one version, stated twice: `ffr --version` prints the package's
+    text = PYPROJECT.read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text,
+                        re.M | re.S).group(1)
+    version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M).group(1)
+    assert version == ffr.__version__

@@ -19,6 +19,13 @@ def test_parse_zero():
     assert parse_poly("0", R).is_zero
 
 
+def test_const_zero():
+    assert ring_qq("x").const(0).is_zero
+    R = PolyRing(CoefField(7), ["x"])
+    assert R.const(7).is_zero and R.const(7) == R.zero()
+    assert R.const(8) == R.one()
+
+
 def test_parse_basic():
     R = ring_qq("x", "y")
     p = parse_poly("x^2*y - 2", R)

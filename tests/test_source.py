@@ -48,3 +48,24 @@ def test_every_definition_is_used():
                         and not target.id.startswith("__")]
     assert [f"{where} {name}" for where, name in defined
             if name not in used] == []
+
+
+def test_every_record_field_is_read():
+    # a NamedTuple field nobody reads as an attribute stores a value no
+    # caller needs, or one another field already implies
+    fields, read = [], set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif (path.parent == SRC and isinstance(node, ast.ClassDef)
+                  and any(isinstance(base, ast.Name)
+                          and base.id == "NamedTuple" for base in node.bases)):
+                fields += [(f"{path.name}:{stmt.lineno}",
+                            f"{node.name}.{stmt.target.id}")
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)]
+    assert [f"{where} {name}" for where, name in fields
+            if name.split(".")[1] not in read] == []

@@ -201,7 +201,4 @@ def algebra_membership(vectors: Sequence[Sequence[Poly]],
 
 def quotient_dimension(A: FPAlgebra, a: Optional[AIdeal] = None) -> int:
     """Krull dimension of A/a (of A itself when a is omitted)."""
-    gens = list(A.relations.gens)
-    if a is not None:
-        gens += list(a.gens)
-    return gb.krull_dimension(gb.IdealGens(A.ring, gens))
+    return gb.krull_dimension(A.relations if a is None else a.lifted())

@@ -151,7 +151,7 @@ def cayley_determinant(C: FreeComplex) -> Poly:
     data = cayley_factorize(C)
     g = data.det
     A = C.algebra
-    if g is None or g.is_zero or not is_regular_element(A, g):
+    if g.is_zero or not is_regular_element(A, g):
         raise CayleyError("the Cayley determinant is not a regular element")
     cofactors = data.factor_ideals[1]
     cert = depth_at_least(cofactors, AModule.free(A, 1), 2)
@@ -234,7 +234,7 @@ def macrae_invariant(E: AModule, resolution: FreeComplex) -> MacRaeCertificate:
         raise ValueError("resolution over a different algebra")
     A1 = resolution.matrix(1)
     pres = presentation_matrix(E)
-    if (A1.rows, A1.cols) != (pres.rows, pres.cols) or A1 != pres:
+    if A1 != pres:
         raise ValueError("resolution does not resolve the module "
                          "(first matrix differs from the presentation)")
     if resolution.ranks[0] != 0:
@@ -344,7 +344,10 @@ def sylvester_complex(algebra: FPAlgebra, p_coeffs: Sequence[Poly],
 
     Coefficient lists are ascending in X: P = sum a_i X^i Y^(p-i).  Bases
     are the monomials X^k Y^(deg-k) with k decreasing; a = d+1-(p+q),
-    b = d+1, and d = p+q-1 gives the classical Sylvester matrix.
+    b = d+1, and d = p+q-1 gives the classical Sylvester matrix.  S is the
+    map (U, V) -> U P + V Q on forms of degrees d-p and d-q: its P block of
+    sliding P motifs beside its Q block.  K sends W of degree d-p-q to
+    (W Q, -W P): the Q block over the negated P block.
     """
     p = len(p_coeffs) - 1
     q = len(q_coeffs) - 1
@@ -355,29 +358,17 @@ def sylvester_complex(algebra: FPAlgebra, p_coeffs: Sequence[Poly],
     a = d + 1 - (p + q)
     b = d + 1
     zero = algebra.ring.zero()
-    pc = [algebra.nf(c) for c in p_coeffs]
-    qc = [algebra.nf(c) for c in q_coeffs]
 
-    def shifted(coeffs: list[Poly], i: int, e: int) -> Poly:
-        """The coefficient of X^e in X^i times the form with `coeffs`."""
-        return coeffs[e - i] if 0 <= e - i < len(coeffs) else zero
+    def times(coeffs: Sequence[Poly], deg: int, top: int) -> list[list[Poly]]:
+        """Rows X^e Y^(deg-e), e decreasing, of multiplying the form with
+        `coeffs` by X^i Y^(...), one column per shift i = top..0."""
+        return [[coeffs[e - i] if 0 <= e - i < len(coeffs) else zero
+                 for i in range(top, -1, -1)] for e in range(deg, -1, -1)]
 
-    # S: b x (a+b); columns are X^i Y^(d-p-i) P (i decreasing), then
-    # X^j Y^(d-q-j) Q (j decreasing); rows are X^k Y^(d-k), k decreasing.
-    s_cols = [[shifted(pc, i, d - t) for t in range(d + 1)]
-              for i in range(d - p, -1, -1)]
-    s_cols += [[shifted(qc, j, d - t) for t in range(d + 1)]
-               for j in range(d - q, -1, -1)]
-    S = RingMatrix(algebra, [[s_cols[c][r] for c in range(a + b)]
-                             for r in range(b)], b, a + b)
-
-    # K: (a+b) x a; column for W = X^k Y^(d-p-q-k), k decreasing, carries
-    # (W Q, -W P) over the two blocks of the middle module's basis.
-    k_cols = [[shifted(qc, k, d - p - t) for t in range(d - p + 1)]
-              + [-shifted(pc, k, d - q - t) for t in range(d - q + 1)]
-              for k in range(d - p - q, -1, -1)]
-    K = RingMatrix(algebra, [[k_cols[c][r] for c in range(a)]
-                             for r in range(a + b)], a + b, a)
+    S = RingMatrix(algebra, [pr + qr for pr, qr in zip(
+        times(p_coeffs, d, d - p), times(q_coeffs, d, d - q))], b, a + b)
+    K = RingMatrix(algebra, times(q_coeffs, d - p, a - 1) + [
+        [-c for c in row] for row in times(p_coeffs, d - q, a - 1)], a + b, a)
 
     cplx = FreeComplex(algebra, [S, K])
     return SylvesterData(cplx, K, S, d, a, b)

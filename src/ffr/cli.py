@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import __version__
 from .ring import (CoefField, FFRError, ParseError, Poly, PolyRing, QQ,
                    RankObstructionError, RingMismatchError, VerificationError,
-                   coefficients_in, parse_poly)
+                   parse_poly)
 
 if TYPE_CHECKING:
     from .algebra import AModule, FPAlgebra
@@ -207,15 +208,19 @@ def _emit(args, inputs: dict, payload: dict, t0: float) -> None:
     canonical = json.dumps(head, sort_keys=True, separators=(",", ":"))
     report["inputs_digest"] = hashlib.sha256(canonical.encode()).hexdigest()
     report["timing_ms"] = round((time.perf_counter() - t0) * 1000, 3)
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        try:
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise SchemaError(f"cannot write {args.out}: {exc}") from None
-    else:
-        print(text)
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:  # so the flush at exit writes nowhere, silently
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        raise SchemaError(
+            f"cannot write {args.out or 'stdout'}: {exc}") from None
 
 
 def _strs(items) -> list[str]:
@@ -435,9 +440,8 @@ def _resultant(args):
         deg = p.degree()
         if any(sum(m) != deg for m in p.terms):
             raise SchemaError(f"{p} is not homogeneous")
-        by_x = coefficients_in(p, 0)  # X^k -> c Y^(deg-k), one term each
-        return [base.const(by_x[k].lt()[1]) if k in by_x else base.zero()
-                for k in range(deg + 1)]
+        by_x = {m[0]: c for m, c in p.terms.items()}  # c X^k Y^(deg-k)
+        return [base.const(by_x.get(k, 0)) for k in range(deg + 1)]
 
     A, pc, qc = FPAlgebra.polynomial(base), coeff_list(P), coeff_list(Q)
     try:

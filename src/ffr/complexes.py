@@ -80,7 +80,7 @@ class RingMatrix:
     def det(self) -> Poly:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return self.algebra.nf(poly_det(self.entries, self.algebra.ring))
+        return self.minor(range(self.rows), range(self.cols))
 
     def minor(self, rset: Sequence[int], cset: Sequence[int]) -> Poly:
         return self.algebra.nf(poly_det([[self.entries[i][j] for j in cset]
@@ -91,8 +91,10 @@ class RingMatrix:
             self.entries, self.algebra.ring, r))
 
     def __eq__(self, other):
+        """Same algebra, shape and reduced entries (without rows, only
+        `cols` shows the shape)."""
         return (isinstance(other, RingMatrix) and self.algebra == other.algebra
-                and self.entries == other.entries)
+                and self.cols == other.cols and self.entries == other.entries)
 
     def __repr__(self):
         return f"<{self.rows}x{self.cols} matrix over {self.algebra!r}>"
@@ -142,10 +144,9 @@ def kernel_generators(M: RingMatrix) -> list[list[Poly]]:
     A = M.algebra
     syz = gb.syzygy_module(M.columns(), gb.scalar_columns(
         A.relations.gens, M.rows, A.ring))
-    jgb = A.relations.groebner()
     out = []
     for s in syz:
-        c = [jgb.normal_form(p) for p in s]
+        c = [A.nf(p) for p in s]
         if any(not p.is_zero for p in c) and c not in out:
             out.append(c)
     return out
@@ -169,15 +170,10 @@ class FreeComplex:
             if M.algebra != algebra:
                 raise RingMismatchError("matrix over a different algebra")
         m = len(matrices)
-        sizes = []
-        if m:
-            sizes.append(matrices[0].rows)
-            for k in range(m):
-                sizes.append(matrices[k].cols)
-                if k + 1 < m and matrices[k + 1].rows != matrices[k].cols:
-                    raise ValueError(f"size mismatch between A_{k+1} and A_{k+2}")
-        else:
-            sizes = [0]
+        sizes = [matrices[0].rows if m else 0] + [M.cols for M in matrices]
+        for k in range(m - 1):
+            if matrices[k + 1].rows != sizes[k + 1]:
+                raise ValueError(f"size mismatch between A_{k+1} and A_{k+2}")
         for k in range(m - 1):
             if not matrices[k].mul(matrices[k + 1]).is_zero():
                 raise ValueError(f"A_{k+1} A_{k+2} != 0: not a complex")
@@ -264,20 +260,18 @@ def certify_exact(C: FreeComplex) -> ExactnessReport:
     conditions = []
     failed = False
     for level, ideal in enumerate(ideals, start=1):
-        if failed:
-            conditions.append(ExactnessCondition(level, ideal, None))
-            continue
-        cert = depth_at_least(ideal, E, level)
+        cert = None if failed else depth_at_least(ideal, E, level)
         conditions.append(ExactnessCondition(level, ideal, cert))
-        if not cert.holds:
-            failed = True
+        failed = failed or not cert.holds
     return ExactnessReport(tuple(conditions))
 
 
 def elementary_modification(C: FreeComplex, k: int, s: int) -> FreeComplex:
     """Add a trivial A^s summand between L_k and L_{k+1} (1 <= k <= m-1).
 
-    The characteristic ideals are unchanged; only r_{k+1} grows by s.
+    A_k becomes [A_k | 0], A_{k+1} becomes [[A_{k+1}, 0], [0, I_s]] and
+    A_{k+2} gains s zero rows.  The characteristic ideals are unchanged;
+    only r_{k+1} grows by s.  With s = 0 the complex itself is returned.
     """
     m = C.length
     if not 1 <= k <= m - 1:
@@ -288,28 +282,17 @@ def elementary_modification(C: FreeComplex, k: int, s: int) -> FreeComplex:
         return C
     A = C.algebra
     zero = A.ring.zero()
-    one = A.ring.one()
-    mats = [C.matrix(i) for i in range(1, m + 1)]
-
-    old_k = mats[k - 1]        # A_k : L_k -> L_{k-1}
-    new_k = RingMatrix(A, [list(row) + [zero] * s for row in old_k.entries],
-                       old_k.rows, old_k.cols + s)
-
-    old_k1 = mats[k]           # A_{k+1} : L_{k+1} -> L_k
-    rows = [list(row) + [zero] * s for row in old_k1.entries]
-    for i in range(s):
-        pad = [zero] * old_k1.cols + [one if j == i else zero for j in range(s)]
-        rows.append(pad)
-    new_k1 = RingMatrix(A, rows, old_k1.rows + s, old_k1.cols + s)
-
-    mats[k - 1] = new_k
-    mats[k] = new_k1
+    pad = (zero,) * s
+    mats = list(C.matrices)
+    Ak, Ak1 = mats[k - 1], mats[k]
+    mats[k - 1] = RingMatrix(A, [row + pad for row in Ak.entries],
+                             Ak.rows, Ak.cols + s)
+    mats[k] = RingMatrix(A, [row + pad for row in Ak1.entries]
+                         + [(zero,) * Ak1.cols + row
+                            for row in RingMatrix.identity(A, s).entries])
     if k + 1 < m:
-        old_k2 = mats[k + 1]   # A_{k+2} : L_{k+2} -> L_{k+1}
-        rows2 = [list(row) for row in old_k2.entries]
-        for _ in range(s):
-            rows2.append([zero] * old_k2.cols)
-        mats[k + 1] = RingMatrix(A, rows2, old_k2.rows + s, old_k2.cols)
+        Ak2 = mats[k + 1]
+        mats[k + 1] = RingMatrix(A, Ak2.entries + ((zero,) * Ak2.cols,) * s)
     return FreeComplex(A, mats)
 
 
@@ -345,11 +328,12 @@ def pfaffian(entries: Sequence[Sequence[Poly]], ring) -> Poly:
 
 
 class PfaffianData(NamedTuple):
-    """Q row, the 4-term complex, and its polynomial-identity re-checks."""
+    """Q row, the 4-term complex 0 -> A -Q^T-> A^n -X-> A^n -Q-> A, and the
+    re-check adj(X) = Q^T Q.  Q X = 0 needs no field of its own: the
+    complex could not have been built without it."""
 
     Q: RingMatrix
     complex: FreeComplex
-    qx_is_zero: bool
     adjugate_identity: bool
 
 
@@ -377,15 +361,13 @@ def pfaffian_data(X: RingMatrix) -> PfaffianData:
     if X.transpose() != RingMatrix(A, [[-p for p in row]
                                        for row in X.entries]):
         raise ValueError("matrix is not antisymmetric")
-    ents = [list(r) for r in X.entries]
     qs = []
     for i in range(1, n + 1):
         keep = [t for t in range(n) if t != i - 1]
-        sub = [[ents[a][b] for b in keep] for a in keep]
+        sub = [[X.entries[a][b] for b in keep] for a in keep]
         p = pfaffian(sub, A.ring)
         qs.append(-p if i % 2 else p)
     Q = RingMatrix(A, [qs], 1, n)
-    qx = Q.mul(X).is_zero()
     adj_ok = adjugate(X) == Q.transpose().mul(Q)
     cplx = FreeComplex(A, [Q, X, Q.transpose()])
-    return PfaffianData(Q, cplx, qx, adj_ok)
+    return PfaffianData(Q, cplx, adj_ok)

@@ -117,21 +117,19 @@ def same_depth_generators(a: AIdeal,
     its basis for the caller.
     """
     A = a.algebra
-    lifted = lifted or a.lifted()
-    gens = [g for g in (A.nf(p) for p in lifted.groebner().basis)
-            if not g.is_zero]
-    if gens and all(len(g.terms) == 1 for g in gens):
-        seen: list[tuple] = []
-        for g in gens:
-            (m, _), = g.terms.items()
-            sm = tuple(1 if e else 0 for e in m)
-            if sm not in seen:
-                seen.append(sm)
-        minimal = [m for m in seen
-                   if not any(q != m and mono_divides(q, m) for q in seen)]
-        one = A.ring.field.one()
-        gens = [Poly(A.ring, {m: one}) for m in sorted(minimal)]
-    return AIdeal(A, gens)
+    basis = AIdeal(A, (lifted or a.lifted()).groebner().basis)
+    if not basis.gens or any(len(g.terms) != 1 for g in basis.gens):
+        return basis
+    seen: list[tuple] = []
+    for g in basis.gens:
+        (m, _), = g.terms.items()
+        sm = tuple(1 if e else 0 for e in m)
+        if sm not in seen:
+            seen.append(sm)
+    minimal = [m for m in seen
+               if not any(q != m and mono_divides(q, m) for q in seen)]
+    one = A.ring.field.one()
+    return AIdeal(A, [Poly(A.ring, {m: one}) for m in sorted(minimal)])
 
 
 def specialized_sequence(a: AIdeal, k: int) -> tuple[Poly, ...]:

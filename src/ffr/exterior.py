@@ -332,15 +332,15 @@ def sylvester_plucker(algebra: FPAlgebra, x_list: Sequence[Sequence[Poly]],
     if p > n:
         raise ValueError("too many replacement vectors")
     R = algebra.ring
-    det_x = poly_det([[x_list[j][i] for j in range(n)] for i in range(n)], R)
+    # the vectors are the columns; det X = det X^T reads them as rows
+    det_x = poly_det(x_list, R)
     lhs = decomposable(algebra, z_list, n).scale(det_x)
     rhs = MultiVector.zero(algebra, n, p)
     for K in subsets_colex(n, p):
         replaced = list(x_list)
         for idx, k in enumerate(K):
             replaced[k - 1] = z_list[idx]
-        coeff = poly_det([[replaced[j][i] for j in range(n)]
-                          for i in range(n)], R)
+        coeff = poly_det(replaced, R)
         kept = [x_list[k - 1] for k in K]
         rhs = rhs + decomposable(algebra, kept, n).scale(coeff)
     return lhs, rhs, lhs == rhs
@@ -353,16 +353,10 @@ def are_proportional(u: MultiVector, v: MultiVector) -> bool:
         raise ValueError("grades differ")
     A = u.algebra
     du, dv = u.coords, v.coords
-    subs = subsets_colex(u.n, u.grade)
     zero = A.ring.zero()
-    for a in range(len(subs)):
-        for b in range(a + 1, len(subs)):
-            I, J = subs[a], subs[b]
-            cross = (du.get(I, zero) * dv.get(J, zero)
-                     - du.get(J, zero) * dv.get(I, zero))
-            if not A.nf(cross).is_zero:
-                return False
-    return True
+    return all(A.nf(du.get(I, zero) * dv.get(J, zero)
+                    - du.get(J, zero) * dv.get(I, zero)).is_zero
+               for I, J in combinations(subsets_colex(u.n, u.grade), 2))
 
 
 def exterior_power_matrix(entries: Sequence[Sequence[Poly]], ring: PolyRing,

@@ -186,12 +186,14 @@ def homotopy_identity_check(T: TaylorComplex) -> bool:
 
 
 def is_taylor_minimal(m: MonomialList) -> bool:
-    """No m_j divides lcm(m_(J minus j)), over all subsets J and j in J."""
-    for k in range(1, m.r + 1):
-        for J in subsets_colex(m.r, k):
-            lcm_J = m.lcm_of(J)
-            for pos, j in enumerate(J):
-                K = J[:pos] + J[pos + 1:]
-                if m.lcm_of(K) == lcm_J:
-                    return False
-    return True
+    """No lcm(J minus j) equals lcm(J), over all subsets J and j in J.
+
+    That is: no m_j divides the lcm of the other monomials.  If
+    lcm(J minus j) = lcm(J), then m_j divides lcm(J minus j), which divides
+    the lcm of the others; conversely, with J = {1..r}, m_j dividing the lcm
+    of the others makes lcm(J minus j) = lcm(J).  So r lcms decide it.
+    """
+    everyone = range(1, m.r + 1)
+    return not any(mono_divides(m.monomials[j - 1],
+                                m.lcm_of([i for i in everyone if i != j]))
+                   for j in everyone)

@@ -510,6 +510,24 @@ def test_generalized_sylvester_K_shape():
         assert row == expect
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_generalized_sylvester_S_shape(d):
+    # S's columns: the motif a_p..a_0 sliding down the d-p+1 columns of the
+    # P block, then b_q..b_0 down the d-q+1 columns of the Q block
+    A = algebra(["a0", "a1", "b0", "b1", "b2"])
+    a0, a1, b0, b1, b2 = A.ring.gens()
+    data = sylvester_complex(A, [a0, a1], [b0, b1, b2], d)  # p=1, q=2
+    want = []
+    for motif, width in (([a1, a0], d), ([b2, b1, b0], d - 1)):
+        for c in range(width):
+            col = [A.ring.zero()] * (d + 1)
+            col[c:c + len(motif)] = motif
+            want.append(col)
+    assert data.S.columns() == want
+    # a = d - 2 columns for K, none at d = 2
+    assert (data.K.rows, data.K.cols) == (2 * d - 1, d - 2)
+
+
 def test_sylvester_minor_anchor():
     # the minor on the last b columns of S equals (-1)^(aq) b_q^a Res(P,Q)
     A = algebra([])

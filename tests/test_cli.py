@@ -464,6 +464,25 @@ def test_exit_2_on_unwritable_out(tmp_path, capsys):
                             f"No such file or directory: '{out}'\n")
 
 
+def test_exit_2_on_closed_stdout():
+    # the reader of the pipe is gone before the report is written: one
+    # input-error line, as for an unwritable --out file, and no traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ffr.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from ffr.cli import main; main()",
+             "dim", "--vars", "x", "--ideal", "x"],
+            env={**os.environ, "PYTHONPATH": src}, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("ffr: input error: cannot write stdout: "
+                           "[Errno 32] Broken pipe\n")
+
+
 def _complex_file(tmp_path, **fields):
     doc = {"field": "Q", "vars": ["x"], "matrices": [[["x"]]], **fields}
     path = tmp_path / "complex.json"

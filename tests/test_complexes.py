@@ -273,17 +273,37 @@ def test_elementary_modification_middle_of_longer_complex():
         assert certify_exact(mod).exact
 
 
+def extended(M, rows, cols, eye):
+    """M in the top left of a rows x cols matrix, zeros elsewhere, except
+    an identity block in the new bottom right corner when `eye`."""
+    one, zero = M.algebra.ring.one(), M.algebra.ring.zero()
+    return RingMatrix(M.algebra, [
+        [M.entries[i][j] if i < M.rows and j < M.cols
+         else one if eye and i - M.rows == j - M.cols else zero
+         for j in range(cols)] for i in range(rows)])
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_elementary_modification_derives_its_ranks(n):
     # adding A^s between L_k and L_{k+1} raises r_{k+1} by s, and nothing
-    # else
+    # else: A_k becomes [A_k | 0], A_{k+1} [[A_{k+1}, 0], [0, I_s]] and
+    # A_{k+2} gains s zero rows
     names = ["x", "y", "z", "w"][:n]
     C = koszul(algebra(names), *names)
     for k in range(1, n):
         for s in (1, 2):
             want = list(C.ranks)
             want[k + 1] += s
-            assert elementary_modification(C, k, s).ranks == tuple(want)
+            mod = elementary_modification(C, k, s)
+            assert mod.ranks == tuple(want)
+            Ak, Ak1 = C.matrix(k), C.matrix(k + 1)
+            assert mod.matrix(k) == extended(Ak, Ak.rows, Ak.cols + s, False)
+            assert mod.matrix(k + 1) == extended(Ak1, Ak1.rows + s,
+                                                 Ak1.cols + s, True)
+            if k + 1 < n:
+                Ak2 = C.matrix(k + 2)
+                assert mod.matrix(k + 2) == extended(Ak2, Ak2.rows + s,
+                                                     Ak2.cols, False)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +451,7 @@ def test_pfaffian_data_n3():
                        [-x13, -x23, zero]])
     data = pfaffian_data(X)
     assert [str(p) for p in data.Q.entries[0]] == ["-x23", "x13", "-x12"]
-    assert data.qx_is_zero and data.adjugate_identity
+    assert data.Q.mul(X).is_zero() and data.adjugate_identity
     # D_{n-1}(X) = D_1(Q)^2 as an ideal equality
     D2 = determinantal_ideal(X, 2).lifted()
     q = [A.parse(s) for s in ["x23", "x13", "x12"]]
@@ -474,6 +494,8 @@ def test_mul_inner_dimension_zero():
     assert (P.rows, P.cols) == (2, 3)
     assert P.entries == tuple(tuple(r) for r in _entrywise_product(M, N))
     assert P.is_zero()
+    # without rows, only the column count tells these two apart
+    assert N != RingMatrix.zero(A, 0, 2)
 
 
 def test_adjugate_identity():

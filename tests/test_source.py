@@ -50,6 +50,26 @@ def test_every_definition_is_used():
             if name not in used] == []
 
 
+def test_every_import_is_used():
+    # an import no code of its module reads is left behind by a deletion;
+    # `from __future__ import annotations` binds no name (the package's
+    # lazy export table is strings, not imports)
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load)}
+        unused += [f"{path.name}:{node.lineno} {name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   for name in [alias.asname or alias.name.split(".")[0]]
+                   if name not in read]
+    assert unused == []
+
+
 def test_every_record_field_is_read():
     # a NamedTuple field nobody reads as an attribute stores a value no
     # caller needs, or one another field already implies

@@ -5,7 +5,10 @@ Q and F_32003.  Checked: d.d = 0 on random elements of L_k, the contracting
 homotopy identity (dh + hd)(p e_J) = p e_J on every basis element, the
 `MultiVector` invariants of every value the complex returns, and the grade
 and rank checks.  The lcm-lattice homotopy check is also run on lists of
-r <= 4 over Q, where it must agree with `certify_exact`.  Skipped when `hypothesis` is not installed.
+r <= 4 over Q, where it must agree with `certify_exact`, and the
+minimality test on lists of r <= 6 (repeats and 1 included), where it must
+agree with the entries of the differentials.  Skipped when `hypothesis` is
+not installed.
 """
 
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from ffr.complexes import certify_exact  # noqa: E402
 from ffr.exterior import MultiVector, subset_index, subsets_colex  # noqa: E402
 from ffr.monomial import (MonomialList, homotopy_identity_check,  # noqa: E402
-                          taylor_complex, taylor_homotopy)
+                          is_taylor_minimal, taylor_complex, taylor_homotopy)
 from ffr.ring import (CoefField, Poly, PolyRing, QQ,  # noqa: E402
                       mono_divides, parse_poly)
 
@@ -111,6 +114,18 @@ def test_lattice_check_agrees_with_certify_exact(monos):
     T = taylor_complex(MonomialList(PolyRing(QQ, VARS), tuple(monos)))
     assert homotopy_identity_check(T) is True
     assert certify_exact(T.complex).exact is True
+
+
+@SETTINGS
+@given(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=6))
+def test_minimality_is_the_absence_of_unit_entries(monos):
+    # a free resolution is minimal iff no differential has a nonzero
+    # constant entry; small exponents make repeats and m_i = 1 common
+    m = MonomialList(PolyRing(QQ, VARS), tuple(monos))
+    unit = any(list(p.terms) == [(0, 0, 0)]
+               for M in taylor_complex(m).complex.matrices
+               for row in M.entries for p in row)
+    assert is_taylor_minimal(m) is not unit
 
 
 @SETTINGS

@@ -61,9 +61,11 @@ class FPAlgebra:
 
 
 class AIdeal:
-    """A finitely generated ideal of A, stored by representatives mod J."""
+    """A finitely generated ideal of A, stored by representatives mod J.
 
-    __slots__ = ("algebra", "gens")
+    Owns its lifted ideal, and so at most one reduced Groebner basis."""
+
+    __slots__ = ("algebra", "gens", "_lifted")
 
     def __init__(self, algebra: FPAlgebra, gens: Sequence[Poly]):
         reps = []
@@ -73,11 +75,14 @@ class AIdeal:
             reps.append(algebra.nf(g))
         self.algebra = algebra
         self.gens = tuple(algebra.ring.unique_up_to_sign(reps))
+        self._lifted = None
 
     def lifted(self) -> gb.IdealGens:
-        """The preimage ideal <gens> + J in k[X]."""
-        return gb.IdealGens(self.algebra.ring,
-                            list(self.gens) + list(self.algebra.relations.gens))
+        """The preimage ideal <gens> + J in k[X], built on the first call."""
+        if self._lifted is None:
+            self._lifted = gb.IdealGens(self.algebra.ring, self.gens
+                                        + self.algebra.relations.gens)
+        return self._lifted
 
     def __repr__(self):
         return f"<AIdeal ({', '.join(map(str, self.gens))})>"
@@ -201,4 +206,6 @@ def algebra_membership(vectors: Sequence[Sequence[Poly]],
 
 def quotient_dimension(A: FPAlgebra, a: Optional[AIdeal] = None) -> int:
     """Krull dimension of A/a (of A itself when a is omitted)."""
+    if a is not None and a.algebra != A:
+        raise RingMismatchError("ideal over a different algebra")
     return gb.krull_dimension(A.relations if a is None else a.lifted())

@@ -20,7 +20,8 @@ that length below.  Elsewhere it decides "at least k" on the route of
 `depth_at_least` for k the generator count: with k generators, depth >= k+1
 already forces a E = E (the infinite-depth case).  The depth-dimension
 identity is the bracket's report, and a sequence is completely secant when
-`depth_value` reaches its length.
+`depth_value` reaches its length.  An ideal and a module over different
+algebras raise RingMismatchError.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import groebner as gb
 from .algebra import AIdeal, AModule, FPAlgebra, ideal_times_module_is_module
-from .exterior import poly_det
-from .ring import (Poly, VerificationError, embed_append, kronecker_poly,
-                   mono_divides)
+from .ring import (Poly, RingMismatchError, VerificationError, embed_append,
+                   kronecker_poly, mono_divides)
 
 INFINITY = math.inf
 
@@ -103,8 +103,7 @@ def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:
     return DepthCertificate(len(seq), True, sequence=seq, algebra=A)
 
 
-def same_depth_generators(a: AIdeal,
-                          lifted: Optional[gb.IdealGens] = None) -> AIdeal:
+def same_depth_generators(a: AIdeal) -> AIdeal:
     """A generator substitution that preserves every depth verdict.
 
     The list is replaced by the reduced basis of the lifted ideal (the same
@@ -113,11 +112,10 @@ def same_depth_generators(a: AIdeal,
     radical; equal-radical finitely generated ideals have equal depth on
     every module (the product lemma), so the substitution is sound and cuts
     the monomial case down from e.g. the cube of the maximal ideal to the
-    maximal ideal itself.  `lifted`, when given, is `a.lifted()` and keeps
-    its basis for the caller.
+    maximal ideal itself.
     """
     A = a.algebra
-    basis = AIdeal(A, (lifted or a.lifted()).groebner().basis)
+    basis = AIdeal(A, a.lifted().groebner().basis)
     if not basis.gens or any(len(g.terms) != 1 for g in basis.gens):
         return basis
     seen: list[tuple] = []
@@ -155,7 +153,13 @@ def depth_at_least(a: AIdeal, E: AModule, k: int) -> DepthCertificate:
     """
     if k < 0:
         raise ValueError("negative depth bound")
+    _same_algebra(a, E)
     return _specialized_else_kronecker(same_depth_generators(a), E, k)
+
+
+def _same_algebra(a: AIdeal, E: AModule) -> None:
+    if a.algebra != E.algebra:
+        raise RingMismatchError("ideal and module over different algebras")
 
 
 def _specialized_else_kronecker(gens: AIdeal, E: AModule,
@@ -167,9 +171,9 @@ def _specialized_else_kronecker(gens: AIdeal, E: AModule,
     return is_E_regular_sequence(ks.polys, E.transport(ks.extended_algebra))
 
 
-def _bracket(a: AIdeal, E: AModule, lifted: gb.IdealGens):
+def _bracket(a: AIdeal, E: AModule):
     """(S, lower) with Gr(a, E) = n - |S|, over k[X] with E free of rank
-    > 0 and `lifted` = `a.lifted()`; (None, None) when a = (1).
+    > 0; (None, None) when a = (1).
 
     Gr(a, E) = height a = n - dim A/a there (k[X] is Cohen-Macaulay; Bruns
     & Herzog, Cor. 2.1.4).  The independent set S is re-checked to carry no
@@ -178,13 +182,13 @@ def _bracket(a: AIdeal, E: AModule, lifted: gb.IdealGens):
     certificate of length n - |S|, must hold, so a smaller S fails there.
     Either failure raises VerificationError.
     """
-    basis = lifted.groebner().basis
-    S = gb.independent_set(lifted)
+    basis = a.lifted().groebner().basis
+    S = gb.independent_set(a.lifted())
     if S is None:
         return None, None
     if any(all(i in S for i, e in enumerate(g.lm()) if e) for g in basis):
         raise VerificationError("independent set does not re-check")
-    lower = _specialized_else_kronecker(same_depth_generators(a, lifted), E,
+    lower = _specialized_else_kronecker(same_depth_generators(a), E,
                                         a.algebra.ring.n - len(S))
     if not lower.holds:
         raise VerificationError("depth is below n - dim A/a")
@@ -203,14 +207,14 @@ def depth_value(a: AIdeal, E: AModule):
     Kronecker run (a prefix of a Kronecker sequence is again one) the first
     failing stage j pins the depth at j - 1.
     """
+    _same_algebra(a, E)
     A = a.algebra
-    lifted = a.lifted()
     if A.is_polynomial_ring() and not E.presentation:
-        S = _bracket(a, E, lifted)[0] if E.rank else None
+        S = _bracket(a, E)[0] if E.rank else None
         return INFINITY if S is None else A.ring.n - len(S)
     if ideal_times_module_is_module(a, E):
         return INFINITY
-    reduced = same_depth_generators(a, lifted)
+    reduced = same_depth_generators(a)
     # the depth is bounded by both generator counts (else a E = E)
     k = min(len(a.gens), len(reduced.gens))
     cert = _specialized_else_kronecker(reduced, E, k)
@@ -240,6 +244,7 @@ def triangular_regularization(a: AIdeal, level: int,
     identity.  <b_1..b_level, a_{level+1}..a_k> = <a> holds in the extension
     and is re-verified, as is E-regularity of (b_1..b_level).
     """
+    _same_algebra(a, E)
     k = len(a.gens)
     if not 1 <= level <= k:
         raise ValueError("level must be between 1 and the generator count")
@@ -306,6 +311,7 @@ def wiebe_check(c_seq: Sequence[Poly], a_seq: Sequence[Poly],
     U certifies the inclusion <c> subseteq <a> via t(c) = U t(a);
     Delta = det U; (c) must be completely E-secant.
     """
+    from .exterior import poly_det  # only this check loads the layer
     A = E.algebra
     R = A.ring
     n = len(c_seq)
@@ -372,7 +378,7 @@ def depth_dim_identity(a: AIdeal) -> DepthDimReport:
     if not A.is_polynomial_ring():
         raise ValueError("identity applies over a polynomial ring only")
     n = A.ring.n
-    S, lower = _bracket(a, AModule.free(A, 1), a.lifted())
+    S, lower = _bracket(a, AModule.free(A, 1))
     if S is None:
         return DepthDimReport(n, -1, None, True, None, None)
     return DepthDimReport(n, len(S), n - len(S), False, lower, S)

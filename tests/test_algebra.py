@@ -184,6 +184,16 @@ def test_quotient_dimension():
     assert quotient_dimension(C) == 2
 
 
+def test_quotient_dimension_of_an_ideal_over_another_algebra():
+    # read off (z) alone, the answer would be dim Q/(z) = 1, not the
+    # asked dim A/(z) = 2
+    A = algebra(["x", "y", "z"])
+    Q = FPAlgebra(A.ring, [A.parse("x*y")])
+    with pytest.raises(RingMismatchError):
+        quotient_dimension(A, AIdeal(Q, [Q.parse("z")]))
+    assert quotient_dimension(A, AIdeal(A, [A.parse("z")])) == 2
+
+
 def _kronecker_regular_on_module(A, gens, E):
     """Is the Kronecker polynomial of `gens` regular on E[T]?"""
     names = A.ring.fresh_names(1)

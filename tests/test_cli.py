@@ -572,9 +572,10 @@ STARTUP = {  # subcommand -> (one valid argv, the ffr modules it loads)
             IDEAL_LAYERS),
     "dim": (["--vars", "x,y", "--ideal", "x*y"], IDEAL_LAYERS),
     "depth": (["--vars", "x,y", "--ideal", "x,y", "--atleast", "2"],
-              DEPTH_LAYERS),
-    "depth-value": (["--vars", "x,y", "--ideal", "x,y"], DEPTH_LAYERS),
-    "secant": (["--vars", "x,y", "--seq", "x,y"], DEPTH_LAYERS),
+              IDEAL_LAYERS | {"depth"}),
+    "depth-value": (["--vars", "x,y", "--ideal", "x,y"],
+                    IDEAL_LAYERS | {"depth"}),
+    "secant": (["--vars", "x,y", "--seq", "x,y"], IDEAL_LAYERS | {"depth"}),
     "wiebe": (["--vars", "x,y", "--c", "x^2,y^2", "--a", "x,y",
                "--u", '[["x","0"],["0","y"]]'], DEPTH_LAYERS),
     "certify": (["--complex", "koszul2.json"], COMPLEX_LAYERS),

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from ffr.algebra import AIdeal, AModule, FPAlgebra
+from ffr.algebra import AIdeal, AModule, FPAlgebra, quotient_dimension
 from ffr.complexes import RingMatrix, determinantal_ideal
 from ffr.depth import (DepthCertificate, depth_at_least, depth_dim_identity,
                        depth_value, is_completely_secant,
@@ -13,7 +13,8 @@ from ffr.depth import (DepthCertificate, depth_at_least, depth_dim_identity,
                        wiebe_check, INFINITY)
 from ffr.groebner import (IdealGens, ideal_colon, ideal_equal,
                           module_membership)
-from ffr.ring import CoefField, PolyRing, QQ, VerificationError, parse_poly
+from ffr.ring import (CoefField, PolyRing, QQ, RingMismatchError,
+                      VerificationError, parse_poly)
 
 
 def algebra(vars, *relations, order="grevlex"):
@@ -248,6 +249,22 @@ def test_depth_value_infinite_on_quotient():
     A = algebra(["x"])
     quot = AModule.quotient_by_ideal(ideal(A, "x"))
     assert depth_value(ideal(A, "x-1"), quot) == INFINITY
+
+
+@pytest.mark.parametrize("ask", [
+    lambda a, E: depth_value(a, E),
+    lambda a, E: depth_at_least(a, E, 2),
+    lambda a, E: triangular_regularization(a, 2, E),
+], ids=["depth_value", "depth_at_least", "triangular_regularization"])
+def test_ideal_and_module_over_different_algebras(ask):
+    # (x, y) over k[x, y] and E over k[x, y]/(xy): the answer over k[x, y]
+    # would be 2, but the depth over the quotient is 1
+    A = algebra(["x", "y"])
+    Q = FPAlgebra(A.ring, [A.parse("x*y")])
+    E = AModule.free(Q, 1)
+    with pytest.raises(RingMismatchError):
+        ask(ideal(A, "x", "y"), E)
+    assert depth_value(ideal(Q, "x", "y"), E) == 1
 
 
 def test_kronecker_sequence_independence():
@@ -553,3 +570,25 @@ def test_depth_dim_identity_cases():
     assert rep_zero.holds
     with pytest.raises(ValueError):
         depth_dim_identity(ideal(algebra(["x"], "x^2"), "x"))
+
+
+def test_one_basis_per_ideal(monkeypatch):
+    # the depth, the dimension and the identity read one reduced basis of
+    # a's lifted ideal, computed by one Buchberger run
+    import ffr.groebner as gb
+    run = gb._buchberger_vecs
+    runs = []
+
+    def counted(generators, ring, rank):
+        runs.append((rank, sorted(str(p) for v in generators for p in v)))
+        return run(generators, ring, rank)
+
+    A = algebra(["x", "y", "z"])
+    a = ideal(A, "x*y + x*z", "x*z")
+    monkeypatch.setattr(gb, "_buchberger_vecs", counted)
+    assert depth_value(a, AModule.free(A, 1)) == 1
+    assert quotient_dimension(A, a) == 2
+    assert depth_dim_identity(a).expected_depth == 1
+    own = (1, sorted(str(g) for g in a.lifted().gens))
+    assert runs.count(own) == 1
+    assert a.lifted() is a.lifted()

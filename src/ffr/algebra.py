@@ -19,9 +19,6 @@ class FPAlgebra:
     __slots__ = ("ring", "relations")
 
     def __init__(self, ring: PolyRing, relations: Sequence[Poly] = ()):
-        for r in relations:
-            if r.ring != ring:
-                raise RingMismatchError("relation in a different ring")
         self.ring = ring
         self.relations = gb.IdealGens(ring, relations)
 
@@ -68,11 +65,7 @@ class AIdeal:
     __slots__ = ("algebra", "gens", "_lifted")
 
     def __init__(self, algebra: FPAlgebra, gens: Sequence[Poly]):
-        reps = []
-        for g in gens:
-            if g.ring != algebra.ring:
-                raise RingMismatchError("generator in a different ring")
-            reps.append(algebra.nf(g))
+        reps = map(algebra.nf, gens)  # each normal form checks the ring
         self.algebra = algebra
         self.gens = tuple(algebra.ring.unique_up_to_sign(reps))
         self._lifted = None
@@ -109,11 +102,6 @@ class AModule:
     @classmethod
     def free(cls, algebra: FPAlgebra, rank: int) -> "AModule":
         return cls(algebra, rank, ())
-
-    @classmethod
-    def quotient_by_ideal(cls, a: AIdeal) -> "AModule":
-        """A/a as a rank-1 module."""
-        return cls(a.algebra, 1, [list(a.gens)])
 
     @property
     def ncols(self) -> int:

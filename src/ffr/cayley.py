@@ -83,7 +83,8 @@ class CayleyData(NamedTuple):
     det: Optional[Poly]
 
     def principal_generator(self) -> Poly:
-        """The regular generator of B_0; the chi > 0 certificate route."""
+        """The regular generator of B_0: the determinant when chi = 0, else
+        B_0's one generator, the chi > 0 certificate route."""
         g = self.det
         if g is None:
             b0 = self.factor_ideals[0]
@@ -105,8 +106,6 @@ def cayley_factorize(C: FreeComplex) -> CayleyData:
     """
     A = C.algebra
     m = C.length
-    if m < 1:
-        raise ValueError("empty complex")
     hyp, powers = _hypotheses(C)
     if not hyp.holds:
         raise CayleyError(
@@ -149,12 +148,9 @@ def cayley_determinant(C: FreeComplex) -> Poly:
     if C.ranks[0] != 0:
         raise CayleyError("the Cayley determinant needs chi = 0")
     data = cayley_factorize(C)
-    g = data.det
-    A = C.algebra
-    if g.is_zero or not is_regular_element(A, g):
-        raise CayleyError("the Cayley determinant is not a regular element")
-    cofactors = data.factor_ideals[1]
-    cert = depth_at_least(cofactors, AModule.free(A, 1), 2)
+    g = data.principal_generator()
+    cert = depth_at_least(data.factor_ideals[1],
+                          AModule.free(C.algebra, 1), 2)
     if not cert.holds:
         raise VerificationError("cofactor ideal lost its depth-2 certificate")
     return g

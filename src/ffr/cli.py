@@ -189,8 +189,6 @@ def _complex_from_file(path: str) -> tuple[FreeComplex, dict]:
         _array(ranks, '"expected_ranks"', int, "integers")
     # any items: _matrix_doc checks each matrix
     matrices = _array(doc["matrices"], '"matrices"', object, "matrices")
-    if not matrices:  # L_0 = A alone has no differential to certify
-        raise SchemaError("empty complex")
     A = _algebra_from_doc(doc)
     C = FreeComplex(A, [_matrix_doc(m, A) for m in matrices])
     if ranks not in (None, list(C.ranks), list(C.ranks[:-1])):

@@ -37,11 +37,6 @@ class RingMatrix:
         self.entries = tuple(ents)
 
     @classmethod
-    def from_strings(cls, algebra: FPAlgebra,
-                     rows: Sequence[Sequence[str]]) -> "RingMatrix":
-        return cls(algebra, [[algebra.parse(s) for s in row] for row in rows])
-
-    @classmethod
     def zero(cls, algebra: FPAlgebra, rows: int, cols: int) -> "RingMatrix":
         z = algebra.ring.zero()
         return cls(algebra, [[z] * cols for _ in range(rows)], rows, cols)
@@ -158,19 +153,21 @@ def kernel_generators(M: RingMatrix) -> list[list[Poly]]:
 class FreeComplex:
     """0 -> L_m -> ... -> L_1 -> L_0 with d.d = 0 checked at construction.
 
-    `matrices[k-1]` is A_k : L_k -> L_{k-1} (so A_1 comes first); the
-    expected stable ranks r_0..r_{m+1} are the ones the sizes force:
-    r_{m+1} = 0 and p_k = r_k + r_{k+1}.
+    `matrices[k-1]` is A_k : L_k -> L_{k-1} (so A_1 comes first, and at
+    least one map is given); the expected stable ranks r_0..r_{m+1} are the
+    ones the sizes force: r_{m+1} = 0 and p_k = r_k + r_{k+1}.
     """
 
     __slots__ = ("algebra", "matrices", "sizes", "ranks")
 
     def __init__(self, algebra: FPAlgebra, matrices: Sequence[RingMatrix]):
+        if not matrices:
+            raise ValueError("empty complex")
         for M in matrices:
             if M.algebra != algebra:
                 raise RingMismatchError("matrix over a different algebra")
         m = len(matrices)
-        sizes = [matrices[0].rows if m else 0] + [M.cols for M in matrices]
+        sizes = [matrices[0].rows] + [M.cols for M in matrices]
         for k in range(m - 1):
             if matrices[k + 1].rows != sizes[k + 1]:
                 raise ValueError(f"size mismatch between A_{k+1} and A_{k+2}")

@@ -169,11 +169,6 @@ class MultiVector(NamedTuple):
     def scalar(cls, algebra: FPAlgebra, n: int, c: Poly) -> "MultiVector":
         return cls.from_dict(algebra, n, 0, {(): c})
 
-    @classmethod
-    def vector(cls, algebra: FPAlgebra, coords: Sequence[Poly]) -> "MultiVector":
-        return cls.from_dict(algebra, len(coords), 1,
-                             {(i + 1,): c for i, c in enumerate(coords)})
-
     def coeff(self, I: Sequence[int]) -> Poly:
         return self.coords.get(tuple(I), self.algebra.ring.zero())
 

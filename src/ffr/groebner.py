@@ -391,10 +391,6 @@ def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
     return I.groebner().basis == J.groebner().basis
 
 
-def ideal_product(I: IdealGens, J: IdealGens) -> IdealGens:
-    return IdealGens(I.ring, [a * b for a in I.gens for b in J.gens])
-
-
 def ideal_colon(I: IdealGens, J: IdealGens) -> IdealGens:
     """(I : J), by one syzygy run over all generators of J; (I : 0) is
     (1), the unit vector `module_colon` returns for no generators."""

@@ -106,7 +106,7 @@ class TaylorComplex(NamedTuple):
 def taylor_complex(m: MonomialList) -> TaylorComplex:
     """The full complex of r >= 1 monomials, d(e_J) weighted by lcm ratios;
     d.d = 0 is checked by the FreeComplex constructor."""
-    if not m.r:  # L_0 = A alone: a FreeComplex without matrices has L_0 = 0
+    if not m.r:  # L_0 = A alone: a FreeComplex needs at least one map
         raise ValueError("the Taylor complex needs at least one monomial")
     R = m.ring
     one = R.field.one()

@@ -117,9 +117,6 @@ class CoefField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p) if self.p else 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def __eq__(self, other):
         return isinstance(other, CoefField) and self.p == other.p
 
@@ -182,7 +179,7 @@ class PolyRing:
     with `fresh_names`).
     """
 
-    __slots__ = ("field", "vars", "order", "_key", "_vindex", "_id")
+    __slots__ = ("field", "vars", "order", "mono_key", "_vindex", "_id")
 
     def __init__(self, field: CoefField, vars: Sequence[str],
                  order: str = "grevlex", _allow_reserved: bool = False):
@@ -202,15 +199,12 @@ class PolyRing:
         self.vars = vars
         self.order = order
         self._vindex = {v: i for i, v in enumerate(vars)}
-        self._key = _KEYS[order]
+        self.mono_key = _KEYS[order]  # the sort key of a monomial
         self._id = (field.p, vars, order)  # what __eq__ and __hash__ read
 
     @property
     def n(self) -> int:
         return len(self.vars)
-
-    def mono_key(self, m: tuple):
-        return self._key(m)
 
     def zero(self) -> "Poly":
         return Poly(self, {})
@@ -326,7 +320,7 @@ class Poly:
     def lt(self):
         """Leading (monomial, coefficient) in the ring order, or None."""
         if self._lt is None and self.terms:
-            m = max(self.terms, key=self.ring._key)
+            m = max(self.terms, key=self.ring.mono_key)
             self._lt = (m, self.terms[m])
         return self._lt
 
@@ -334,26 +328,14 @@ class Poly:
         t = self.lt()
         return t[0] if t else None
 
-    def monic(self) -> "Poly":
-        t = self.lt()
-        if t is None:
-            return self
-        c = t[1]
-        if c == self.ring.field.one():
-            return self
-        inv = self.ring.field.inv(c)
-        mul = self.ring.field.mul
-        return Poly(self.ring, {m: mul(v, inv) for m, v in self.terms.items()},
-                    _trusted=True)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
 
     def sorted_terms(self) -> list:
         """Terms sorted descending in the ring order."""
-        return sorted(self.terms.items(), key=lambda t: self.ring._key(t[0]),
-                      reverse=True)
+        key = self.ring.mono_key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     # -- arithmetic
 

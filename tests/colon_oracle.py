@@ -46,7 +46,7 @@ def exact_div(g: Poly, f: Poly) -> Poly:
         rm, rc = r.lt()
         if not mono_divides(fm, rm):
             raise ValueError("not an exact multiple")
-        c = field.div(rc, fc)
+        c = field.mul(rc, field.inv(fc))
         m = mono_div(rm, fm)
         term = Poly(R, {m: c})
         q = q + term

@@ -340,8 +340,8 @@ def test_criterion_11_invariance_batteries(capsys):
     A = algebra(["x", "y"])
     koszul2 = koszul_complex(A, A.ring.gens())
     from ffr.cayley import signed_maximal_minors
-    hb_mat = RingMatrix.from_strings(A, [["y^2", "0"], ["-x", "y^2"],
-                                         ["0", "-x^2"]])
+    hb_mat = RingMatrix(A, [[A.parse(s) for s in row] for row in (
+        ("y^2", "0"), ("-x", "y^2"), ("0", "-x^2"))])
     hb = FreeComplex(A, [RingMatrix(A, [signed_maximal_minors(hb_mat)], 1, 3),
                          hb_mat])
     ok = hb.ranks == (0, 1, 2, 0)

@@ -58,6 +58,10 @@ def test_nf_and_ring_checks_over_polynomial_ring():
             AModule(A, 1, [[g]])
         with pytest.raises(RingMismatchError):
             RingMatrix(A, [[g]])
+        with pytest.raises(RingMismatchError):
+            AIdeal(A, [g])
+        with pytest.raises(RingMismatchError):
+            FPAlgebra(A.ring, [g])
 
 
 def test_faithful_ideals():
@@ -135,7 +139,7 @@ def test_module_colon_element():
     free = AModule.free(B, 1)
     assert module_colon_element(free, B.parse("x")) == []
 
-    quot = AModule.quotient_by_ideal(AIdeal(B, [B.parse("x")]))
+    quot = AModule(B, 1, [AIdeal(B, [B.parse("x")]).gens])
     gens = module_colon_element(quot, B.parse("x"))
     assert gens == [[B.ring.one()]]
 
@@ -148,13 +152,13 @@ def test_ideal_times_module():
     E = AModule.free(B, 1)
     assert ideal_times_module_is_module(AIdeal(B, [B.ring.one()]), E)
     assert not ideal_times_module_is_module(AIdeal(B, [B.parse("x")]), E)
-    quot = AModule.quotient_by_ideal(AIdeal(B, [B.parse("x")]))
+    quot = AModule(B, 1, [AIdeal(B, [B.parse("x")]).gens])
     assert ideal_times_module_is_module(AIdeal(B, [B.parse("x-1")]), quot)
 
 
 def test_annihilator():
     B = algebra(["x", "y"])
-    quot = AModule.quotient_by_ideal(AIdeal(B, [B.parse("x"), B.parse("y")]))
+    quot = AModule(B, 1, [AIdeal(B, [B.parse("x"), B.parse("y")]).gens])
     ann = annihilator(quot)
     assert sorted(map(str, ann.gens)) == ["x", "y"]
     assert annihilator(AModule.free(B, 2)).gens == ()
@@ -167,10 +171,11 @@ def test_annihilator_and_kernel_rank2():
     E = AModule(B, 2, [[B.parse(s) for s in row] for row in rows])
     assert [str(g) for g in annihilator(E).gens] == ["x*y", "y^2", "x*z"]
     C = algebra(["x", "y", "z"], "x*y - z^2")
-    E = AModule(C, 2, [[C.parse(s) for s in row] for row in rows])
+    entries = [[C.parse(s) for s in row] for row in rows]
+    E = AModule(C, 2, entries)
     assert [str(g) for g in annihilator(E).gens] == ["z^2", "y^2", "x*z",
                                                      "y*z"]
-    ker = kernel_generators(RingMatrix.from_strings(C, rows))
+    ker = kernel_generators(RingMatrix(C, entries))
     assert [[str(p) for p in k] for k in ker] == [
         ["z^3", "x^3", "-x^2*z"], ["y^2", "x*z", "-z^2"],
         ["y*z", "x^2", "-x*z"]]
@@ -233,7 +238,7 @@ def test_mccoy_lemma_equivalence_random():
         if rng.random() < 0.5:
             E = AModule.free(A, 1)
         else:
-            E = AModule.quotient_by_ideal(AIdeal(A, [A.parse(rng.choice(pool))]))
+            E = AModule(A, 1, [AIdeal(A, [A.parse(rng.choice(pool))]).gens])
         lhs = _kronecker_regular_on_module(A, gens, E)
         rhs = _ideal_regular_on_module(A, gens, E)
         assert lhs == rhs

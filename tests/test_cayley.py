@@ -10,8 +10,7 @@ from ffr.cayley import (CayleyError, _hypotheses, cayley_determinant,
 from ffr.complexes import (FreeComplex, RingMatrix, certify_exact,
                            characteristic_ideal, elementary_modification,
                            koszul_complex)
-from ffr.groebner import (IdealGens, ideal_equal, ideal_product,
-                          radical_membership)
+from ffr.groebner import IdealGens, ideal_equal, radical_membership
 from ffr.monomial import MonomialList, taylor_complex
 from ffr.ring import PolyRing, QQ, VerificationError, parse_poly
 
@@ -22,7 +21,7 @@ def algebra(vars, *relations, order="grevlex"):
 
 
 def matrix(A, rows):
-    return RingMatrix.from_strings(A, rows)
+    return RingMatrix(A, [[A.parse(s) for s in row] for row in rows])
 
 
 def koszul(A, *names):
@@ -144,10 +143,11 @@ def test_factorize_koszul2():
                        IdealGens(A.ring, [A.parse("x"), A.parse("y")]))
     assert lifted(B2).groebner().is_unit_ideal()
     # D_k = B_k B_{k-1}
+    B = data.factor_ideals
     for k in (1, 2):
         Dk = lifted(characteristic_ideal(C, k))
-        prod = ideal_product(lifted(data.factor_ideals[k]),
-                             lifted(data.factor_ideals[k - 1]))
+        prod = IdealGens(A.ring, [u * v for u in lifted(B[k]).gens
+                                  for v in lifted(B[k - 1]).gens])
         assert ideal_equal(Dk, prod)
     # the determinant is a unit here
     g = cayley_determinant(C)
@@ -159,24 +159,29 @@ def test_factorize_product_identity():
     A = algebra(["x", "y", "z"])
     C = koszul(A, "x", "y", "z")
     data = cayley_factorize(C)
-    m = C.length
+    m, B = C.length, data.factor_ideals
     for k in range(1, m + 1):
         Dk = lifted(characteristic_ideal(C, k))
-        prod = ideal_product(lifted(data.factor_ideals[k]),
-                             lifted(data.factor_ideals[k - 1]))
+        prod = IdealGens(A.ring, [u * v for u in lifted(B[k]).gens
+                                  for v in lifted(B[k - 1]).gens])
         assert ideal_equal(Dk, prod)
     prod_B = IdealGens(A.ring, [A.ring.one()])
     for k in range(0, m + 1):
-        prod_B = ideal_product(prod_B, lifted(data.factor_ideals[k]))
-    even = lifted(data.factor_ideals[0])
+        prod_B = IdealGens(A.ring, [u * v for u in prod_B.gens
+                                    for v in lifted(B[k]).gens])
+    even = lifted(B[0])
     k = 2
     while k <= m:
-        even = ideal_product(even, lifted(characteristic_ideal(C, k)))
+        even = IdealGens(A.ring, [
+            u * v for u in even.gens
+            for v in lifted(characteristic_ideal(C, k)).gens])
         k += 2
     odd = IdealGens(A.ring, [A.ring.one()])
     k = 1
     while k <= m:
-        odd = ideal_product(odd, lifted(characteristic_ideal(C, k)))
+        odd = IdealGens(A.ring, [
+            u * v for u in odd.gens
+            for v in lifted(characteristic_ideal(C, k)).gens])
         k += 2
     assert ideal_equal(prod_B, even)
     assert ideal_equal(prod_B, odd)
@@ -359,7 +364,7 @@ def test_strong_gcd_rejects_shallow_cofactors():
 
 def test_macrae_principal():
     A = algebra(["x", "y"])
-    E = AModule.quotient_by_ideal(AIdeal(A, [A.parse("x")]))
+    E = AModule(A, 1, [AIdeal(A, [A.parse("x")]).gens])
     C = FreeComplex(A, [matrix(A, [["x"]])])
     cert = macrae_invariant(E, C)
     assert str(cert.element) == "x"
@@ -380,7 +385,7 @@ def test_macrae_ses_multiplicativity():
     A = algebra(["x", "y"])
     invariants = {}
     for name in ["x", "y", "x*y"]:
-        E = AModule.quotient_by_ideal(AIdeal(A, [A.parse(name)]))
+        E = AModule(A, 1, [AIdeal(A, [A.parse(name)]).gens])
         C = FreeComplex(A, [matrix(A, [[name]])])
         invariants[name] = macrae_invariant(E, C).element
     prod = invariants["x"] * invariants["y"]
@@ -394,14 +399,14 @@ def test_macrae_rechecks_that_the_invariant_divides_f0(monkeypatch):
     A = algebra(["x", "y"])
     monkeypatch.setattr(ffr.cayley, "cayley_determinant",
                         lambda C: A.parse("x + 1"))
-    E = AModule.quotient_by_ideal(AIdeal(A, [A.parse("x")]))
+    E = AModule(A, 1, [AIdeal(A, [A.parse("x")]).gens])
     C = FreeComplex(A, [matrix(A, [["x"]])])
     with pytest.raises(VerificationError):
         macrae_invariant(E, C)
 
 def test_macrae_requires_matching_presentation():
     A = algebra(["x", "y"])
-    E = AModule.quotient_by_ideal(AIdeal(A, [A.parse("x")]))
+    E = AModule(A, 1, [AIdeal(A, [A.parse("x")]).gens])
     C = FreeComplex(A, [matrix(A, [["y"]])])
     with pytest.raises(ValueError):
         macrae_invariant(E, C)

@@ -72,7 +72,7 @@ def depth_cases(draw):
     else:  # E = A/(f_i): the specialized sequence fails, Kronecker decides
         h = draw(st.sampled_from(
             specialized_sequence(same_depth_generators(a), k)))
-    return a, AModule.quotient_by_ideal(AIdeal(A, [h])), k
+    return a, AModule(A, 1, [AIdeal(A, [h]).gens]), k
 
 
 def kronecker_only(a, E, k):
@@ -173,7 +173,7 @@ def secant_cases(draw):
     if kind == "algebra":
         return seq, AModule.free(FPAlgebra(R, [h]), 1)
     A = FPAlgebra(R, [])
-    return seq, AModule.quotient_by_ideal(AIdeal(A, [h]))
+    return seq, AModule(A, 1, [AIdeal(A, [h]).gens])
 
 
 @SETTINGS

@@ -40,7 +40,7 @@ def test_equal_multivectors_hash_equal():
     # the coordinate dict is compared but not hashed
     A = poly_alg("x", "y")
     x = A.parse("x")
-    u = MultiVector.vector(A, [x, A.ring.zero()])
+    u = MultiVector.from_dict(A, 2, 1, {(1,): x, (2,): A.ring.zero()})
     v = MultiVector.basis(A, 2, (1,)).scale(x)
     assert u == v and u is not v and hash(u) == hash(v)
     assert len({u, v, MultiVector.zero(A, 2, 1)}) == 2
@@ -55,7 +55,7 @@ def test_wedge_basics():
     assert wedge(e2, e1) == MultiVector.basis(A, 2, (1, 2)).scale(
         -A.ring.one())
     x, y = A.ring.gens()
-    v = MultiVector.vector(A, [x, y])
+    v = MultiVector.from_dict(A, 2, 1, {(1,): x, (2,): y})
     assert wedge(v, v).is_zero
 
 
@@ -68,7 +68,7 @@ def test_decomposable():
     assert mv.coeff((1, 3)) == b
     assert mv.coeff((2, 3)) == -a
     col = decomposable(A, [[a, b]])
-    assert col == MultiVector.vector(A, [a, b])
+    assert col == MultiVector.from_dict(A, 2, 1, {(1,): a, (2,): b})
     ident = decomposable(A, [[one, zero], [zero, one]], n=2)
     assert ident == MultiVector.basis(A, 2, (1, 2))
 
@@ -209,8 +209,8 @@ def test_hodge_block_formula():
 def test_interior_product_examples():
     A = poly_alg("x", "y")
     x, y = A.ring.gens()
-    v = MultiVector.vector(A, [x, y])
-    u = MultiVector.vector(A, [y, x])
+    v = MultiVector.from_dict(A, 2, 1, {(1,): x, (2,): y})
+    u = MultiVector.from_dict(A, 2, 1, {(1,): y, (2,): x})
     got = interior_right(v, u)
     assert got.grade == 0 and got.coeff(()) == pairing(v, u)
     const = MultiVector.scalar(A, 2, x)
@@ -265,7 +265,7 @@ def test_sylvester_plucker_cramer_case():
     z = [x, y + x * y]
     lhs, rhs, equal = sylvester_plucker(A, basis_cols, [z])
     assert equal
-    assert lhs == MultiVector.vector(A, z)
+    assert lhs == MultiVector.from_dict(A, 2, 1, {(1,): z[0], (2,): z[1]})
 
 
 def test_sylvester_plucker_selected_columns():

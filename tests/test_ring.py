@@ -249,7 +249,7 @@ def test_content_ideal():
 def test_dedekind_mertens_and_content_containment():
     # c(f)^(m+1) c(g) = c(f)^m c(fg) with m = deg_T g, and c(fg) <= c(f)c(g),
     # for univariate-in-T polynomials over Q[x,y]
-    from ffr.groebner import IdealGens, ideal_equal, ideal_product
+    from ffr.groebner import IdealGens, ideal_equal
     from ffr.ring import coefficients_in
 
     rng = random.Random(13)
@@ -276,15 +276,15 @@ def test_dedekind_mertens_and_content_containment():
         m = max(e for (_, _, e) in g.terms)
         cf, cg, cfg = content(f), content(g), content(f * g)
         # containment c(fg) <= c(f) c(g)
-        prod = ideal_product(cf, cg)
+        prod = IdealGens(R, [u * v for u in cf.gens for v in cg.gens])
         gb_prod = prod.groebner()
         assert all(gb_prod.contains(h) for h in cfg.gens)
         # Dedekind-Mertens equality
-        lhs = ideal_product(cg, cf)
+        lhs = IdealGens(R, [u * v for u in cg.gens for v in cf.gens])
         rhs = cfg
         for _ in range(m):
-            lhs = ideal_product(lhs, cf)
-            rhs = ideal_product(rhs, cf)
+            lhs = IdealGens(R, [u * v for u in lhs.gens for v in cf.gens])
+            rhs = IdealGens(R, [u * v for u in rhs.gens for v in cf.gens])
         assert ideal_equal(lhs, rhs)
         checked += 1
     assert checked >= 8

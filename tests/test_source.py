@@ -18,11 +18,11 @@ def test_no_bare_assert_in_library():
     assert found == []
 
 
-def test_every_definition_is_used():
-    # a function, class, method or module-level name nobody reads is dead
-    # code
+def _unread_definitions(readers):
+    # the functions, classes, methods and module-level names of `src/ffr`
+    # that no file of `readers` reads, matched by name
     defined, used = [], set()
-    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + readers:
         tree = ast.parse(path.read_text(), str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -46,8 +46,24 @@ def test_every_definition_is_used():
                                        else [node.target])
                         if isinstance(target, ast.Name)
                         and not target.id.startswith("__")]
-    assert [f"{where} {name}" for where, name in defined
-            if name not in used] == []
+    return [(f"{where} {name}", name) for where, name in defined
+            if name not in used]
+
+
+def test_every_definition_is_used():
+    # a function, class, method or module-level name nobody reads is dead
+    # code
+    assert [where for where, _ in
+            _unread_definitions(sorted(TESTS.glob("*.py")))] == []
+
+
+def test_every_library_definition_has_a_library_reader():
+    # a definition only tests read is an oracle kept in the library; the
+    # names the package exports are its interface, read by its users
+    bench = SRC.parents[1] / "perfbench"
+    assert [where for where, name in
+            _unread_definitions(sorted(bench.glob("*.py")))
+            if name not in ffr.__all__] == []
 
 
 def test_every_import_is_used():

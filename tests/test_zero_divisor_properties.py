@@ -61,7 +61,7 @@ def modules(draw, A):
     if kind == "free":
         return AModule.free(A, 1)
     if kind == "cyclic":
-        return AModule.quotient_by_ideal(AIdeal(A, [draw(elements(A))]))
+        return AModule(A, 1, [AIdeal(A, [draw(elements(A))]).gens])
     ncols = draw(st.integers(1, 2))
     rows = [[draw(elements(A)) for _ in range(ncols)] for _ in range(2)]
     return AModule(A, 2, rows)

@@ -58,9 +58,13 @@ class FPAlgebra:
 
 
 class AIdeal:
-    """A finitely generated ideal of A, stored by representatives mod J.
+    """A finitely generated ideal of A, stored by representatives mod J,
+    distinct up to sign.
 
-    Owns its lifted ideal, and so at most one reduced Groebner basis."""
+    Owns its lifted ideal, and so at most one reduced Groebner basis.  The
+    lifted generators are the representatives and then J's generators,
+    with no second dedupe: a nonzero normal form mod J is not in J, so it
+    is none of them up to sign, and each list is already distinct."""
 
     __slots__ = ("algebra", "gens", "_lifted")
 
@@ -73,8 +77,8 @@ class AIdeal:
     def lifted(self) -> gb.IdealGens:
         """The preimage ideal <gens> + J in k[X], built on the first call."""
         if self._lifted is None:
-            self._lifted = gb.IdealGens(self.algebra.ring, self.gens
-                                        + self.algebra.relations.gens)
+            self._lifted = gb.IdealGens._of_unique(
+                self.algebra.ring, self.gens + self.algebra.relations.gens)
         return self._lifted
 
     def __repr__(self):

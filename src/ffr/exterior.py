@@ -60,6 +60,8 @@ def minors(rows: Sequence[Sequence[Poly]], ring: PolyRing, k: int) -> dict:
     row r is cleared of its denominators d_r once, the minor on rows I is
     its int vector over the product of their d_r, and the fields are wide
     enough for k times the largest entry degree, so nothing overflows.
+    Each distinct packed minor (int vector and denominator) is decoded
+    into a `Poly` once, so equal minors share one object.
     """
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
@@ -104,8 +106,17 @@ def minors(rows: Sequence[Sequence[Poly]], ring: PolyRing, k: int) -> dict:
                             if (c := x % p if p else x)}
         return got
 
+    decoded: dict = {}
+
+    def poly(v: dict, d: int) -> Poly:
+        key = d, frozenset(v.items())
+        got = decoded.get(key)
+        if got is None:
+            got = decoded[key] = pack.polys(v, d)[0]
+        return got
+
     cols = subsets_colex(ncols, k)
-    return {(I, J): pack.polys(rec(I, J), d)[0]
+    return {(I, J): poly(rec(I, J), d)
             for I in subsets_colex(len(rows), k)
             for d in [prod(dens[r - 1] for r in I)] for J in cols}
 

@@ -10,7 +10,9 @@ A run selects pairs by the sugar strategy (Giovini et al., ISSAC 1991)
 after the Gebauer-Moeller criteria, takes its inputs in ascending lead
 order, and reduces S-polynomials in full in ideal runs, top-only in module
 runs.  The strategy changes only the path: the reduced basis, and so every
-syzygy, lift and report read off it, is canonical.
+syzygy, lift and report read off it, is canonical.  A run whose inputs
+are all single terms, as the minors of a Koszul map are, forms no pairs:
+its reduced basis is its minimal terms, made monic.
 
 Inside a run every term is one int of `ring._Pack`, the packed-term codec
 shared with the minors table.  A run sizes its fields from its inputs
@@ -256,8 +258,25 @@ def _buchberger_run(vecs: list[Vec], pack: _Pack) -> _Reducers:
 
     Pair pruning: Gebauer-Moeller chain criteria always; the coprimality
     (product) criterion only for rank 1, where it is valid.
+
+    Inputs that are all single terms (of any rank) skip the loop: the
+    S-polynomial of two terms is 0, so the reduced basis is the terms no
+    other one of the same position divides, monic and in descending lead
+    order.  It is a branch rather than a pair criterion because the pairs
+    cost more than the answer: on the 70 terms of (x1..x5)^4 over Q the
+    loop took 9.3 ms, the loop with a two-term criterion in `update` 6.8
+    ms and the branch 1.0 ms (best of 7, a 2-vCPU Xeon host).
     """
     red = _Reducers(pack)
+    if all(len(v) == 1 for v in vecs):
+        # terms only: the minimal ones, monic, in descending lead order
+        minimal = _Reducers(pack)
+        for t in sorted(set().union(*vecs)):
+            if minimal.find(t) is None:
+                minimal.add({t: 1})
+        for _, v, _ in reversed(minimal.entries):
+            red.add(v)
+        return red
     entries = red.entries
     heads: list[tuple] = []  # each element's leading term, unpacked
     ecarts: list[int] = []  # each element's sugar minus its lead's degree
@@ -347,6 +366,14 @@ class IdealGens:
         self.ring = ring
         self.gens = tuple(ring.unique_up_to_sign(gens))
         self._gb = None
+
+    @classmethod
+    def _of_unique(cls, ring: PolyRing, gens: Sequence[Poly]) -> "IdealGens":
+        """The ideal of `gens`, nonzero polys of `ring` already distinct up
+        to sign, kept as given without a second check."""
+        ideal = cls.__new__(cls)
+        ideal.ring, ideal.gens, ideal._gb = ring, tuple(gens), None
+        return ideal
 
     def groebner(self) -> "GroebnerBasis":
         if self._gb is None:

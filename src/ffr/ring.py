@@ -260,7 +260,8 @@ class PolyRing:
         and -p count as one.
 
         p and -p have the same support, so only polys in one support bucket
-        are compared.
+        are compared, and a poly that is one already kept (equal minors of
+        one table share an object) is dropped without comparing.
         """
         kept: list = []
         buckets: dict = {}
@@ -270,7 +271,7 @@ class PolyRing:
             if p.is_zero:
                 continue
             bucket = buckets.setdefault(frozenset(p.terms), [])
-            if any(p == h or p == -h for h in bucket):
+            if any(p is h or p == h or p == -h for h in bucket):
                 continue
             bucket.append(p)
             kept.append(p)

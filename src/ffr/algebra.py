@@ -27,7 +27,12 @@ class FPAlgebra:
         return cls(ring, ())
 
     def nf(self, p: Poly) -> Poly:
-        """Canonical representative of p modulo J."""
+        """Canonical representative of p modulo J: p itself over k[X],
+        where J has no generators and so no basis to reduce by."""
+        if not self.relations.gens:
+            if p.ring != self.ring:
+                raise RingMismatchError("polynomial in a different ring")
+            return p
         return self.relations.groebner().normal_form(p)
 
     def parse(self, src: str) -> Poly:

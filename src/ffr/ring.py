@@ -2,9 +2,12 @@
 
 Monomials are exponent tuples, polynomials are dicts mapping monomials to
 nonzero coefficients.  Everything is immutable after construction and all
-arithmetic is exact: Fraction coefficients over Q, canonical residues over
-a prime field.  `PolyRing.dot` is the one sum of products of `Poly`s: `*`,
-pairings and matrix products all accumulate through it.
+arithmetic is exact.  A coefficient has one canonical form, made only in
+this module: over a prime field its residue, an int in range(p); over Q an
+int when it is integral and a `Fraction` only when it is not, so its type
+follows from its value (`str`, `==` and `hash` agree on 3 and
+`Fraction(3)` anyway).  `PolyRing.dot` is the one sum of products of
+`Poly`s: `*`, pairings and matrix products all accumulate through it.
 
 `_Pack` is the one packed-term codec, shared by the Groebner engine and
 the minors table.  A term (pos, monomial) of A^rank is one int whose int
@@ -18,7 +21,7 @@ raises `_Overflow`; a product that sets a guard bit has overflowed, which
 the caller rules out by its choice of w or checks for.  `_Pack.vec` packs
 coordinate `Poly`s into an int vector d * v, d clearing their
 denominators, and `_Pack.polys` unpacks an int vector over a scale into
-coordinates with exact coefficients (`Fraction`s over Q).
+coordinates with canonical coefficients.
 """
 
 from __future__ import annotations
@@ -89,33 +92,47 @@ class CoefField:
             raise ValueError(f"{p} is not prime")
         self.p = p
 
-    # -- arithmetic on raw coefficients (Fraction over Q, int residue over F_p)
+    # -- arithmetic on raw coefficients: over F_p an int residue; over Q an
+    # int when integral and a Fraction only when not.  Sums and products
+    # are taken plainly and `norm` puts them back in that form.
 
     def one(self):
-        return 1 if self.p else Fraction(1)
+        return 1
+
+    def norm(self, c):
+        """The raw coefficient of a sum or product c of raw coefficients:
+        over F_p its residue, over Q c itself, as an int when integral."""
+        if self.p:
+            return c % self.p
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def coerce(self, c):
-        """An int or a Fraction as a raw coefficient: over F_p the residue
-        of numerator * denominator^-1."""
-        if not self.p:
-            return Fraction(c)
+        """An int or a Fraction (or any value `Fraction` takes) as a raw
+        coefficient: over F_p the residue of numerator *
+        denominator^-1, over Q an int when it is integral."""
+        p = self.p
         if isinstance(c, int):
-            return c % self.p
-        return c.numerator * pow(c.denominator, -1, self.p) % self.p
+            return c % p if p else int(c)
+        if not p:
+            return self.norm(Fraction(c))
+        return c.numerator * pow(c.denominator, -1, p) % p
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
+        return self.norm(a + b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
+        return self.norm(a * b)
 
     def neg(self, a):
         return (-a) % self.p if self.p else -a
 
     def inv(self, a):
+        """1 / a, exactly: over Q an int when 1 / a is integral, else a
+        Fraction, never a float."""
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p) if self.p else 1 / a
+        return pow(a, self.p - 2, self.p) if self.p else self.norm(
+            1 / Fraction(a))
 
     def __eq__(self, other):
         return isinstance(other, CoefField) and self.p == other.p
@@ -233,11 +250,13 @@ class PolyRing:
     def dot(self, xs: Iterable["Poly"], ys: Iterable["Poly"]) -> "Poly":
         """sum x_i * y_i: the one sum of products over this ring.
 
-        Every product is summed into one term dict and a term is dropped
-        as soon as it cancels, so a zero factor costs only its ring check.
+        Every product is added plainly into one term dict, so a zero
+        factor costs only its ring check; each sum is then reduced mod p
+        (or made canonical over Q) once, and the terms that cancel are
+        dropped, at the end.
         """
-        mul, add = self.field.mul, self.field.add
         res: dict = {}
+        get = res.get
         for x, y in zip(xs, ys):
             for f in (x, y):
                 if f.ring is not self and f.ring != self:
@@ -248,12 +267,10 @@ class PolyRing:
             for m1, c1 in a.items():
                 for m2, c2 in b.items():
                     m = mono_mul(m1, m2)
-                    s = add(res.get(m, 0), mul(c1, c2))
-                    if s:
-                        res[m] = s
-                    elif m in res:
-                        del res[m]
-        return Poly(self, res, _trusted=True)
+                    res[m] = get(m, 0) + c1 * c2
+        norm = self.field.norm
+        return Poly(self, {m: c for m, s in res.items() if (c := norm(s))},
+                    _trusted=True)
 
     def unique_up_to_sign(self, polys: Iterable["Poly"]) -> list["Poly"]:
         """The nonzero polys of this ring, first occurrences only, where p
@@ -300,7 +317,11 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable sparse polynomial: dict {exponent tuple: nonzero coeff}."""
+    """Immutable sparse polynomial: dict {exponent tuple: nonzero coeff}.
+
+    The untrusted constructor coerces each coefficient (`CoefField.coerce`)
+    and drops the zeros; `_trusted` takes canonical nonzero ones as given.
+    """
 
     __slots__ = ("ring", "terms", "_lt")
 
@@ -309,7 +330,8 @@ class Poly:
         if _trusted:
             self.terms = terms
         else:
-            self.terms = {m: c for m, c in terms.items() if c}
+            coerce = ring.field.coerce
+            self.terms = {m: v for m, c in terms.items() if (v := coerce(c))}
         self._lt = None
 
     # -- basics
@@ -366,15 +388,19 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return self.scale(self.ring.field.coerce(other))
+            return self.scale(other)
         return self.ring.dot((self,), (other,))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
+        """c * self for a scalar c, coerced first (`CoefField.coerce`), so
+        a multiple of p scales to zero over F_p."""
+        field = self.ring.field
+        c = field.coerce(c)
         if not c:
             return Poly(self.ring, {}, _trusted=True)
-        mul = self.ring.field.mul
+        mul = field.mul
         return Poly(self.ring, {m: mul(v, c) for m, v in self.terms.items()},
                     _trusted=True)
 
@@ -469,22 +495,28 @@ class _Pack:
 
     def vec(self, coords: Sequence[Poly]) -> tuple[dict, int]:
         """(d * v, d) for the polys `coords` as one packed vector v, d
-        being the lcm of their denominators (1 over F_p)."""
-        ratios = {self.enc(i, m): c.as_integer_ratio()
-                  for i, f in enumerate(coords) for m, c in f.terms.items()}
-        d = lcm(*(b for _, b in ratios.values()))
-        return {t: a * (d // b) for t, (a, b) in ratios.items()}, d
+        being the lcm of their denominators: 1, and the coefficients taken
+        as they are, when every one is an int (always over F_p)."""
+        v = {self.enc(i, m): c
+             for i, f in enumerate(coords) for m, c in f.terms.items()}
+        d = lcm(*(c.denominator for c in v.values()))
+        if d == 1:
+            return v, 1
+        return {t: c.numerator * (d // c.denominator)
+                for t, c in v.items()}, d
 
     def polys(self, v: dict, d: int) -> list[Poly]:
         """The `rank` coordinates of the packed int vector v over d, with
-        exact coefficients: over F_p, where d is 1, the residues."""
+        canonical coefficients: v's ints when d is 1 (always over F_p,
+        where they are residues), else each x / d, an int when d divides
+        x."""
         if not v:
             return [Poly(self.ring, {}, _trusted=True)] * self.rank
         coords: list[dict] = [{} for _ in range(self.rank)]
-        p, dec = self.ring.field.p, self.dec
+        norm, dec = self.ring.field.norm, self.dec
         for t, x in v.items():
             pos, mono = dec(t)
-            coords[pos][mono] = x if p else Fraction(x, d)
+            coords[pos][mono] = x if d == 1 else norm(Fraction(x, d))
         return [Poly(self.ring, c, _trusted=True) for c in coords]
 
 
@@ -611,8 +643,6 @@ def parse_poly(src: str, ring: PolyRing) -> Poly:
     if parser.toks[parser.pos]:
         raise ParseError(
             f"trailing input at token {parser.toks[parser.pos]!r}")
-    if not ring.field.p:
-        terms = {m: Fraction(c) for m, c in terms.items()}
     return Poly(ring, terms, _trusted=True)
 
 

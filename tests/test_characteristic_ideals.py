@@ -1,9 +1,10 @@
 """The path from a matrix to its characteristic ideal and reduced basis.
 
 Counters, not clocks: a run on terms alone forms no S-polynomial and
-reduces nothing, `minors` decodes each distinct minor once, and an ideal
-of A is deduplicated once, its lifted ideal included.  The differential
-test checks Fitting invariance: a polynomial change of basis leaves every
+reduces nothing, `minors` decodes each distinct minor once, an ideal of A
+is deduplicated once, its lifted ideal included, and over k[X] no normal
+form by the empty relation ideal is taken.  The differential test checks
+Fitting invariance: a polynomial change of basis leaves every
 characteristic ideal and the exactness verdict as they were, while the
 minors it gives are no longer single terms, so the Buchberger pair loop
 answers for the changed complex and the term-only branch for the Koszul
@@ -13,13 +14,15 @@ complex itself.
 import random
 from itertools import combinations_with_replacement
 
+import pytest
+
 from ffr import groebner as gb
 from ffr.algebra import AIdeal, FPAlgebra
 from ffr.complexes import (FreeComplex, RingMatrix, certify_exact,
                            characteristic_ideal, determinantal_ideal,
                            koszul_complex)
 from ffr.exterior import minors
-from ffr.ring import CoefField, PolyRing, QQ, _Pack
+from ffr.ring import CoefField, PolyRing, QQ, RingMismatchError, _Pack
 
 NAMES = ["x1", "x2", "x3", "x4", "x5"]
 
@@ -86,6 +89,27 @@ def test_lifted_ideal_of_quotient_keeps_every_generator():
     ideal = AIdeal(A, [x, x + x * y, -x, y ** 3, y])
     assert ideal.gens == (x, y)
     assert ideal.lifted().gens == (x, y, x * y, y ** 2)
+
+
+def test_polynomial_ring_takes_no_normal_form(monkeypatch):
+    # over k[X] J has no generators, so an entry or a generator is its own
+    # representative: no basis of J is built and none reduces anything
+    R = PolyRing(QQ, ["x", "y"])
+    x, y = R.gens()
+    A = FPAlgebra.polynomial(R)
+    nfs = counting(monkeypatch, gb.GroebnerBasis, "normal_form")
+    runs = counting(monkeypatch, gb, "_buchberger_vecs")
+    ideal = AIdeal(A, [x * y, x + y, -(x + y), R.zero()])
+    M = RingMatrix(A, [[x, y * y], [R.zero(), x - y]])
+    assert ideal.gens == (x * y, x + y)
+    assert M.entries == ((x, y * y), (R.zero(), x - y))
+    assert M.entries[0][0] is x
+    assert nfs == [] and runs == []
+    z = PolyRing(QQ, ["x", "y", "z"]).var("z")
+    for build in (lambda: AIdeal(A, [x, z]), lambda: RingMatrix(A, [[z]]),
+                  lambda: A.nf(z)):
+        with pytest.raises(RingMismatchError):
+            build()
 
 
 def basis_change(C, k, i, j, lam):

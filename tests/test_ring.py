@@ -119,6 +119,43 @@ def test_fraction_coefficients_mod_p_are_residues():
     assert cases[2] == x
 
 
+def test_rational_inverse_is_exact():
+    # 1 / a is a float for an int a; an inverse over Q must stay exact
+    half, minus_one = QQ.inv(2), QQ.inv(-1)
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert type(minus_one) is int and minus_one == -1
+    third = QQ.inv(Fraction(-1, 3))
+    assert type(third) is int and third == -3
+    assert QQ.inv(Fraction(4, 6)) == Fraction(3, 2)
+    big = 3 ** 60  # 1 / big as a float would round
+    assert QQ.inv(big) == Fraction(1, big) and QQ.inv(Fraction(1, big)) == big
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def test_coefficient_operations_give_no_float():
+    values = [1, -1, 2, 0, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2)]
+    for F in (QQ, CoefField(7)):
+        for a in values:
+            b = F.coerce(a)
+            got = [b, F.neg(b), F.one()] + [
+                op(b, F.coerce(c)) for c in values for op in (F.add, F.mul)]
+            if b:
+                got.append(F.inv(b))
+            assert all(type(c) in (int, Fraction) for c in got)
+            if F.p:
+                assert all(type(c) is int and c in range(7) for c in got)
+
+
+def test_scale_coerces_its_scalar():
+    R = PolyRing(CoefField(7), ["x"])
+    x = R.var("x")
+    assert x.scale(7).is_zero and x.scale(-1) == x * 6
+    assert x.scale(Fraction(1, 2)).terms == {(1,): 4}
+    q = ring_qq("x").var("x")
+    assert type(q.scale(Fraction(4, 2)).terms[(1,)]) is int
+
+
 def test_round_trip_mod_p():
     rng = random.Random(8)
     R = PolyRing(CoefField(7), ["x", "y"])

@@ -7,7 +7,7 @@ cokernel of a presentation matrix: M = A^q / (column span + J A^q).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import groebner as gb
 from .ring import Poly, PolyRing, RingMismatchError, embed_append, parse_poly
@@ -34,6 +34,17 @@ class FPAlgebra:
                 raise RingMismatchError("polynomial in a different ring")
             return p
         return self.relations.groebner().normal_form(p)
+
+    def nf_all(self, ps: Iterable[Poly]) -> tuple[Poly, ...]:
+        """`nf` of each p.  Over k[X] one ring check covers them all, with no
+        call per polynomial: only a ring that is not this one is compared."""
+        ps = tuple(ps)
+        if self.relations.gens:
+            return tuple(map(self.relations.groebner().normal_form, ps))
+        R = self.ring
+        if [p for p in ps if p.ring is not R and p.ring != R]:
+            raise RingMismatchError("polynomial in a different ring")
+        return ps
 
     def parse(self, src: str) -> Poly:
         return parse_poly(src, self.ring)
@@ -74,9 +85,8 @@ class AIdeal:
     __slots__ = ("algebra", "gens", "_lifted")
 
     def __init__(self, algebra: FPAlgebra, gens: Sequence[Poly]):
-        reps = map(algebra.nf, gens)  # each normal form checks the ring
         self.algebra = algebra
-        self.gens = tuple(algebra.ring.unique_up_to_sign(reps))
+        self.gens = tuple(algebra.ring.unique_up_to_sign(algebra.nf_all(gens)))
         self._lifted = None
 
     def lifted(self) -> gb.IdealGens:
@@ -99,7 +109,7 @@ class AModule:
                  presentation: Sequence[Sequence[Poly]] = ()):
         if rank < 0:
             raise ValueError("negative rank")
-        rows = [tuple(algebra.nf(p) for p in row) for row in presentation]
+        rows = [algebra.nf_all(row) for row in presentation]
         if rows and len(rows) != rank:
             raise ValueError("presentation must have `rank` rows")
         if len({len(r) for r in rows}) > 1:

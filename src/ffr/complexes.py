@@ -24,7 +24,7 @@ class RingMatrix:
 
     def __init__(self, algebra: FPAlgebra, entries: Sequence[Sequence[Poly]],
                  rows: Optional[int] = None, cols: Optional[int] = None):
-        ents = [tuple(algebra.nf(p) for p in row) for row in entries]
+        ents = [algebra.nf_all(row) for row in entries]
         if rows is None:
             rows = len(ents)
         if cols is None:

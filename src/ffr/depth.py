@@ -11,17 +11,24 @@ bound (prime avoidance: constant combinations of the generators are
 E-regular on almost every input); otherwise the Kronecker run decides, so
 every negative verdict and witness comes from the Kronecker sequence.
 
+Over k[X] with E free of positive rank, where the dimension already says
+the bound holds (k <= n - |S| for an independent set S), the specialized
+sequence is checked by the heights of its prefixes, one rank-1 basis each
+(`first_short_prefix`), instead of one colon run per stage; a prefix that
+falls short takes the colon stages and then the Kronecker run, which must
+agree on the failing stage.
+
 Depth is exposed through the decidable predicate "at least k" and through
 `depth_value`, which over k[X] with E free decides by the depth-dimension
 bracket Gr(a, E) = n - dim A/a (k[X] is Cohen-Macaulay: Bruns & Herzog,
 Cor. 2.1.4): an independent set of the reduced basis's leads (Kredel &
 Weispfenning, J. Symbolic Comput. 6, 1988) bounds it above, a sequence of
-that length below.  Elsewhere it decides "at least k" on the route of
-`depth_at_least` for k the generator count: with k generators, depth >= k+1
-already forces a E = E (the infinite-depth case).  The depth-dimension
-identity is the bracket's report, and a sequence is completely secant when
-`depth_value` reaches its length.  An ideal and a module over different
-algebras raise RingMismatchError.
+that length, checked by prefix heights, below.  Elsewhere it decides "at
+least k" on the route of `depth_at_least` for k the generator count: with
+k generators, depth >= k+1 already forces a E = E (the infinite-depth
+case).  The depth-dimension identity is the bracket's report, and a
+sequence is completely secant when `depth_value` reaches its length.  An
+ideal and a module over different algebras raise RingMismatchError.
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import groebner as gb
 from .algebra import AIdeal, AModule, FPAlgebra, ideal_times_module_is_module
-from .ring import (Poly, RingMismatchError, VerificationError, embed_append,
-                   kronecker_poly, mono_divides)
+from .ring import (Poly, PolyRing, RingMismatchError, VerificationError,
+                   embed_append, kronecker_poly, mono_divides)
 
 INFINITY = math.inf
 
@@ -88,7 +95,7 @@ def is_E_regular_sequence(seq: Sequence[Poly], E: AModule) -> DepthCertificate:
     A = E.algebra
     R = A.ring
     q = E.rank
-    seq = tuple(A.nf(p) for p in seq)
+    seq = A.nf_all(seq)
     W = E.base_vectors()
     for j, a_j in enumerate(seq, start=1):
         witness = next(gb._colon_classes(W, [a_j], q, R), None)
@@ -140,6 +147,45 @@ def specialized_sequence(a: AIdeal, k: int) -> tuple[Poly, ...]:
                  for t in range(1, k + 1))
 
 
+def first_short_prefix(seq: Sequence[Poly],
+                       R: PolyRing) -> Optional[int]:
+    """The first j with ht(f_1..f_j) < j, or None when every prefix of seq
+    (polynomials of R = k[X]) reaches its length.
+
+    This is the first failing stage of `is_E_regular_sequence` on a free
+    module E = A^q, q > 0, over A = k[X].  k[X] is Cohen-Macaulay, so when
+    f_1..f_(j-1) is regular every associated prime of R/(f_1..f_(j-1)) is
+    minimal of height j - 1 (unmixedness: Bruns & Herzog, Cohen-Macaulay
+    Rings, Thm 2.1.6; Matsumura, Commutative Ring Theory, Thm 17.4).  So
+    f_j is regular if and only if it lies in none of them, that is, if and
+    only if ht(f_1..f_j) >= j.  The unit ideal has every height and passes,
+    as a colon stage passes it.  On A^q, f_j is regular if and only if it
+    is on A, so the test is the same.
+
+    ht(I) >= h is read off one rank-1 basis of I: ht I = ht in(I) is the
+    least number of variables that meet the support of every leading
+    monomial, and no set meets a constant lead.
+    """
+    for j in range(1, len(seq) + 1):
+        basis = gb.IdealGens(R, seq[:j]).groebner().basis
+        supports = [frozenset(i for i, e in enumerate(g.lm()) if e)
+                    for g in basis]
+        if _hitting_set(supports, j - 1):
+            return j
+    return None
+
+
+def _hitting_set(supports: list, budget: int) -> bool:
+    """Some set of at most `budget` variables meets every support; each
+    branch takes a variable of a smallest support not yet met."""
+    if not supports:
+        return True
+    first = min(supports, key=len)
+    return budget > 0 and any(
+        _hitting_set([s for s in supports if v not in s], budget - 1)
+        for v in first)
+
+
 def depth_at_least(a: AIdeal, E: AModule, k: int) -> DepthCertificate:
     """Gr(a, E) >= k, on the specialized sequence first, else decided on a
     Kronecker sequence of length k.
@@ -150,11 +196,23 @@ def depth_at_least(a: AIdeal, E: AModule, k: int) -> DepthCertificate:
     bound and its certificate (base algebra and sequence) is returned.  A
     specialized sequence that fails proves nothing: the Kronecker run then
     decides, and every negative certificate and witness comes from it.
+
+    Over k[X] with E free of positive rank, when the reduced basis of a
+    has an independent set S with k <= n - |S| (or a = (1)), the verdict
+    holds and f is checked by prefix heights (`first_short_prefix`), not
+    by colon stages.  The search for S only picks that route: a prefix
+    that falls short still takes the colon stages and the Kronecker run.
     """
     if k < 0:
         raise ValueError("negative depth bound")
     _same_algebra(a, E)
-    return _specialized_else_kronecker(same_depth_generators(a), E, k)
+    gens = same_depth_generators(a)
+    A = a.algebra
+    if A.is_polynomial_ring() and not E.presentation and E.rank:
+        S = gb.independent_set(a.lifted())
+        if S is None or k <= A.ring.n - len(S):
+            return _heights_else_kronecker(gens, E, k)
+    return _specialized_else_kronecker(gens, E, k)
 
 
 def _same_algebra(a: AIdeal, E: AModule) -> None:
@@ -162,13 +220,31 @@ def _same_algebra(a: AIdeal, E: AModule) -> None:
         raise RingMismatchError("ideal and module over different algebras")
 
 
+def _kronecker_run(gens: AIdeal, E: AModule, k: int) -> DepthCertificate:
+    ks = kronecker_sequence(gens, k)
+    return is_E_regular_sequence(ks.polys, E.transport(ks.extended_algebra))
+
+
 def _specialized_else_kronecker(gens: AIdeal, E: AModule,
                                 k: int) -> DepthCertificate:
     cert = is_E_regular_sequence(specialized_sequence(gens, k), E)
-    if cert.holds:
-        return cert
-    ks = kronecker_sequence(gens, k)
-    return is_E_regular_sequence(ks.polys, E.transport(ks.extended_algebra))
+    return cert if cert.holds else _kronecker_run(gens, E, k)
+
+
+def _heights_else_kronecker(gens: AIdeal, E: AModule,
+                            k: int) -> DepthCertificate:
+    """The specialized sequence checked by prefix heights (E free of
+    positive rank over k[X]).  A short prefix takes the colon stages,
+    which must fail at the same stage (else VerificationError), and then
+    the Kronecker run."""
+    seq = specialized_sequence(gens, k)
+    j = first_short_prefix(seq, gens.algebra.ring)
+    if j is None:
+        return DepthCertificate(k, True, sequence=seq, algebra=gens.algebra)
+    cert = is_E_regular_sequence(seq, E)
+    if cert.holds or cert.fail_stage != j:
+        raise VerificationError("prefix heights and colon stages disagree")
+    return _kronecker_run(gens, E, k)
 
 
 def _bracket(a: AIdeal, E: AModule):
@@ -178,9 +254,10 @@ def _bracket(a: AIdeal, E: AModule):
     Gr(a, E) = height a = n - dim A/a there (k[X] is Cohen-Macaulay; Bruns
     & Herzog, Cor. 2.1.4).  The independent set S is re-checked to carry no
     lead of the reduced basis, so |S| <= dim A/a (Kredel & Weispfenning
-    1988) and Gr <= n - |S|; `lower`, the specialized-else-Kronecker
-    certificate of length n - |S|, must hold, so a smaller S fails there.
-    Either failure raises VerificationError.
+    1988) and Gr <= n - |S|; `lower`, the specialized sequence of length
+    n - |S| checked by prefix heights (else the Kronecker run), must hold,
+    so a smaller S fails there.  The heights never read S.  Either failure
+    raises VerificationError.
     """
     basis = a.lifted().groebner().basis
     S = gb.independent_set(a.lifted())
@@ -188,8 +265,8 @@ def _bracket(a: AIdeal, E: AModule):
         return None, None
     if any(all(i in S for i, e in enumerate(g.lm()) if e) for g in basis):
         raise VerificationError("independent set does not re-check")
-    lower = _specialized_else_kronecker(same_depth_generators(a), E,
-                                        a.algebra.ring.n - len(S))
+    lower = _heights_else_kronecker(same_depth_generators(a), E,
+                                    a.algebra.ring.n - len(S))
     if not lower.holds:
         raise VerificationError("depth is below n - dim A/a")
     return S, lower

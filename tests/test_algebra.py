@@ -62,6 +62,15 @@ def test_nf_and_ring_checks_over_polynomial_ring():
             AIdeal(A, [g])
         with pytest.raises(RingMismatchError):
             FPAlgebra(A.ring, [g])
+        # nf_all checks a whole row at once: a foreign entry anywhere fails
+        with pytest.raises(RingMismatchError):
+            RingMatrix(A, [[A.parse("x"), A.parse("y"), g]])
+        with pytest.raises(RingMismatchError):
+            AIdeal(A, [A.parse("y"), g])
+    # an equal ring built apart is the same ring
+    twin = parse_poly("x*y", PolyRing(B.ring.field, ["x", "y"]))
+    assert B.nf_all([f, twin]) == (f, twin)
+    assert RingMatrix(B, [[f, twin]]).entries == ((f, twin),)
 
 
 def test_faithful_ideals():

@@ -93,18 +93,20 @@ def test_lifted_ideal_of_quotient_keeps_every_generator():
 
 def test_polynomial_ring_takes_no_normal_form(monkeypatch):
     # over k[X] J has no generators, so an entry or a generator is its own
-    # representative: no basis of J is built and none reduces anything
+    # representative: no basis of J is built and none reduces anything, and
+    # one ring check covers a whole row, with no `nf` call per entry
     R = PolyRing(QQ, ["x", "y"])
     x, y = R.gens()
     A = FPAlgebra.polynomial(R)
     nfs = counting(monkeypatch, gb.GroebnerBasis, "normal_form")
     runs = counting(monkeypatch, gb, "_buchberger_vecs")
+    entry_nfs = counting(monkeypatch, FPAlgebra, "nf")
     ideal = AIdeal(A, [x * y, x + y, -(x + y), R.zero()])
     M = RingMatrix(A, [[x, y * y], [R.zero(), x - y]])
     assert ideal.gens == (x * y, x + y)
     assert M.entries == ((x, y * y), (R.zero(), x - y))
     assert M.entries[0][0] is x
-    assert nfs == [] and runs == []
+    assert nfs == [] and runs == [] and entry_nfs == []
     z = PolyRing(QQ, ["x", "y", "z"]).var("z")
     for build in (lambda: AIdeal(A, [x, z]), lambda: RingMatrix(A, [[z]]),
                   lambda: A.nf(z)):

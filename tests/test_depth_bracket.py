@@ -1,14 +1,16 @@
 """`depth_value` over k[X] on a free module decides by the depth-dimension
 bracket: an independent set S of the reduced basis's leads bounds the depth
-above by n - |S|, and a specialized-else-Kronecker sequence of that length
-bounds it below.  Both bounds are re-checked (VerificationError, CLI exit
-4).  `depth_dim_identity` reports the same bracket, and
-`is_completely_secant` reads `depth_value`, so neither runs a failing
-Kronecker sequence there.  Off that path the specialized-else-Kronecker
-route decides.  The runaway pins bound the wall clock of instances that
-the Kronecker route took minutes on.
+above by n - |S|, and a specialized sequence of that length, checked by
+the heights of its prefixes (else the Kronecker run), bounds it below.
+Both bounds are re-checked (VerificationError, CLI exit 4).
+`depth_dim_identity` reports the same bracket, and `is_completely_secant`
+reads `depth_value`, so neither runs a failing Kronecker sequence there.
+Off that path the specialized-else-Kronecker route decides.  The runaway
+pins bound the wall clock of instances that the Kronecker route took
+minutes on.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -17,9 +19,12 @@ import ffr.depth as depth
 import ffr.groebner as gb
 from ffr.algebra import AIdeal, AModule, FPAlgebra
 from ffr.cli import run
-from ffr.complexes import RingMatrix, determinantal_ideal
+from ffr.complexes import (RingMatrix, characteristic_ideal,
+                           determinantal_ideal, koszul_complex)
 from ffr.depth import (INFINITY, DepthCertificate, depth_at_least,
-                       depth_dim_identity, depth_value, is_completely_secant)
+                       depth_dim_identity, depth_value, first_short_prefix,
+                       is_completely_secant, is_E_regular_sequence,
+                       same_depth_generators, specialized_sequence)
 from ffr.ring import CoefField, PolyRing, QQ, VerificationError
 
 
@@ -94,8 +99,7 @@ def failed_lower_bound(gens, E, k):
 
 def test_depth_value_refuses_a_failed_lower_bound(monkeypatch):
     A = xyz()
-    monkeypatch.setattr(depth, "_specialized_else_kronecker",
-                        failed_lower_bound)
+    monkeypatch.setattr(depth, "_heights_else_kronecker", failed_lower_bound)
     with pytest.raises(VerificationError, match="below n - dim"):
         depth_value(ideal(A, "x*y", "x*z"), AModule.free(A, 1))
 
@@ -105,7 +109,7 @@ def test_depth_value_bracket_fault_exits_4(monkeypatch, capsys, fault):
     if fault == "independent_set":
         monkeypatch.setattr(gb, "independent_set", lambda I: (0, 1))
     else:
-        monkeypatch.setattr(depth, "_specialized_else_kronecker",
+        monkeypatch.setattr(depth, "_heights_else_kronecker",
                             failed_lower_bound)
     code = run(["depth-value", "--vars", "x,y,z", "--ideal", '["x*y","x*z"]'])
     out, err = capsys.readouterr()
@@ -183,12 +187,12 @@ def no_kronecker(a, k):
 
 
 def test_depth_dim_identity_reads_the_bracket(monkeypatch):
-    # one regular-sequence run of length n - |S|, no failing upper-bound run
+    # one lower-bound run of length n - |S|, no failing upper-bound run
     A = xyz()
     a, E = ideal(A, "x", "y"), AModule.free(A, 1)
-    stages, regular = [], depth.is_E_regular_sequence
-    monkeypatch.setattr(depth, "is_E_regular_sequence", lambda seq, E: (
-        stages.append(seq) or regular(seq, E)))
+    stages, lower = [], depth._heights_else_kronecker
+    monkeypatch.setattr(depth, "_heights_else_kronecker", lambda g, E, k: (
+        stages.append(k) or lower(g, E, k)))
     monkeypatch.setattr(depth, "kronecker_sequence", no_kronecker)
     rep = depth_dim_identity(a)
     assert len(stages) == 1
@@ -207,3 +211,73 @@ def test_not_completely_secant_without_a_kronecker_run(monkeypatch):
     monkeypatch.setattr(depth, "kronecker_sequence", no_kronecker)
     assert len(a.gens) == 6
     assert not is_completely_secant(list(a.gens), E)
+
+
+def test_positive_bracket_runs_no_module_basis(monkeypatch):
+    # the lower bound is checked by prefix heights, rank-1 bases only: no
+    # colon stage, so no tagged syzygy run of rank > 1
+    ranks, run = [], gb._buchberger_vecs
+    monkeypatch.setattr(gb, "_buchberger_vecs", lambda gens, R, rank: (
+        ranks.append(rank) or run(gens, R, rank)))
+    A = xyz()
+    assert depth_value(ideal(A, "x*y", "x*z"), AModule.free(A, 1)) == 1
+    assert depth_value(ideal(A, "x", "y*(1 - x)", "z^2 + x"),
+                       AModule.free(A, 2)) == 3
+    assert ranks and set(ranks) == {1}
+
+
+def no_heights(seq, R):
+    raise AssertionError("first_short_prefix ran")
+
+
+def test_depth_above_the_value_runs_no_height_check(monkeypatch):
+    # level 2 of this Koszul complex over Q[x, y, z] has depth 1 < 2: the
+    # verdict takes the colon stages and the Kronecker run, with the stage
+    # and witness it always had (about 0.3 s in grevlex and 28 s in grlex
+    # on a 2-vCPU host)
+    monkeypatch.setattr(depth, "first_short_prefix", no_heights)
+    A = xyz()
+    seq = [A.parse(g) for g in ("-3*x^2*y^2*z + x*y^2*z^2",
+                                "-3*x*y*z^2 + x^2", "x^2*y*z^2 + x^2*y^2")]
+    D2 = characteristic_ideal(koszul_complex(A, seq), 2)
+    cert = depth_at_least(D2, AModule.free(A, 1), 2)
+    assert not cert.holds and cert.fail_stage == 2
+    text = "\n".join(map(str, cert.witness)).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "8d6741a16b8d870a69736ce0794c6b3bb0aedcf4bbe8bbce3c7a63acba8f9e01")
+
+
+def colliding_table():
+    # over F_2 the table t_i = i repeats x + y + z at stage 3
+    A = FPAlgebra(PolyRing(CoefField(2), ["x", "y", "z"]), [])
+    a = ideal(A, "x", "y", "z")
+    return A, a, specialized_sequence(same_depth_generators(a), 3)
+
+
+def test_colliding_table_falls_back_to_kronecker():
+    # the heights refuse at stage 3, the colon stages fail there too, and
+    # the Kronecker run, in its extended ring, proves the depth 3
+    A, a, seq = colliding_table()
+    E = AModule.free(A, 1)
+    assert seq[0] == seq[2] == A.parse("x + y + z")
+    assert first_short_prefix(seq, A.ring) == 3
+    assert is_E_regular_sequence(seq, E).fail_stage == 3
+    cert = depth_at_least(a, E, 3)
+    assert cert.holds and cert.algebra.ring.n == 6
+
+
+def test_heights_that_refuse_where_the_colons_pass_raise(monkeypatch):
+    monkeypatch.setattr(depth, "first_short_prefix", lambda seq, R: 1)
+    A = xyz()
+    with pytest.raises(VerificationError, match="disagree"):
+        depth_at_least(ideal(A, "x", "y"), AModule.free(A, 1), 2)
+    with pytest.raises(VerificationError, match="disagree"):
+        depth_value(ideal(A, "x*y", "x*z"), AModule.free(A, 1))
+
+
+def test_heights_that_name_another_stage_raise(monkeypatch):
+    # the colon stages of the colliding table fail at 3, not 2
+    A, a, _ = colliding_table()
+    monkeypatch.setattr(depth, "first_short_prefix", lambda seq, R: 2)
+    with pytest.raises(VerificationError, match="disagree"):
+        depth_at_least(a, AModule.free(A, 1), 3)
